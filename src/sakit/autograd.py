@@ -1,9 +1,14 @@
 """Reverse-mode autodiff over a static graph built from a NetworkSpec.
 
-The graph owns named parameter and state arrays; forward caches every node
-output so backward can run once per forward. Execution is single-threaded
-and free of hidden randomness: identical weights, inputs and mode flags give
-bitwise-identical outputs.
+The graph owns named parameter and state arrays. One forward loop serves
+both modes. A training forward keeps every node output and each node's
+backward cache, so one backward can follow it; backward frees each cache
+once that node's backward has run. An inference forward keeps no cache and
+frees each activation after its last consumer (computed once from the
+spec), so it returns only the logits, the loss and the names the caller
+asks to keep. Each forward first releases the previous pass's outputs.
+Execution is single-threaded and free of hidden randomness: identical
+weights, inputs and mode flags give bitwise-identical outputs.
 """
 
 from dataclasses import dataclass, field
@@ -16,12 +21,11 @@ from .rng import stream
 
 
 class Node:
-    """Runtime half of one LayerSpec: kernels plus per-pass cache."""
+    """Runtime half of one LayerSpec: kernels plus the last training pass's cache."""
 
-    def __init__(self, layer, in_shapes):
+    def __init__(self, layer):
         self.layer = layer
         self.name = layer.name
-        self.in_shapes = in_shapes
         self.cache = None
 
     def param_shapes(self):
@@ -34,6 +38,7 @@ class Node:
         pass
 
     def forward(self, xs, params, state, training):
+        """Return (output, backward cache)."""
         raise NotImplementedError
 
     def backward(self, dy, params):
@@ -43,15 +48,15 @@ class Node:
 
 class InputNode(Node):
     def forward(self, xs, params, state, training):
-        return xs[0]
+        return xs[0], None
 
     def backward(self, dy, params):
         return [dy], {}
 
 
 class ConvNode(Node):
-    def __init__(self, layer, in_shapes):
-        super().__init__(layer, in_shapes)
+    def __init__(self, layer):
+        super().__init__(layer)
         a = layer.attrs
         self.k = a["k"]
         self.stride = a.get("stride", 1)
@@ -77,11 +82,11 @@ class ConvNode(Node):
             params[self.bname][...] = 0.0
 
     def forward(self, xs, params, state, training):
-        y, self.cache = ops.conv2d_forward(
+        y, cache = ops.conv2d_forward(
             xs[0], params[self.wname], self.stride, self.dilation, self.pad)
         if self.has_bias:
             y += params[self.bname][None, :, None, None]
-        return y
+        return y, cache
 
     def backward(self, dy, params):
         dx, dw = ops.conv2d_backward(dy, params[self.wname], self.cache)
@@ -92,8 +97,8 @@ class ConvNode(Node):
 
 
 class PoolNode(Node):
-    def __init__(self, layer, in_shapes):
-        super().__init__(layer, in_shapes)
+    def __init__(self, layer):
+        super().__init__(layer)
         a = layer.attrs
         self.kind = layer.op
         self.k, self.stride = a["k"], a["stride"]
@@ -101,9 +106,10 @@ class PoolNode(Node):
         self.ceil = bool(a.get("ceil", 0))
 
     def forward(self, xs, params, state, training):
-        fn = ops.maxpool2d_forward if self.kind == "maxpool" else ops.avgpool2d_forward
-        y, self.cache = fn(xs[0], self.k, self.stride, self.pad, self.ceil)
-        return y
+        if self.kind == "maxpool":
+            return ops.maxpool2d_forward(xs[0], self.k, self.stride, self.pad, self.ceil,
+                                         training=training)
+        return ops.avgpool2d_forward(xs[0], self.k, self.stride, self.pad, self.ceil)
 
     def backward(self, dy, params):
         fn = ops.maxpool2d_backward if self.kind == "maxpool" else ops.avgpool2d_backward
@@ -112,17 +118,15 @@ class PoolNode(Node):
 
 class ResizeNode(Node):
     def forward(self, xs, params, state, training):
-        y, self.cache = ops.resize_nearest_forward(
-            xs[0], self.layer.attrs["h"], self.layer.attrs["w"])
-        return y
+        return ops.resize_nearest_forward(xs[0], self.layer.attrs["h"], self.layer.attrs["w"])
 
     def backward(self, dy, params):
         return [ops.resize_nearest_backward(dy, self.cache)], {}
 
 
 class BatchNormNode(Node):
-    def __init__(self, layer, in_shapes):
-        super().__init__(layer, in_shapes)
+    def __init__(self, layer):
+        super().__init__(layer)
         a = layer.attrs
         self.c = a["c"]
         self.eps = a.get("eps", 1e-5)
@@ -143,14 +147,13 @@ class BatchNormNode(Node):
         params[self.bname][...] = 0.0
 
     def forward(self, xs, params, state, training):
-        y, self.cache, new_mean, new_var = ops.batchnorm2d_forward(
+        y, cache, new_mean, new_var = ops.batchnorm2d_forward(
             xs[0], params[self.gname], params[self.bname],
             state[self.mname], state[self.vname],
             self.eps, self.momentum, training)
-        if training:
-            state[self.mname] = new_mean
-            state[self.vname] = new_var
-        return y
+        # inference returns the running stats themselves, so this keeps them
+        state[self.mname], state[self.vname] = new_mean, new_var
+        return y, cache
 
     def backward(self, dy, params):
         dx, dgamma, dbeta = ops.batchnorm2d_backward(dy, self.cache)
@@ -159,8 +162,7 @@ class BatchNormNode(Node):
 
 class ReluNode(Node):
     def forward(self, xs, params, state, training):
-        y, self.cache = ops.relu_forward(xs[0])
-        return y
+        return ops.relu_forward(xs[0])
 
     def backward(self, dy, params):
         return [ops.relu_backward(dy, self.cache)], {}
@@ -168,7 +170,7 @@ class ReluNode(Node):
 
 class AddNode(Node):
     def forward(self, xs, params, state, training):
-        return ops.add_forward(xs[0], xs[1])
+        return ops.add_forward(xs[0], xs[1]), None
 
     def backward(self, dy, params):
         return [dy, dy], {}
@@ -176,8 +178,7 @@ class AddNode(Node):
 
 class ConcatNode(Node):
     def forward(self, xs, params, state, training):
-        y, self.cache = ops.concat_channels_forward(xs)
-        return y
+        return ops.concat_channels_forward(xs)
 
     def backward(self, dy, params):
         return ops.concat_channels_backward(dy, self.cache), {}
@@ -185,16 +186,15 @@ class ConcatNode(Node):
 
 class GapNode(Node):
     def forward(self, xs, params, state, training):
-        y, self.cache = ops.global_avg_pool_forward(xs[0])
-        return y
+        return ops.global_avg_pool_forward(xs[0])
 
     def backward(self, dy, params):
         return [ops.global_avg_pool_backward(dy, self.cache)], {}
 
 
 class DenseNode(Node):
-    def __init__(self, layer, in_shapes):
-        super().__init__(layer, in_shapes)
+    def __init__(self, layer):
+        super().__init__(layer)
         self.cin, self.cout = layer.attrs["in"], layer.attrs["out"]
         self.wname = f"{self.name}.weight"
         self.bname = f"{self.name}.bias"
@@ -209,8 +209,7 @@ class DenseNode(Node):
         params[self.bname][...] = 0.0
 
     def forward(self, xs, params, state, training):
-        y, self.cache = ops.dense_forward(xs[0], params[self.wname], params[self.bname])
-        return y
+        return ops.dense_forward(xs[0], params[self.wname], params[self.bname])
 
     def backward(self, dy, params):
         dx, dw, db = ops.dense_backward(dy, params[self.wname], self.cache)
@@ -221,10 +220,7 @@ class SoftmaxXentNode(Node):
     labels = None  # set by Graph.forward
 
     def forward(self, xs, params, state, training):
-        if self.labels is None:
-            raise ValueError(f"loss node '{self.name}' needs labels")
-        y, self.cache = ops.softmax_cross_entropy_forward(xs[0], self.labels)
-        return y
+        return ops.softmax_cross_entropy_forward(xs[0], self.labels)
 
     def backward(self, dy, params):
         return [ops.softmax_cross_entropy_backward(dy, self.cache)], {}
@@ -253,11 +249,7 @@ class Graph:
         self.spec = spec
         self.dtype = np.dtype(dtype)
         self.shapes = propagate_shapes(spec)
-        self.nodes = []
-        for layer in spec.nodes:
-            in_shapes = [self.shapes[i] for i in layer.inputs]
-            self.nodes.append(_NODE_TYPES[layer.op](layer, in_shapes))
-        self._by_name = {n.name: n for n in self.nodes}
+        self.nodes = [_NODE_TYPES[layer.op](layer) for layer in spec.nodes]
         self.params = {}
         self.state = {}
         for node in self.nodes:
@@ -268,7 +260,17 @@ class Graph:
                 self.state[sname] = np.full(shape, init_val, dtype=self.dtype)
         if init:
             self.init_params(seed)
+        # liveness: an output dies after its last reader (at once if none
+        # reads it), except the logits and the loss of a spec that has them
+        outputs = {n for layer in spec.nodes if layer.op == "softmax_xent"
+                   for n in (layer.name, layer.inputs[0])}
+        last = {n: i for i, layer in enumerate(spec.nodes) for n in (layer.name, *layer.inputs)}
+        self._dead_after = [[] for _ in self.nodes]
+        for name, i in last.items():
+            if name not in outputs:
+                self._dead_after[i].append(name)
         self.activations = None
+        self._backward_ready = False
 
     def init_params(self, seed):
         def rng_for(pname):
@@ -276,76 +278,72 @@ class Graph:
         for node in self.nodes:
             node.init_params(self.params, rng_for)
 
-    def forward(self, x, labels=None, mode="train"):
-        """Run every node; returns the activation dict (name -> array)."""
+    def forward(self, x, labels=None, mode="train", keep=()):
+        """Run every node (the loss node only when ``labels`` are given).
+
+        Training returns every node output. Inference returns the logits and
+        the loss (of a spec that has them) and the node names in ``keep``;
+        every other output is freed after its last consumer runs. The
+        returned dict is emptied by the next forward: copy what must outlive it.
+        """
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode '{mode}'")
         training = mode == "train"
-        x = np.ascontiguousarray(x, dtype=self.dtype)
-        self._check_input(x)
-        acts = {}
+        keep = frozenset(keep)
+        if keep - self.shapes.keys():
+            raise ValueError(f"keep names unknown nodes {sorted(keep - self.shapes.keys())}")
+        # release the previous pass, also from a dict a caller still holds
+        if self.activations is not None:
+            self.activations.clear()
         for node in self.nodes:
-            if isinstance(node, SoftmaxXentNode):
-                node.labels = labels
-            xs = [acts[i] for i in node.layer.inputs] if node.layer.inputs else [x]
-            try:
-                acts[node.name] = node.forward(xs, self.params, self.state, training)
-            except ValueError as e:
-                raise ShapeError(node.name, str(e)) from e
-        self.activations = acts
-        return acts
-
-    def _check_input(self, x):
+            node.cache = None
+        self._backward_ready = False
+        x = np.ascontiguousarray(x, dtype=self.dtype)
         c, h, w = self.spec.input_shape
         if x.ndim != 4 or x.shape[1:] != (c, h, w):
             raise ShapeError(self.spec.input_name,
                              f"expects (N,{c},{h},{w}) input, got {x.shape}")
+        acts = self.activations = {}
+        for node, dead in zip(self.nodes, self._dead_after):
+            if isinstance(node, SoftmaxXentNode):
+                if labels is None:
+                    continue
+                node.labels = labels
+            xs = [acts[i] for i in node.layer.inputs] if node.layer.inputs else [x]
+            try:
+                acts[node.name], node.cache = node.forward(xs, self.params, self.state, training)
+            except ValueError as e:
+                raise ShapeError(node.name, str(e)) from e
+            if not training:
+                node.cache = None
+                for name in dead:
+                    if name not in keep:
+                        del acts[name]
+        self._backward_ready = training and labels is not None
+        return acts
 
-    def backward(self, loss_name=None):
-        """Gradients of the scalar loss for every parameter (zeros if unused)."""
-        if self.activations is None:
-            raise RuntimeError("backward before forward")
-        loss_name = loss_name or self.spec.loss_name
-        loss = self.activations[loss_name]
-        if np.ndim(loss) != 0:
-            raise ValueError(f"loss node '{loss_name}' is not scalar: shape {np.shape(loss)}")
+    def backward(self):
+        """Gradients of the scalar loss for every parameter (zeros if unused);
+        one backward per training forward with labels."""
+        if not self._backward_ready:
+            raise RuntimeError("backward before forward: each backward needs "
+                               "its own training-mode forward with labels")
+        self._backward_ready = False
         grads = {p: np.zeros_like(v) for p, v in self.params.items()}
-        flowing = {loss_name: np.asarray(1.0, dtype=self.dtype)}
+        flowing = {self.spec.loss_name: np.asarray(1.0, dtype=self.dtype)}
         self.input_grad = None
         for node in reversed(self.nodes):
             dy = flowing.pop(node.name, None)
-            if dy is None:
-                continue
-            dxs, dparams = node.backward(dy, self.params)
-            if isinstance(node, InputNode):
-                self.input_grad = dxs[0]
-            for pname, g in dparams.items():
-                grads[pname] += g
-            for in_name, dx in zip(node.layer.inputs, dxs):
-                if in_name in flowing:
-                    flowing[in_name] = flowing[in_name] + dx
-                else:
-                    flowing[in_name] = dx
-        self.grads = grads
+            if dy is not None:
+                dxs, dparams = node.backward(dy, self.params)
+                if isinstance(node, InputNode):
+                    self.input_grad = dxs[0]
+                for pname, g in dparams.items():
+                    grads[pname] += g
+                for in_name, dx in zip(node.layer.inputs, dxs):
+                    flowing[in_name] = flowing[in_name] + dx if in_name in flowing else dx
+            node.cache = None
         return grads
-
-    def infer(self, x):
-        """Label-free forward pass (loss node skipped); activation dict."""
-        return self._forward_skipping_loss(x, mode="infer")
-
-    def _forward_skipping_loss(self, x, mode):
-        # inference without labels: run all nodes except the loss
-        training = mode == "train"
-        x = np.ascontiguousarray(x, dtype=self.dtype)
-        self._check_input(x)
-        acts = {}
-        for node in self.nodes:
-            if isinstance(node, SoftmaxXentNode):
-                continue
-            xs = [acts[i] for i in node.layer.inputs] if node.layer.inputs else [x]
-            acts[node.name] = node.forward(xs, self.params, self.state, training)
-        self.activations = acts
-        return acts
 
 
 @dataclass
@@ -385,8 +383,7 @@ def gradcheck(graph: Graph, x, labels=None, tolerance=1e-5, h=1e-4,
     loss_name = graph.spec.loss_name
 
     def loss_at():
-        acts = graph.forward(x, labels, mode="train")
-        return float(acts[loss_name])
+        return float(graph.forward(x, labels, mode="train")[loss_name])
 
     loss_at()
     grads = dict(graph.backward())
@@ -417,7 +414,7 @@ def gradcheck(graph: Graph, x, labels=None, tolerance=1e-5, h=1e-4,
         scale = max(1.0, float(np.abs(numeric).max(initial=0.0)))
         err = float(np.abs(ana - numeric).max(initial=0.0)) / scale
         report.entries.append(GradcheckEntry(tname, err, err < tolerance))
-    # restore caches for the unperturbed point
+    # leave grads and input_grad at the unperturbed point
     loss_at()
     graph.backward()
     return report

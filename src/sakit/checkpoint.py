@@ -6,6 +6,7 @@ dtype code u8 (0=f32, 1=f64), rank u8, dims as u32 list, raw little-endian
 IEEE-754 payload.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -45,40 +46,54 @@ def save_checkpoint(path, spec_text: str, tensors: dict):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (spec_text, {name: ndarray})."""
+    """Read a checkpoint; returns (spec_text, {name: ndarray}).
+
+    Any malformed or truncated file raises CheckpointError naming the field
+    and its byte offset.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MAGIC:
-        raise CheckpointError(f"bad magic {data[:4]!r}")
-    off = 4
-    (version,) = struct.unpack_from("<I", data, off)
-    off += 4
+        data = memoryview(f.read())
+    off = 0
+
+    def take(n, field):
+        nonlocal off
+        if n > len(data) - off:
+            raise CheckpointError(f"truncated at offset {off}: {field} needs {n} bytes, "
+                                  f"{len(data) - off} left")
+        off += n
+        return data[off - n:off]
+
+    def unpack(fmt, field):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), field))
+
+    def text(n, field):
+        try:
+            return str(take(n, field), "utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{field} at offset {off - n} is not UTF-8") from e
+
+    magic = bytes(take(4, "magic"))
+    if magic != MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}")
+    (version,) = unpack("<I", "version")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (spec_len,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    spec_text = data[off:off + spec_len].decode("utf-8")
-    off += spec_len
-    (count,) = struct.unpack_from("<Q", data, off)
-    off += 8
+    (spec_len,) = unpack("<Q", "spec length")
+    spec_text = text(spec_len, "spec text")
+    (count,) = unpack("<Q", "tensor count")
     tensors = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off:off + name_len].decode("utf-8")
-        off += name_len
-        code, rank = struct.unpack_from("<BB", data, off)
-        off += 2
+    for i in range(count):
+        (name_len,) = unpack("<H", f"tensor {i} name length")
+        name = text(name_len, f"tensor {i} name")
+        code, rank = unpack("<BB", f"tensor '{name}' dtype and rank")
         if code not in _CODE_DTYPES:
-            raise CheckpointError(f"tensor '{name}': unknown dtype code {code}")
-        dims = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
+            raise CheckpointError(f"tensor '{name}': unknown dtype code {code} "
+                                  f"at offset {off - 2}")
+        dims = unpack(f"<{rank}I", f"tensor '{name}' dims")
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-        arr = np.frombuffer(data, dtype=dtype, count=int(np.prod(dims, dtype=np.int64)),
-                            offset=off).reshape(dims)
-        tensors[name] = arr.astype(dtype.newbyteorder("="))
-        off += nbytes
+        payload = take(math.prod(dims) * dtype.itemsize, f"tensor '{name}' data")
+        tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).astype(
+            dtype.newbyteorder("="))
     if off != len(data):
-        raise CheckpointError(f"{len(data) - off} trailing bytes")
+        raise CheckpointError(f"{len(data) - off} trailing bytes at offset {off}")
     return spec_text, tensors

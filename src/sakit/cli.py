@@ -13,6 +13,7 @@ import os
 import re
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -461,20 +462,23 @@ def cmd_bench(cfg, out):
     c, h, w = spec.input_shape
     x = np.random.default_rng(cfg["seed"]).standard_normal(
         (cfg["batch"], c, h, w)).astype(np.float32)
-    for _ in range(cfg["warmup"]):
-        graph.infer(x)
     times = []
-    for _ in range(repeats):
+    for _ in range(cfg["warmup"] + repeats):
         t0 = time.perf_counter()
-        graph.infer(x)
+        graph.forward(x, mode="infer")
         times.append(time.perf_counter() - t0)
-    times.sort()
+    times = sorted(times[cfg["warmup"]:])
+    tracemalloc.start()  # one more, untimed pass: what it allocates beyond the weights
+    graph.forward(x, mode="infer")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     macs = network_flops(spec).total_macs
     out(f"{spec.name}: batch {cfg['batch']}, {repeats} repeats "
         f"(warmup {cfg['warmup']} discarded)")
     out(f"mean {np.mean(times) * 1e3:.1f} ms  p50 {times[len(times) // 2] * 1e3:.1f} ms  "
         f"max {times[-1] * 1e3:.1f} ms")
     out(f"model cost {macs / 1e9:.3f} GMACs per sample")
+    out(f"peak traced memory of one inference pass {peak / 2 ** 20:.1f} MiB")
     return 0
 
 

@@ -3,7 +3,8 @@
 Convolution is cross-correlation via patch gathering and one matmul; its
 input gradient is reconstructed with a k*k tap loop of strided slice adds
 (collision-free per tap), which keeps backward vectorized and deterministic.
-Pooling backward uses the same tap-loop idea, masked by the stored argmax.
+Max pooling folds each tap into its output with an in-place maximum; only
+training also records the argmax that backward masks its taps with.
 """
 
 import numpy as np
@@ -94,30 +95,25 @@ def _padded(x, pad, need_h, need_w, fill):
     return xp
 
 
-def maxpool2d_forward(x, k, stride, pad=0, ceil_mode=False):
+def maxpool2d_forward(x, k, stride, pad=0, ceil_mode=False, training=True):
     """Max over k*k windows; ceil_mode rounds output dims up, padding with -inf.
 
-    Argmax ties break at the first index in row-major window order, tracked
-    tap by tap so backward can route gradient to the winners only.
+    Returns (y, cache); cache is None unless ``training``. The output is the
+    same in both modes. The training argmax breaks ties at the first index in
+    row-major window order, so backward routes gradient to one winner only.
     """
     (ho, wo), (need_h, need_w) = _pool_geometry(x.shape, k, stride, pad, ceil_mode)
     xp = _padded(x, pad, need_h, need_w, -np.inf)
-    buf_hw = xp.shape[2:]
     hs, ws = ho * stride, wo * stride
-    y = None
-    arg = None
-    for t in range(k * k):
+    y = xp[:, :, 0:hs:stride, 0:ws:stride].copy()
+    arg = np.zeros(y.shape, dtype=np.int16) if training else None
+    for t in range(1, k * k):
         a, b = divmod(t, k)
         tap = xp[:, :, a:a + hs:stride, b:b + ws:stride]
-        if y is None:
-            y = tap.copy()
-            arg = np.zeros(y.shape, dtype=np.int16)
-        else:
-            wins = tap > y
-            np.copyto(y, tap, where=wins)
-            arg[wins] = t
-    cache = (arg, x.shape, k, stride, pad, (ho, wo), buf_hw)
-    return y, cache
+        if training:
+            np.copyto(arg, t, where=tap > y)
+        np.maximum(y, tap, out=y)
+    return y, (arg, x.shape, k, stride, pad, (ho, wo), xp.shape[2:]) if training else None
 
 
 def maxpool2d_backward(dy, cache):

@@ -37,13 +37,6 @@ class AllocationPlan:
             if sum(row) < 1:
                 raise ValueError(f"row {k} keeps no channels")
 
-    @property
-    def num_blocks(self):
-        return len(self.rows)
-
-    def row(self, k):
-        return self.rows[k]
-
 
 def serialize_plan(plan: AllocationPlan) -> str:
     lines = ["# allocation plan"]
@@ -266,7 +259,7 @@ def describe_bottlenecks(base: NetworkSpec):
         descs.append(BottleneckDesc(k, red.attrs["in"], c3.attrs["in"],
                                     exp.attrs["out"], c3.attrs.get("stride", 1), h, w))
         if k == min(convs):
-            stem_out = _block_input(base, red)
+            stem_out = red.inputs[0]
     return stem_out, descs
 
 
@@ -288,10 +281,6 @@ def _consumer_of_op(spec, name, op):
         node = nexts[0]
         if node.op == op:
             return node
-
-
-def _block_input(spec, reduce_conv):
-    return reduce_conv.inputs[0]
 
 
 def build_scalenet(base: NetworkSpec, plan: AllocationPlan,
@@ -323,7 +312,7 @@ def build_scalenet(base: NetworkSpec, plan: AllocationPlan,
             cur = b.add(f"{prefix}.pool", "maxpool", [cur], k=2, stride=2)
         elif d.stride != 1:
             raise SpecError(f"unsupported baseline stride {d.stride}")
-        sa = SABlockSpec(d.mid, list(plan.scales), list(plan.row(d.block_index)),
+        sa = SABlockSpec(d.mid, list(plan.scales), list(plan.rows[d.block_index]),
                          d.block_index, downsample=downsample, base_channels=d.mid)
         shortcut = "identity" if c_in == d.out_channels else "projection"
         res = SAResidualSpec(c_in, d.mid, sa, d.out_channels, shortcut)
@@ -341,10 +330,7 @@ def _derived_name(base_name, plan):
 def build_seed(base: NetworkSpec, scale_factors, downsample: str = "max") -> NetworkSpec:
     """Over-provisioned network: every scale gets the full baseline width,
     so each block carries len(scale_factors) * C output channels."""
-    _, descs = describe_bottlenecks(base)
-    rows = {d.block_index: [d.mid] * len(scale_factors) for d in descs}
-    plan = AllocationPlan(list(scale_factors), rows, source="seed")
-    return build_scalenet(base, plan, downsample=downsample)
+    return build_scalenet(base, seed_plan(base, scale_factors), downsample=downsample)
 
 
 def even_allocation(base: NetworkSpec, scale_factors) -> AllocationPlan:
@@ -360,6 +346,7 @@ def even_allocation(base: NetworkSpec, scale_factors) -> AllocationPlan:
 
 
 def seed_plan(base: NetworkSpec, scale_factors) -> AllocationPlan:
+    """Every scale at the full baseline width of its block."""
     _, descs = describe_bottlenecks(base)
     rows = {d.block_index: [d.mid] * len(scale_factors) for d in descs}
     return AllocationPlan(list(scale_factors), rows, source="seed")

@@ -147,7 +147,7 @@ def rf_empirical_oracle(spec: NetworkSpec, node_name=None, chunk=128,
         node_name = _last_spatial(spec)
     c, h, w = spec.input_shape
     base = np.ones((1, c, h, w), dtype=dtype)
-    acts = graph.forward(base, mode="infer")
+    acts = graph.forward(base, mode="infer", keep=[node_name])
     out = acts[node_name]
     ho, wo = out.shape[2], out.shape[3]
     oy, ox = ho // 2, wo // 2
@@ -159,7 +159,7 @@ def rf_empirical_oracle(spec: NetworkSpec, node_name=None, chunk=128,
         xb = np.repeat(base, len(batch_coords), axis=0)
         for i, (r, cc) in enumerate(batch_coords):
             xb[i, :, r, cc] += 1.0
-        yb = graph.forward(xb, mode="infer")[node_name][:, :, oy, ox]
+        yb = graph.forward(xb, mode="infer", keep=[node_name])[node_name][:, :, oy, ox]
         # a unit covering anything in any channel counts as influence
         resp = np.abs(yb - y0[None, :]).max(axis=1)
         for i, (r, cc) in enumerate(batch_coords):

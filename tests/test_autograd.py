@@ -50,9 +50,11 @@ def test_forward_is_pure():
     loss_head(b, "p", 3)
     g = Graph(b.build(), seed=7)
     x = stream(1, "pure").normal(size=(2, 2, 6, 6)).astype(np.float32)
-    y1 = g.forward(x, labels=np.array([0, 1]), mode="infer")
+    every = [n.name for n in g.spec.nodes]
+    y1 = g.forward(x, labels=np.array([0, 1]), mode="infer", keep=every)
     out1 = {k: v.copy() for k, v in y1.items()}
-    y2 = g.forward(x, labels=np.array([0, 1]), mode="infer")
+    assert set(out1) == set(every)
+    y2 = g.forward(x, labels=np.array([0, 1]), mode="infer", keep=every)
     for k in out1:
         assert np.array_equal(out1[k], y2[k]), k
 

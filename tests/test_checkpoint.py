@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sakit.checkpoint import (VERSION, CheckpointError, load_checkpoint,
                               save_checkpoint)
@@ -76,3 +78,54 @@ def test_trailing_bytes_rejected(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="dtype"):
         save_checkpoint(tmp_path / "t.sanc", "", {"a": np.zeros(2, dtype=np.int32)})
+
+
+def _sample_checkpoint(tmp_path):
+    path = tmp_path / "ck.sanc"
+    save_checkpoint(path, "network toy\n", {
+        "a.weight": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "bn.gamma": np.ones(2, dtype=np.float64)})
+    return path, path.read_bytes()
+
+
+def test_every_truncation_is_a_checkpoint_error(tmp_path):
+    path, raw = _sample_checkpoint(tmp_path)
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(CheckpointError, match="magic|offset"):
+            load_checkpoint(path)
+
+
+def test_huge_dims_are_a_checkpoint_error(tmp_path):
+    path = tmp_path / "huge.sanc"
+    rank = 8
+    raw = (b"SANC" + struct.pack("<IQ", VERSION, 0) + struct.pack("<Q", 1)
+           + struct.pack("<H", 1) + b"t" + struct.pack("<BB", 1, rank)
+           + struct.pack(f"<{rank}I", *[0xFFFFFFFF] * rank))
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match="offset 61: tensor 't' data needs"):
+        load_checkpoint(path)
+    path.write_bytes(b"SANC" + struct.pack("<IQ", VERSION, 2 ** 64 - 1))
+    with pytest.raises(CheckpointError, match="spec text"):
+        load_checkpoint(path)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupted_checkpoints_load_or_raise_checkpoint_error(tmp_path, data):
+    path, raw = _sample_checkpoint(tmp_path)
+    buf = bytearray(raw)
+    # flip bytes, favouring the header and per-tensor fields ahead of the payloads
+    for _ in range(data.draw(st.integers(1, 3))):
+        last = min(len(buf) - 1, data.draw(st.sampled_from([40, 80, 999])))
+        i = data.draw(st.integers(0, last))
+        buf[i] = data.draw(st.integers(0, 255))
+    buf = buf[:data.draw(st.integers(0, len(buf)))]
+    path.write_bytes(bytes(buf))
+    try:
+        spec_text, tensors = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(spec_text, str)
+    assert all(isinstance(t, np.ndarray) for t in tensors.values())

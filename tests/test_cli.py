@@ -108,6 +108,7 @@ def test_bench_command(capsys):
                        "--repeats", "2", "--warmup", "1")
     assert code == 0
     assert "mean" in out and "GMACs" in out
+    assert "peak traced memory of one inference pass" in out
 
 
 def test_train_and_eval_commands(capsys, tmp_path):

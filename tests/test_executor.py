@@ -1,0 +1,95 @@
+"""The executor contract: what one forward keeps, frees and allows after it."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sakit.autograd import Graph
+from sakit.netspec import ShapeError
+from sakit.presets import build_cifar_resnet, build_seed
+from sakit.rng import stream
+
+
+@pytest.fixture(scope="module")
+def seed_net():
+    """A small aggregation network: cifar-n1 seed at scales 1, 2, 4."""
+    spec = build_seed(build_cifar_resnet(1, num_classes=10, in_channels=1), [1, 2, 4])
+    x = stream(3, "executor").normal(size=(4, 1, 32, 32)).astype(np.float32)
+    return Graph(spec, seed=3), x, np.array([0, 1, 2, 3])
+
+
+def test_inference_returns_logits_loss_and_keep_only(seed_net):
+    g, x, y = seed_net
+    spec = g.spec
+    acts = g.forward(x, labels=y, mode="infer")
+    assert set(acts) == {spec.logits_name, spec.loss_name}
+    assert all(node.cache is None for node in g.nodes)
+    kept = "sa2.sa.x2.conv"
+    acts = g.forward(x, labels=y, mode="infer", keep=[kept, "x"])
+    assert set(acts) == {spec.logits_name, spec.loss_name, kept, "x"}
+    assert all(node.cache is None for node in g.nodes)
+    # the loss node runs only when labels are given
+    assert set(g.forward(x, mode="infer")) == {spec.logits_name}
+
+
+def test_inference_logits_match_keep_everything_bitwise(seed_net):
+    g, x, y = seed_net
+    every = [n.name for n in g.spec.nodes]
+    lean = g.forward(x, labels=y, mode="infer")[g.spec.logits_name].copy()
+    full = g.forward(x, labels=y, mode="infer", keep=every)
+    assert set(full) == set(every)
+    assert lean.tobytes() == full[g.spec.logits_name].tobytes()
+
+
+def test_unknown_keep_name_rejected(seed_net):
+    g, x, y = seed_net
+    with pytest.raises(ValueError, match="no-such-node"):
+        g.forward(x, labels=y, mode="infer", keep=["no-such-node"])
+
+
+def test_kernel_errors_are_shape_errors_in_both_modes(seed_net):
+    g, x, _ = seed_net
+    for mode in ("train", "infer"):
+        with pytest.raises(ShapeError, match="'loss'.*label out of range"):
+            g.forward(x, labels=np.array([0, 1, 2, 99]), mode=mode)
+
+
+def test_backward_needs_a_fresh_training_forward(seed_net):
+    g, x, y = seed_net
+    g.forward(x, labels=y, mode="infer")
+    with pytest.raises(RuntimeError, match="before forward"):
+        g.backward()
+    g.forward(x, labels=y, mode="train")
+    g.backward()
+    with pytest.raises(RuntimeError, match="before forward"):
+        g.backward()
+    g.forward(x, mode="train")  # no labels, so no loss to differentiate
+    with pytest.raises(RuntimeError, match="before forward"):
+        g.backward()
+
+
+def test_training_keeps_every_output_and_backward_drops_caches(seed_net):
+    g, x, y = seed_net
+    acts = g.forward(x, labels=y, mode="train")
+    assert set(acts) == {n.name for n in g.spec.nodes}
+    assert any(node.cache is not None for node in g.nodes)
+    g.backward()
+    assert all(node.cache is None for node in g.nodes)
+    # the next forward empties the previous pass's dict, even one a caller holds
+    g.forward(x, labels=y, mode="infer")
+    assert acts == {}
+
+
+def test_inference_peak_memory_is_well_under_keep_everything(seed_net):
+    g, x, y = seed_net
+    every = [n.name for n in g.spec.nodes]
+    total = sum(a.nbytes for a in g.forward(x, labels=y, mode="infer", keep=every).values())
+    g.forward(x, labels=y, mode="infer")  # drop the kept outputs before tracing
+    tracemalloc.start()
+    try:
+        g.forward(x, labels=y, mode="infer")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * total, (peak, total)

@@ -1,7 +1,7 @@
 """Property tests for serialization round trips and arithmetic invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sakit import ops
@@ -80,3 +80,43 @@ def test_resize_follows_floor_index_map(h, w, oh, ow):
     for i in range(oh):
         for j in range(ow):
             assert y[0, 0, i, j] == x[0, 0, (i * h) // oh, (j * w) // ow]
+
+
+_POOL_VALUES = st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.5, -np.inf]),
+                         st.floats(width=32, allow_nan=False))
+
+
+@st.composite
+def pool_cases(draw):
+    k = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 4))
+    pad = draw(st.integers(0, k // 2))
+    ceil = draw(st.booleans())
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+             draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    values = draw(st.lists(_POOL_VALUES, min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    return np.array(values, dtype=np.float32).reshape(shape), k, stride, pad, ceil
+
+
+@given(pool_cases())
+@settings(max_examples=300, deadline=None)
+def test_maxpool_inference_equals_training_bitwise(case):
+    x, k, stride, pad, ceil = case
+    try:
+        y_train, cache = ops.maxpool2d_forward(x, k, stride, pad, ceil)
+    except ValueError:  # a window that holds only padding
+        assume(False)
+    y_infer, none = ops.maxpool2d_forward(x, k, stride, pad, ceil, training=False)
+    assert none is None and cache is not None
+    assert y_infer.tobytes() == y_train.tobytes()
+    # value check against a per-window reference over the -inf padded input
+    n, c, h, w = x.shape
+    ho, wo = y_train.shape[2:]
+    xp = np.full((n, c, h + 2 * pad + k * stride, w + 2 * pad + k * stride), -np.inf,
+                 dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    for i in range(ho):
+        for j in range(wo):
+            win = xp[:, :, i * stride:i * stride + k, j * stride:j * stride + k]
+            assert np.array_equal(y_train[:, :, i, j], win.max(axis=(2, 3)))

@@ -91,8 +91,8 @@ def test_scale_slices_are_stable_per_scale():
             if wname in graph.params:
                 graph.params[wname][...] = val
     x = rng.normal(size=(1, 3, 12, 12))
-    ya = ga.forward(x, labels=np.array([0]), mode="infer")[out_all]
-    yt = gt.forward(x, labels=np.array([0]), mode="infer")[out_two]
+    ya = ga.forward(x, labels=np.array([0]), mode="infer", keep=[out_all])[out_all]
+    yt = gt.forward(x, labels=np.array([0]), mode="infer", keep=[out_two])[out_two]
     assert np.allclose(ya[:, 0:2], yt[:, 0:2])   # scale 1 slice
     assert np.allclose(ya[:, 4:6], yt[:, 2:4])   # scale 4 slice
 
@@ -125,7 +125,7 @@ def test_residual_zero_branch_passes_shortcut():
         if ".sa." in pname and pname.endswith(".weight"):
             p[...] = 0.0
     x = stream(2, "res").normal(size=(2, 8, 10, 10))
-    acts = g.forward(x, labels=np.array([0, 1]), mode="infer")
+    acts = g.forward(x, labels=np.array([0, 1]), mode="infer", keep=[out])
     assert np.allclose(acts[out], np.maximum(x, 0), atol=1e-6)
 
 
