@@ -12,7 +12,7 @@ from .autograd import Graph, GradcheckReport, gradcheck
 from .blocks import SABlockSpec, SAResidualSpec, build_sa_block, build_sa_residual
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, augment, load_cifar, synthetic_dataset
-from .flops import BlockBudget, CostModel, block_budget, network_flops, neuron_cost
+from .flops import BlockBudget, block_budget, network_flops, neuron_cost
 from .netspec import LayerSpec, NetworkSpec, ShapeError, SpecError, propagate_shapes
 from .optim import SgdState, sgd_step
 from .presets import (AllocationPlan, build_cifar_resnet, build_resnet,

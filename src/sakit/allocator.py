@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flops import neuron_cost, network_flops
-from .netspec import NetworkSpec, propagate_shapes
+from .netspec import NetworkSpec, SpecError, propagate_shapes
 from .presets import AllocationPlan, build_scalenet, build_seed, save_plan
 
 
@@ -36,7 +36,6 @@ class NeuronRecord:
 @dataclass
 class ProjectionConfig:
     exponent: float = 0.0  # cost-balance power b in importance / cost**b
-    min_per_block: int = 1
 
     def priority(self, rec: NeuronRecord) -> float:
         if self.exponent == 0.0:
@@ -110,14 +109,14 @@ def greedy_project(records, budget, config: ProjectionConfig = None) -> Projecti
 
 
 def brute_oracle(records, budget, config: ProjectionConfig = None,
-                 with_optimum=True, max_exact=16):
+                 with_optimum=True):
     """Independent reference for greedy_project plus the knapsack optimum.
 
     The policy is re-derived without sorting: the best remaining record is
     found by explicit pairwise comparison each step, and feasibility is
     tracked against a shrinking remaining budget. The true optimum (max sum
     of importances subject to the budget) is enumerated over all subsets when
-    the instance is small enough; it is diagnostic only.
+    there are at most 16 records; it is diagnostic only.
     Returns (ProjectionResult, optimum_importance_or_None).
     """
     if len(records) > 24:
@@ -157,7 +156,7 @@ def brute_oracle(records, budget, config: ProjectionConfig = None,
         per_scale[rec.scale] = per_scale.get(rec.scale, 0) + 1
     result = ProjectionResult(selected, per_scale, budget - left, budget, forced)
     optimum = None
-    if with_optimum and len(records) <= max_exact:
+    if with_optimum and len(records) <= 16:
         optimum = _knapsack_optimum(records, budget)
     return result, optimum
 
@@ -192,44 +191,56 @@ def plan_from_results(results, scales, source="", exponent=None, budgets=None):
                           budgets=dict(budgets or {}))
 
 
+_IMPORTANCE_HEADER = "k,scale,channel,gamma,abs_gamma,unit_cost"
+_BUDGETS_HEADER = "k,budget"
+
+
+def _csv_rows(text, header, types):
+    """Yield (line number, fields converted by ``types``) for each non-blank
+    row after ``header``; any malformed row raises SpecError naming its line."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != header:
+        raise SpecError(f"csv must start with the header '{header}'")
+    names = header.split(",")
+    for lineno, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(names):
+            raise SpecError(f"expected {len(names)} fields, got {len(parts)}", lineno)
+        values = []
+        for convert, name, part in zip(types, names, parts):
+            try:
+                values.append(convert(part))
+            except ValueError:
+                raise SpecError(f"{name} '{part}' is not a number", lineno) from None
+        yield lineno, values
+
+
 def importance_csv(records) -> str:
-    lines = ["k,scale,channel,gamma,abs_gamma,unit_cost"]
+    lines = [_IMPORTANCE_HEADER]
     for r in records:
         lines.append(f"{r.block},{r.scale},{r.channel},{r.gamma!r},{r.importance!r},{r.cost}")
     return "\n".join(lines) + "\n"
 
 
 def parse_importance_csv(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "k,scale,channel,gamma,abs_gamma,unit_cost":
-        raise ValueError("importance csv must start with the standard header")
-    records = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-        k, scale, channel = int(parts[0]), int(parts[1]), int(parts[2])
-        records.append(NeuronRecord(k, scale, channel, float(parts[3]), int(parts[5])))
-    return records
+    return [NeuronRecord(k, scale, channel, gamma, cost)
+            for _, (k, scale, channel, gamma, _abs, cost)
+            in _csv_rows(text, _IMPORTANCE_HEADER, (int, int, int, float, float, int))]
 
 
 def budgets_csv(budgets: dict) -> str:
-    lines = ["k,budget"]
+    lines = [_BUDGETS_HEADER]
     for k in sorted(budgets):
         lines.append(f"{k},{budgets[k]}")
     return "\n".join(lines) + "\n"
 
 
 def parse_budgets_csv(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "k,budget":
-        raise ValueError("budgets csv must start with 'k,budget'")
     out = {}
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 2 fields")
-        out[int(parts[0])] = int(parts[1])
+    for lineno, (k, budget) in _csv_rows(text, _BUDGETS_HEADER, (int, int)):
+        if k in out:
+            raise SpecError(f"duplicate block {k}", lineno)
+        out[k] = budget
     return out
 
 
@@ -245,17 +256,17 @@ class PipelineResult:
 
 
 def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
-                 proj_cfg: ProjectionConfig = None, out_dir=None, resume=False,
+                 proj_cfg: ProjectionConfig = None, out_dir=None,
                  downsample="max") -> PipelineResult:
     """Seed-train, importance-ranked budgeted projection, retrain from scratch.
 
     Stages: build the over-provisioned seed, train it, read batchnorm scales,
     project each block onto its budget, emit the plan, rebuild, retrain with
-    fresh weights (no transfer). Stage outputs are written under ``out_dir``
-    and reused on ``resume``.
+    fresh weights (no transfer). Every run trains both stages; stage outputs
+    are written under ``out_dir`` but never read back.
     """
     import sakit.training as train_mod
-    from .checkpoint import load_checkpoint, save_checkpoint
+    from .checkpoint import save_checkpoint
 
     proj_cfg = proj_cfg or ProjectionConfig()
     paths = {}
@@ -271,17 +282,12 @@ def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
         with open(paths["seed.netspec"], "w") as f:
             f.write(seed_spec.to_text())
 
-    if resume and out_dir and os.path.exists(paths["seed.sanc"]):
-        _, seed_tensors = load_checkpoint(paths["seed.sanc"])
-        seed_metrics = []
-    else:
-        seed_result = train_mod.train(seed_spec, train_ds, val_ds, train_cfg,
-                                      out_dir=None)
-        seed_tensors = seed_result.tensors()
-        seed_metrics = seed_result.metrics
-        if out_dir:
-            save_checkpoint(paths["seed.sanc"], seed_spec.to_text(), seed_tensors)
-            train_mod.write_metrics_csv(seed_metrics, paths["seed_metrics.csv"])
+    seed_result = train_mod.train(seed_spec, train_ds, val_ds, train_cfg)
+    seed_tensors = seed_result.tensors()
+    seed_metrics = seed_result.metrics
+    if out_dir:
+        save_checkpoint(paths["seed.sanc"], seed_spec.to_text(), seed_tensors)
+        train_mod.write_metrics_csv(seed_metrics, paths["seed_metrics.csv"])
 
     records = extract_importance(seed_tensors, seed_spec)
     seed_report = network_flops(seed_spec)
@@ -300,20 +306,13 @@ def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
     if out_dir:
         with open(paths["final.netspec"], "w") as f:
             f.write(final_spec.to_text())
-    if resume and out_dir and os.path.exists(paths["final.sanc"]):
-        _, final_tensors = load_checkpoint(paths["final.sanc"])
-        final_metrics = []
-        ev = train_mod.evaluate_tensors(final_spec, final_tensors, val_ds)
-        final_top1 = 1.0 - ev.top1_err
-    else:
-        final_result = train_mod.train(final_spec, train_ds, val_ds, train_cfg,
-                                       out_dir=None)
-        final_metrics = final_result.metrics
-        final_top1 = 1.0 - final_result.final_val_top1_err
-        if out_dir:
-            save_checkpoint(paths["final.sanc"], final_spec.to_text(),
-                            final_result.tensors())
-            train_mod.write_metrics_csv(final_metrics, paths["final_metrics.csv"])
+    final_result = train_mod.train(final_spec, train_ds, val_ds, train_cfg)
+    final_metrics = final_result.metrics
+    final_top1 = 1.0 - final_result.final_val_top1_err
+    if out_dir:
+        save_checkpoint(paths["final.sanc"], final_spec.to_text(),
+                        final_result.tensors())
+        train_mod.write_metrics_csv(final_metrics, paths["final_metrics.csv"])
 
     return PipelineResult(plan, seed_spec, final_spec, seed_metrics,
                           final_metrics, final_top1, paths)

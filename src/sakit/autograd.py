@@ -368,11 +368,11 @@ class GradcheckReport:
 
 
 def gradcheck(graph: Graph, x, labels=None, tolerance=1e-5, h=1e-4,
-              max_entries=None, seed=0, check_input=True) -> GradcheckReport:
+              max_entries=None, seed=0) -> GradcheckReport:
     """Compare analytic gradients against central finite differences.
 
     Requires an f64 graph. Every parameter is probed, plus the network input
-    itself when ``check_input`` is set (so parameter-free ops are covered).
+    itself as ``(input)`` (so parameter-free ops are covered).
     The per-tensor error is the largest entrywise |analytic - numeric|
     scaled by max(1, ||numeric||_inf). Non-finite analytic gradients fail
     immediately with the offending tensor named.
@@ -389,8 +389,7 @@ def gradcheck(graph: Graph, x, labels=None, tolerance=1e-5, h=1e-4,
     grads = dict(graph.backward())
     targets = {pname: (graph.params[pname], grads[pname])
                for pname in sorted(graph.params)}
-    if check_input:
-        targets["(input)"] = (x, graph.input_grad)
+    targets["(input)"] = (x, graph.input_grad)
     report = GradcheckReport(tolerance)
     for tname, (buf, analytic) in targets.items():
         if analytic is None or not np.all(np.isfinite(analytic)):

@@ -48,8 +48,8 @@ def save_checkpoint(path, spec_text: str, tensors: dict):
 def load_checkpoint(path):
     """Read a checkpoint; returns (spec_text, {name: ndarray}).
 
-    Any malformed or truncated file raises CheckpointError naming the field
-    and its byte offset.
+    Any malformed or truncated file, or one that names a tensor twice, raises
+    CheckpointError naming the field and its byte offset.
     """
     with open(path, "rb") as f:
         data = memoryview(f.read())
@@ -85,6 +85,9 @@ def load_checkpoint(path):
     for i in range(count):
         (name_len,) = unpack("<H", f"tensor {i} name length")
         name = text(name_len, f"tensor {i} name")
+        if name in tensors:
+            raise CheckpointError(f"tensor {i} repeats the name '{name}' "
+                                  f"at offset {off - name_len}")
         code, rank = unpack("<BB", f"tensor '{name}' dtype and rank")
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"tensor '{name}': unknown dtype code {code} "

@@ -144,14 +144,15 @@ def load_image_folder(path, size=32) -> Dataset:
 AUGMENT_FLAGS = ("flip", "crop-pad-4")
 
 
-def augment(batch, flags, rng, flip_prob=0.5):
-    """Random horizontal flip and zero-pad-4 random crop back to input dims."""
+def augment(batch, flags, rng):
+    """Random horizontal flip (each image with probability 0.5) and zero-pad-4
+    random crop back to input dims."""
     unknown = set(flags) - set(AUGMENT_FLAGS)
     if unknown:
         raise DataError(f"unknown augmentation flags {sorted(unknown)}")
     x = batch
     if "flip" in flags:
-        do = rng.random(len(x)) < flip_prob
+        do = rng.random(len(x)) < 0.5
         x = np.where(do[:, None, None, None], x[:, :, :, ::-1], x)
     if "crop-pad-4" in flags:
         n, c, h, w = x.shape

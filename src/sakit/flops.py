@@ -1,29 +1,15 @@
 """Multiply-accumulate accounting for specs, blocks, and single neurons.
 
-Totals count conv and dense MACs (1 MAC = 1 FLOP unit by default); pooling,
-resizing, batchnorm and relu are free unless their flags are switched on.
-Aggregation-block budgets equal the MAC count of the replaced 3x3 conv, and
-per-neuron unit costs cover only the per-scale 3x3 convs, so the budget
-check matches the constraint the allocator enforces.
+Totals count conv and dense MACs only; pooling, resizing, batchnorm and
+relu are free. Aggregation-block budgets equal the MAC count of the replaced
+3x3 conv, and per-neuron unit costs cover only the per-scale 3x3 convs, so
+the budget check matches the constraint the allocator enforces.
 """
 
 import math
 from dataclasses import dataclass, field
 
 from .netspec import NetworkSpec, propagate_shapes
-
-
-@dataclass
-class CostModel:
-    count_bn: bool = False
-    count_pool: bool = False
-    count_resize: bool = False
-    count_relu: bool = False
-    mac_equals_one_flop: bool = True
-
-    @property
-    def flops_per_mac(self):
-        return 1 if self.mac_equals_one_flop else 2
 
 
 def neuron_cost(in_channels, h, w, scale) -> int:
@@ -39,18 +25,11 @@ class BlockBudget:
     unit_costs: dict  # scale -> MACs per output neuron
 
 
-def block_budget(in_channels, out_channels, h, w, scales,
-                 stride=1, kernel=3, block_index=0) -> BlockBudget:
-    """Budget of the block replacing a 3x3 conv seen at input dims h x w.
-
-    The replaced conv is assumed 'same'-padded, so its output dims are
-    ceil(h/stride) x ceil(w/stride); those are also the block's working dims.
-    """
-    if kernel != 3:
-        raise ValueError(f"budgets are defined for 3x3 convs, got {kernel}x{kernel}")
-    ho, wo = math.ceil(h / stride), math.ceil(w / stride)
-    budget = 9 * in_channels * out_channels * ho * wo
-    units = {s: neuron_cost(in_channels, ho, wo, s) for s in scales}
+def block_budget(in_channels, out_channels, h, w, scales, block_index=0) -> BlockBudget:
+    """Budget of the block replacing a 'same'-padded, stride-1 3x3 conv whose
+    output dims h x w are also the block's working dims."""
+    budget = 9 * in_channels * out_channels * h * w
+    units = {s: neuron_cost(in_channels, h, w, s) for s in scales}
     return BlockBudget(block_index, budget, units)
 
 
@@ -63,7 +42,6 @@ class NodeCost:
 
 @dataclass
 class FlopsReport:
-    model: CostModel
     rows: list = field(default_factory=list)  # NodeCost per counted node
     sa_block_macs: dict = field(default_factory=dict)  # k -> per-scale-conv MACs
     sa_block_detail: dict = field(default_factory=dict)  # k -> [(scale, channels, unit)]
@@ -72,10 +50,6 @@ class FlopsReport:
     @property
     def total_macs(self):
         return sum(r.macs for r in self.rows)
-
-    @property
-    def total_flops(self):
-        return self.total_macs * self.model.flops_per_mac
 
     def block_table(self):
         """Rows (k, scale, channels, unit_cost, subtotal, budget, utilization);
@@ -95,14 +69,13 @@ class FlopsReport:
         return "\n".join(lines) + "\n"
 
 
-def network_flops(spec: NetworkSpec, model: CostModel = None) -> FlopsReport:
+def network_flops(spec: NetworkSpec) -> FlopsReport:
     """Count MACs node by node; aggregation blocks also get per-block
     subtotals of their per-scale convs against the reconstructed budget."""
-    model = model or CostModel()
     shapes = propagate_shapes(spec)
-    report = FlopsReport(model)
+    report = FlopsReport()
     for n in spec.nodes:
-        macs = _node_macs(n, shapes, model)
+        macs = _node_macs(n, shapes[n.name])
         if macs:
             report.rows.append(NodeCost(n.name, n.op, macs))
     for k, branches in spec.sa_blocks().items():
@@ -125,25 +98,10 @@ def network_flops(spec: NetworkSpec, model: CostModel = None) -> FlopsReport:
     return report
 
 
-def _node_macs(n, shapes, model):
-    out = shapes[n.name]
+def _node_macs(n, out):
     if n.op == "conv":
         _, ho, wo = out
         return n.attrs["k"] ** 2 * n.attrs["in"] * n.attrs["out"] * ho * wo
     if n.op == "dense":
         return n.attrs["in"] * n.attrs["out"]
-    if n.op == "batchnorm" and model.count_bn:
-        c, h, w = out
-        return 2 * c * h * w
-    if n.op in ("maxpool", "avgpool") and model.count_pool:
-        c, ho, wo = out
-        return n.attrs["k"] ** 2 * c * ho * wo
-    if n.op == "resize" and model.count_resize:
-        c, ho, wo = out
-        return c * ho * wo
-    if n.op == "relu" and model.count_relu:
-        if len(out) == 3:
-            c, h, w = out
-            return c * h * w
-        return out[0]
     return 0

@@ -255,6 +255,8 @@ def conv_out_dim(size, k, stride, dilation, pad):
 
 
 def pool_out_dim(size, k, stride, pad, ceil_mode):
+    """Pooled size, or 0 when no valid window exists. In ceil mode a window
+    may extend past the input but must still start inside the padded input."""
     span = size + 2 * pad - k
     if ceil_mode:
         out = max(-(-span // stride), 0) + 1

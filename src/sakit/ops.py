@@ -9,20 +9,21 @@ training also records the argmax that backward masks its taps with.
 
 import numpy as np
 
+from .netspec import conv_out_dim, pool_out_dim
+
 
 def conv2d_forward(x, w, stride=1, dilation=1, pad=0):
     """Cross-correlate x (N,Cin,H,W) with w (Cout,Cin,k,k).
 
-    Output dims: floor((H + 2*pad - dilation*(k-1) - 1)/stride) + 1.
-    Returns (y, cache). 1x1 stride-1 convs take a patch-free channel-mix path.
+    Output dims follow ``netspec.conv_out_dim``. Returns (y, cache). 1x1
+    stride-1 convs take a patch-free channel-mix path.
     """
     n, cin, h, wd = x.shape
     cout, cin_w, k, _ = w.shape
     if cin != cin_w:
         raise ValueError(f"conv expects {cin_w} input channels, got {cin}")
-    eff = dilation * (k - 1) + 1
-    ho = (h + 2 * pad - eff) // stride + 1
-    wo = (wd + 2 * pad - eff) // stride + 1
+    ho = conv_out_dim(h, k, stride, dilation, pad)
+    wo = conv_out_dim(wd, k, stride, dilation, pad)
     if ho < 1 or wo < 1:
         raise ValueError(f"non-positive conv output dims {ho}x{wo}")
     if k == 1 and stride == 1 and pad == 0:
@@ -69,18 +70,11 @@ def conv2d_backward(dy, w, cache):
 
 def _pool_geometry(x_shape, k, stride, pad, ceil_mode):
     h, w = x_shape[2], x_shape[3]
-    span_h, span_w = h + 2 * pad - k, w + 2 * pad - k
-    if ceil_mode:
-        # windows may extend past the input; every window must still touch
-        # at least one real or explicitly padded cell
-        ho, wo = max(-(-span_h // stride), 0) + 1, max(-(-span_w // stride), 0) + 1
-        if (ho - 1) * stride >= h + 2 * pad or (wo - 1) * stride >= w + 2 * pad:
-            raise ValueError(f"pool window {k} stride {stride} leaves an empty "
-                             f"window on {h}x{w} input")
-    else:
-        if span_h < 0 or span_w < 0:
-            raise ValueError(f"pool window {k} exceeds padded input {h}x{w}")
-        ho, wo = span_h // stride + 1, span_w // stride + 1
+    ho = pool_out_dim(h, k, stride, pad, ceil_mode)
+    wo = pool_out_dim(w, k, stride, pad, ceil_mode)
+    if ho < 1 or wo < 1:
+        raise ValueError(f"pool window {k} stride {stride} pad {pad} leaves no "
+                         f"valid output on {h}x{w} input")
     return (ho, wo), ((ho - 1) * stride + k, (wo - 1) * stride + k)
 
 
@@ -217,19 +211,17 @@ def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
     y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-    cache = (xhat, inv_std, gamma, training)
+    cache = (xhat, inv_std, gamma)
     return y, cache, new_mean, new_var
 
 
 def batchnorm2d_backward(dy, cache):
-    """Gradients (dx, dgamma, dbeta); training mode backpropagates through
-    the batch statistics."""
-    xhat, inv_std, gamma, training = cache
+    """Gradients (dx, dgamma, dbeta) of a training-mode forward, through the
+    batch statistics."""
+    xhat, inv_std, gamma = cache
     dgamma = (dy * xhat).sum(axis=(0, 2, 3))
     dbeta = dy.sum(axis=(0, 2, 3))
     scale = (gamma * inv_std)[None, :, None, None]
-    if not training:
-        return dy * scale, dgamma, dbeta
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
     mean_dy = dy.mean(axis=(0, 2, 3))[None, :, None, None]
     mean_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3))[None, :, None, None] / m

@@ -1,4 +1,5 @@
-"""Classical SGD with momentum and L2 weight decay folded into the gradient."""
+"""Classical SGD with momentum and L2 weight decay folded into the gradient;
+every parameter, batchnorm scales and shifts included, is decayed."""
 
 from dataclasses import dataclass, field
 
@@ -7,17 +8,12 @@ import numpy as np
 
 @dataclass
 class SgdState:
-    """Optimizer hyperparameters plus per-parameter velocity buffers.
-
-    ``no_decay`` lists parameter names exempt from weight decay (used when
-    batchnorm scales should keep their trained magnitudes untouched).
-    """
+    """Optimizer hyperparameters plus per-parameter velocity buffers."""
 
     learning_rate: float
     momentum: float = 0.0
     weight_decay: float = 0.0
     velocity: dict = field(default_factory=dict)
-    no_decay: frozenset = frozenset()
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -34,11 +30,10 @@ def sgd_step(state: SgdState, params: dict, grads: dict):
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
-        wd = 0.0 if name in state.no_decay else state.weight_decay
         v = state.velocity.get(name)
         if v is None:
             v = np.zeros_like(p)
-        v = state.momentum * v + g + wd * p
+        v = state.momentum * v + g + state.weight_decay * p
         state.velocity[name] = v
         p -= state.learning_rate * v
     return params

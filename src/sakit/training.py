@@ -1,8 +1,9 @@
 """Training loop with step-decay schedule, evaluation, and checkpointing.
 
-Metric logs hold accuracy fractions; evaluate() reports error rates. With
-the deterministic flag set the per-epoch seconds column is written as 0.0 so
-two identically seeded runs produce byte-identical logs.
+The learning rate drops tenfold at each milestone. Metric logs hold accuracy
+fractions; evaluate() reports error rates. With the deterministic flag set
+the per-epoch seconds column is written as 0.0 so two identically seeded
+runs produce byte-identical logs.
 """
 
 import os
@@ -29,15 +30,12 @@ class TrainConfig:
     epochs: int
     batch_size: int = 64
     lr: float = 0.1
-    lr_decay: float = 10.0
     milestones: tuple = ()
     momentum: float = 0.9
     weight_decay: float = 1e-4
     seed: int = 0
     augment_flags: tuple = ()
     deterministic: bool = False
-    bn_weight_decay: bool = True
-    eval_batch: int = 256
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -50,9 +48,9 @@ class TrainConfig:
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
-    """Learning rate for a 1-based epoch: decayed once per crossed milestone."""
+    """Learning rate for a 1-based epoch: divided by 10 per crossed milestone."""
     drops = sum(1 for m in cfg.milestones if epoch > m)
-    return cfg.lr / cfg.lr_decay ** drops
+    return cfg.lr / 10.0 ** drops
 
 
 @dataclass
@@ -87,9 +85,7 @@ def train(spec: NetworkSpec, train_ds, val_ds, cfg: TrainConfig,
     if train_ds.mean is None:
         data_mod.normalization_stats(train_ds)
     mean, std = train_ds.mean, train_ds.std
-    no_decay = frozenset() if cfg.bn_weight_decay else frozenset(
-        p for p in graph.params if p.endswith(".gamma") or p.endswith(".beta"))
-    sgd = SgdState(cfg.lr, cfg.momentum, cfg.weight_decay, no_decay=no_decay)
+    sgd = SgdState(cfg.lr, cfg.momentum, cfg.weight_decay)
     logits_name = spec.logits_name
     n = len(train_ds)
     result = TrainResult(spec, graph, mean, std)
@@ -116,7 +112,7 @@ def train(spec: NetworkSpec, train_ds, val_ds, cfg: TrainConfig,
             correct += int((acts[logits_name].argmax(axis=1) == y).sum())
             grads = graph.backward()
             sgd_step(sgd, graph.params, grads)
-        ev = evaluate_graph(graph, val_ds, mean, std, batch=cfg.eval_batch)
+        ev = evaluate_graph(graph, val_ds, mean, std)
         seconds = 0.0 if cfg.deterministic else time.perf_counter() - t0
         row = {
             "epoch": epoch,
@@ -212,15 +208,18 @@ def evaluate_checkpoint(path, ds, batch=256, crop_to=None, resize_to=None):
 
 
 def load_tensors_into(graph: Graph, tensors: dict):
+    """Copy every parameter and running stat of ``graph`` from ``tensors``; a
+    missing one raises KeyError and a misshapen one ValueError, naming it."""
+    for kind, group in (("parameter", graph.params), ("running stat", graph.state)):
+        for name, arr in group.items():
+            if name not in tensors:
+                raise KeyError(f"checkpoint missing {kind} '{name}'")
+            if tensors[name].shape != arr.shape:
+                raise ValueError(f"'{name}' shape {tensors[name].shape} != {arr.shape}")
     for name, arr in graph.params.items():
-        if name not in tensors:
-            raise KeyError(f"checkpoint missing parameter '{name}'")
-        if tensors[name].shape != arr.shape:
-            raise ValueError(f"'{name}' shape {tensors[name].shape} != {arr.shape}")
         arr[...] = tensors[name]
     for name in graph.state:
-        if name in tensors:
-            graph.state[name] = tensors[name].astype(graph.dtype).copy()
+        graph.state[name] = tensors[name].astype(graph.dtype)
 
 
 def downsample_sweep(base: NetworkSpec, scales, train_ds, val_ds,

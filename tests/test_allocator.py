@@ -8,6 +8,7 @@ from sakit.allocator import (NeuronRecord, ProjectionConfig, brute_oracle,
                              project_network)
 from sakit.autograd import Graph
 from sakit.flops import network_flops
+from sakit.netspec import SpecError
 from sakit.presets import build_cifar_resnet, build_resnet, build_seed
 from sakit.rng import stream
 
@@ -224,6 +225,15 @@ def test_csv_round_trips():
     assert parse_budgets_csv(budgets_csv(budgets)) == budgets
     with pytest.raises(ValueError, match="header"):
         parse_importance_csv("bogus\n1,1,1,1,1,1\n")
+    header = importance_csv([]).strip()
+    with pytest.raises(SpecError, match="line 3: gamma 'x' is not a number"):
+        parse_importance_csv(f"{header}\n1,1,0,0.5,0.5,9\n1,1,1,x,0.5,9\n")
+    with pytest.raises(SpecError, match="line 4: k 'one' is not a number"):
+        parse_importance_csv(f"{header}\n1,1,0,0.5,0.5,9\n\none,1,1,0.5,0.5,9\n")
+    with pytest.raises(SpecError, match="line 2: budget '1e3' is not a number"):
+        parse_budgets_csv("k,budget\n1,1e3\n")
+    with pytest.raises(SpecError, match="line 3: duplicate block 1"):
+        parse_budgets_csv("k,budget\n1,10\n1,20\n")
 
 
 def test_slack_budget_keeps_all_seed_channels():

@@ -134,10 +134,10 @@ def test_sgd_examples():
 
 def test_sgd_weight_decay_and_exemption():
     p = {"w": np.array([2.0]), "bn.gamma": np.array([2.0])}
-    st = SgdState(learning_rate=1.0, weight_decay=0.5, no_decay=frozenset(["bn.gamma"]))
+    st = SgdState(learning_rate=1.0, weight_decay=0.5)
     sgd_step(st, p, {"w": np.array([0.0]), "bn.gamma": np.array([0.0])})
     assert p["w"][0] == 1.0          # decayed
-    assert p["bn.gamma"][0] == 2.0   # exempt
+    assert p["bn.gamma"][0] == 1.0   # batchnorm scales are decayed too
 
 
 def test_sgd_validation():
@@ -173,8 +173,8 @@ def test_gradcheck_zero_parameter_graph():
     b.add("loss", "softmax_xent", ["g"])
     g = Graph(b.build(), dtype=np.float64)
     x = stream(0, "zp").uniform(-1, 1, size=(2, 4, 2, 2))
-    rep = gradcheck(g, x, np.array([0, 3]), check_input=False)
-    assert rep.entries == []
+    rep = gradcheck(g, x, np.array([0, 3]))
+    assert [e.param for e in rep.entries] == ["(input)"]
     assert rep.ok
 
 
@@ -193,7 +193,7 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch):
     loss_head(b, "c", 2)
     g = Graph(b.build(), dtype=np.float64, seed=5)
     x = stream(5, "neg").uniform(-1, 1, size=(1, 1, 4, 4))
-    rep = gradcheck(g, x, np.array([1]), check_input=False)
+    rep = gradcheck(g, x, np.array([1]))
     assert not rep.ok
 
 

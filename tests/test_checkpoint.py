@@ -53,6 +53,18 @@ def test_binary_layout_independent_parser(tmp_path):
     assert off == len(raw)
 
 
+def test_repeated_tensor_name_is_rejected(tmp_path):
+    path = tmp_path / "dup.sanc"
+    save_checkpoint(path, "s", {"a": np.zeros(2, np.float32),
+                                "b": np.ones(2, np.float32)})
+    raw = path.read_bytes()
+    name_at = raw.rindex(b"\x01\x00b") + 2
+    path.write_bytes(raw[:name_at] + b"a" + raw[name_at + 1:])
+    with pytest.raises(CheckpointError,
+                       match=f"tensor 1 repeats the name 'a' at offset {name_at}"):
+        load_checkpoint(path)
+
+
 def test_bad_magic_and_version(tmp_path):
     path = tmp_path / "bad.sanc"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -99,8 +99,8 @@ def test_augment_empty_flags_is_identity():
 
 def test_flip_twice_is_identity():
     x = stream(3, "flip").normal(size=(4, 1, 8, 8)).astype(np.float32)
-    once = augment(x, ("flip",), stream(0, "r"), flip_prob=1.0)
-    twice = augment(once, ("flip",), stream(0, "r"), flip_prob=1.0)
+    once = augment(x, ("flip",), stream(0, "r"))
+    twice = augment(once, ("flip",), stream(0, "r"))
     assert np.array_equal(twice, x)
     assert not np.array_equal(once, x)
 

@@ -35,7 +35,7 @@ def small_data(classes=10, per_class=12, seed=0, size=16):
 
 
 def test_lr_schedule_milestones():
-    cfg = TrainConfig(epochs=300, lr=0.1, lr_decay=10.0, milestones=(150, 225))
+    cfg = TrainConfig(epochs=300, lr=0.1, milestones=(150, 225))
     assert lr_at(cfg, 1) == 0.1
     assert lr_at(cfg, 150) == 0.1
     assert lr_at(cfg, 151) == pytest.approx(0.01)
@@ -162,15 +162,18 @@ def test_nonfinite_loss_aborts_with_diagnostic():
         training.Graph = orig
 
 
-def test_bn_decay_exemption_flag():
-    spec = micro_sa_net(classes=2)
-    train_ds, val_ds = small_data(classes=2, per_class=3, seed=4)
-    cfg = TrainConfig(epochs=1, batch_size=4, lr=0.0, weight_decay=0.5,
-                      seed=4, deterministic=True, bn_weight_decay=False)
-    result = train(spec, train_ds, val_ds, cfg)
-    # lr=0 means no updates regardless; flag plumbing must not crash and the
-    # optimizer records the exemptions
-    assert any(n.endswith(".gamma") for n in result.graph.params)
+def test_running_stats_are_checked_like_parameters():
+    spec = micro_sa_net(classes=4)
+    _, val_ds = small_data(classes=4, per_class=4, seed=6)
+    graph = Graph(spec, seed=6)
+    missing = {**graph.params, **graph.state}
+    del missing["stem.bn.running_mean"]
+    with pytest.raises(KeyError, match="running stat 'stem.bn.running_mean'"):
+        evaluate_tensors(spec, missing, val_ds)
+    misshapen = {**graph.params, **graph.state,
+                 "stem.bn.running_var": np.ones(3, np.float32)}
+    with pytest.raises(ValueError, match=r"'stem.bn.running_var' shape \(3,\)"):
+        evaluate_tensors(spec, misshapen, val_ds)
 
 
 def test_metrics_csv_layout(tmp_path):
