@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flops import neuron_cost, network_flops
-from .netspec import NetworkSpec, SpecError, propagate_shapes
+from .flops import network_flops
+from .netspec import NetworkSpec, SpecError
 from .presets import AllocationPlan, build_scalenet, build_seed, save_plan
 
 
@@ -56,9 +56,10 @@ def extract_importance(tensors: dict, spec: NetworkSpec):
     """One NeuronRecord per aggregation-block output channel of ``spec``.
 
     ``tensors`` maps parameter names to arrays (a checkpoint or live graph
-    params); each per-scale conv must be paired with its batchnorm.
+    params); each per-scale conv must be paired with its batchnorm. A
+    record's cost is its scale's unit cost in ``network_flops(spec).budgets``.
     """
-    shapes = propagate_shapes(spec)
+    budgets = network_flops(spec).budgets
     records = []
     for k, branches in spec.sa_blocks().items():
         for scale, conv, bn in branches:
@@ -69,10 +70,7 @@ def extract_importance(tensors: dict, spec: NetworkSpec):
             if gammas.shape != (conv.attrs["out"],):
                 raise ValueError(f"'{gname}' has shape {gammas.shape}, "
                                  f"expected ({conv.attrs['out']},)")
-            cat = next(n for n in spec.nodes
-                       if n.op == "concat" and n.get("block") == k)
-            _, h, w = shapes[cat.name]
-            cost = neuron_cost(conv.attrs["in"], h, w, scale)
+            cost = budgets[k].unit_costs[scale]
             for ch, g in enumerate(gammas):
                 records.append(NeuronRecord(k, scale, ch, float(g), cost))
     return records
@@ -223,9 +221,24 @@ def importance_csv(records) -> str:
 
 
 def parse_importance_csv(text):
-    return [NeuronRecord(k, scale, channel, gamma, cost)
-            for _, (k, scale, channel, gamma, _abs, cost)
-            in _csv_rows(text, _IMPORTANCE_HEADER, (int, int, int, float, float, int))]
+    """Records from ``importance_csv`` text. A repeated (k, scale, channel),
+    an abs_gamma that is not |gamma| or a unit_cost that differs from an
+    earlier row of the same (k, scale) raises SpecError naming its line."""
+    records, seen, costs = [], set(), {}
+    for lineno, (k, scale, channel, gamma, abs_gamma, cost) in _csv_rows(
+            text, _IMPORTANCE_HEADER, (int, int, int, float, float, int)):
+        if (k, scale, channel) in seen:
+            raise SpecError(f"duplicate channel {channel} of block {k} "
+                            f"at scale {scale}", lineno)
+        if abs_gamma != abs(gamma):
+            raise SpecError(f"abs_gamma {abs_gamma!r} is not |gamma| {abs(gamma)!r}",
+                            lineno)
+        if costs.setdefault((k, scale), cost) != cost:
+            raise SpecError(f"unit_cost {cost} differs from {costs[k, scale]} of an "
+                            f"earlier row of block {k} at scale {scale}", lineno)
+        seen.add((k, scale, channel))
+        records.append(NeuronRecord(k, scale, channel, gamma, cost))
+    return records
 
 
 def budgets_csv(budgets: dict) -> str:
@@ -256,8 +269,7 @@ class PipelineResult:
 
 
 def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
-                 proj_cfg: ProjectionConfig = None, out_dir=None,
-                 downsample="max") -> PipelineResult:
+                 proj_cfg: ProjectionConfig, out_dir, downsample="max") -> PipelineResult:
     """Seed-train, importance-ranked budgeted projection, retrain from scratch.
 
     Stages: build the over-provisioned seed, train it, read batchnorm scales,
@@ -268,51 +280,37 @@ def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
     import sakit.training as train_mod
     from .checkpoint import save_checkpoint
 
-    proj_cfg = proj_cfg or ProjectionConfig()
-    paths = {}
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        paths = {name: os.path.join(out_dir, name) for name in
-                 ("seed.netspec", "seed.sanc", "seed_metrics.csv",
-                  "importances.csv", "budgets.csv", "plan.txt",
-                  "final.netspec", "final.sanc", "final_metrics.csv")}
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {name: os.path.join(out_dir, name) for name in
+             ("seed.netspec", "seed.sanc", "seed_metrics.csv",
+              "importances.csv", "budgets.csv", "plan.txt",
+              "final.netspec", "final.sanc", "final_metrics.csv")}
+
+    def write(name, text):
+        with open(paths[name], "w") as f:
+            f.write(text)
+
+    def stage(name, spec):
+        """Write the spec, train it, save its weights and its metrics."""
+        write(f"{name}.netspec", spec.to_text())
+        result = train_mod.train(spec, train_ds, val_ds, train_cfg)
+        save_checkpoint(paths[f"{name}.sanc"], spec.to_text(), result.tensors())
+        train_mod.write_metrics_csv(result.metrics, paths[f"{name}_metrics.csv"])
+        return result
 
     seed_spec = build_seed(base, scales, downsample=downsample)
-    if out_dir:
-        with open(paths["seed.netspec"], "w") as f:
-            f.write(seed_spec.to_text())
-
-    seed_result = train_mod.train(seed_spec, train_ds, val_ds, train_cfg)
-    seed_tensors = seed_result.tensors()
-    seed_metrics = seed_result.metrics
-    if out_dir:
-        save_checkpoint(paths["seed.sanc"], seed_spec.to_text(), seed_tensors)
-        train_mod.write_metrics_csv(seed_metrics, paths["seed_metrics.csv"])
-
-    records = extract_importance(seed_tensors, seed_spec)
-    seed_report = network_flops(seed_spec)
-    budgets = {k: b.budget for k, b in seed_report.budgets.items()}
+    seed_result = stage("seed", seed_spec)
+    records = extract_importance(seed_result.tensors(), seed_spec)
+    budgets = {k: b.budget for k, b in network_flops(seed_spec).budgets.items()}
     results = project_network(records, budgets, proj_cfg)
     plan = plan_from_results(results, scales, source=f"{base.name}-pipeline",
                              exponent=proj_cfg.exponent, budgets=budgets)
-    if out_dir:
-        with open(paths["importances.csv"], "w") as f:
-            f.write(importance_csv(records))
-        with open(paths["budgets.csv"], "w") as f:
-            f.write(budgets_csv(budgets))
-        save_plan(plan, paths["plan.txt"])
+    write("importances.csv", importance_csv(records))
+    write("budgets.csv", budgets_csv(budgets))
+    save_plan(plan, paths["plan.txt"])
 
     final_spec = build_scalenet(base, plan, downsample=downsample)
-    if out_dir:
-        with open(paths["final.netspec"], "w") as f:
-            f.write(final_spec.to_text())
-    final_result = train_mod.train(final_spec, train_ds, val_ds, train_cfg)
-    final_metrics = final_result.metrics
-    final_top1 = 1.0 - final_result.final_val_top1_err
-    if out_dir:
-        save_checkpoint(paths["final.sanc"], final_spec.to_text(),
-                        final_result.tensors())
-        train_mod.write_metrics_csv(final_metrics, paths["final_metrics.csv"])
-
-    return PipelineResult(plan, seed_spec, final_spec, seed_metrics,
-                          final_metrics, final_top1, paths)
+    final_result = stage("final", final_spec)
+    return PipelineResult(plan, seed_spec, final_spec, seed_result.metrics,
+                          final_result.metrics, 1.0 - final_result.final_val_top1_err,
+                          paths)

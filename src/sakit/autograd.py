@@ -367,9 +367,10 @@ class GradcheckReport:
         return max((e.max_rel_err for e in self.entries), default=0.0)
 
 
-def gradcheck(graph: Graph, x, labels=None, tolerance=1e-5, h=1e-4,
+def gradcheck(graph: Graph, x, labels=None, tolerance=1e-5,
               max_entries=None, seed=0) -> GradcheckReport:
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against central finite differences with
+    step 1e-4.
 
     Requires an f64 graph. Every parameter is probed, plus the network input
     itself as ``(input)`` (so parameter-free ops are covered).
@@ -381,6 +382,7 @@ def gradcheck(graph: Graph, x, labels=None, tolerance=1e-5, h=1e-4,
         raise ValueError("gradcheck requires a float64 graph")
     x = np.array(x, dtype=np.float64)
     loss_name = graph.spec.loss_name
+    h = 1e-4
 
     def loss_at():
         return float(graph.forward(x, labels, mode="train")[loss_name])

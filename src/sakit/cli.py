@@ -66,6 +66,8 @@ _OPTIONS = {
     "resize": ("int", None, "resize shorter edge before eval"),
     "crop": ("int", None, "center-crop size before eval"),
     "config": ("str", None, "key=value overlay file"),
+    "importances": ("str", None, "importance dump csv"),
+    "budgets": ("str", None, "per-block budget csv"),
 }
 
 _COMMAND_KEYS = {
@@ -77,7 +79,7 @@ _COMMAND_KEYS = {
               "dataset", "data_dir", "classes", "per_class", "val_per_class",
               "epochs", "batch", "lr", "milestones", "momentum", "weight_decay",
               "augment", "seed", "deterministic", "out_dir", "config"],
-    "allocate": ["scales", "b", "out", "out_dir", "config"],
+    "allocate": ["scales", "b", "out", "out_dir", "config", "importances", "budgets"],
     "pipeline": ["preset", "scales", "b", "downsample", "dataset", "data_dir",
                  "classes", "per_class", "val_per_class", "epochs", "batch",
                  "lr", "milestones", "momentum", "weight_decay", "augment",
@@ -102,10 +104,6 @@ def _flag(key):
 def build_parser():
     parser = _Parser(prog="sakit", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command")
-    extra = {
-        "allocate": [("importances", "importance dump csv"),
-                     ("budgets", "per-block budget csv")],
-    }
     for cmd, keys in _COMMAND_KEYS.items():
         sp = subs.add_parser(cmd)
         for key in keys:
@@ -115,8 +113,6 @@ def build_parser():
                                 default=None, help=help_text)
             else:
                 sp.add_argument(_flag(key), dest=key, default=None, help=help_text)
-        for key, help_text in extra.get(cmd, []):
-            sp.add_argument(_flag(key), dest=key, default=None, help=help_text)
     return parser
 
 
@@ -142,11 +138,9 @@ def _coerce(key, tag, raw):
 
 def resolve_config(cmd, args):
     """Defaults, then config-file overlay, then explicit flags, then env."""
-    keys = list(_COMMAND_KEYS[cmd])
-    if cmd == "allocate":
-        keys += ["importances", "budgets"]
-    types = {k: _OPTIONS.get(k, ("str", None, ""))[0] for k in keys}
-    cfg = {k: _OPTIONS.get(k, ("str", None, ""))[1] for k in keys}
+    keys = _COMMAND_KEYS[cmd]
+    types = {k: _OPTIONS[k][0] for k in keys}
+    cfg = {k: _OPTIONS[k][1] for k in keys}
     cfg_file = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if cfg_file:
         for lineno, raw in enumerate(open(cfg_file, encoding="utf-8"), start=1):
@@ -164,15 +158,13 @@ def resolve_config(cmd, args):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = _coerce(key, types[key], val)
-    all_known = {k for ks in _COMMAND_KEYS.values() for k in ks} | {
-        "importances", "budgets", "config"}
     for env_key, env_val in os.environ.items():
         if not env_key.startswith(ENV_PREFIX):
             continue
         key = env_key[len(ENV_PREFIX):].lower()
         if key == "config":
             continue
-        if key not in all_known:
+        if key not in _OPTIONS:
             raise UsageError(f"unknown environment override {env_key}")
         if key in types:
             cfg[key] = _coerce(key, types[key], env_val)

@@ -111,36 +111,6 @@ def synthetic_dataset(classes=10, per_class=100, size=32, seed=0,
     return Dataset(images[perm], labels[perm], classes, split=split)
 
 
-def load_image_folder(path, size=32) -> Dataset:
-    """Smoke-test loader: one subdirectory per class, any Pillow-readable
-    images inside, resized square with nearest neighbor. Not meant for
-    full-scale ingestion."""
-    try:
-        from PIL import Image
-    except ImportError:
-        raise DataError("folder loading needs Pillow (pip install sakit[images])")
-    class_dirs = sorted(d for d in os.listdir(path)
-                        if os.path.isdir(os.path.join(path, d)))
-    if not class_dirs:
-        raise DataError(f"no class subdirectories under '{path}'")
-    images, labels = [], []
-    for label, cname in enumerate(class_dirs):
-        cdir = os.path.join(path, cname)
-        for fname in sorted(os.listdir(cdir)):
-            try:
-                img = Image.open(os.path.join(cdir, fname)).convert("RGB")
-            except Exception:
-                continue
-            img = img.resize((size, size), Image.NEAREST)
-            arr = np.asarray(img, dtype=np.float32) / 255.0
-            images.append(arr.transpose(2, 0, 1))
-            labels.append(label)
-    if not images:
-        raise DataError(f"no readable images under '{path}'")
-    return Dataset(np.stack(images), np.array(labels, dtype=np.int64),
-                   len(class_dirs), split="folder")
-
-
 AUGMENT_FLAGS = ("flip", "crop-pad-4")
 
 

@@ -78,6 +78,7 @@ def network_flops(spec: NetworkSpec) -> FlopsReport:
         macs = _node_macs(n, shapes[n.name])
         if macs:
             report.rows.append(NodeCost(n.name, n.op, macs))
+    cats = spec.block_nodes("concat")
     for k, branches in spec.sa_blocks().items():
         detail = []
         total = 0
@@ -89,11 +90,9 @@ def network_flops(spec: NetworkSpec) -> FlopsReport:
             total += conv.attrs["out"] * unit
         report.sa_block_detail[k] = detail
         report.sa_block_macs[k] = total
-        cat = next(n for n in spec.nodes
-                   if n.op == "concat" and n.get("block") == k)
-        _, h, w = shapes[cat.name]
+        _, h, w = shapes[cats[k].name]
         scales = [s for s, _, _ in detail]
-        report.budgets[k] = block_budget(mid, cat.attrs["base"], h, w, scales,
+        report.budgets[k] = block_budget(mid, cats[k].attrs["base"], h, w, scales,
                                          block_index=k)
     return report
 

@@ -3,6 +3,11 @@
 A network is an ordered DAG of layer nodes, weight-free. The text form is
 line oriented (one node per line, ``name = op(key=val,...) <- in1,in2``) so
 specs diff cleanly and can be embedded verbatim in checkpoints.
+
+The block and preset builders tag block nodes with ``block`` (and the
+per-scale convs and batchnorms also with ``scale``); this is the only module
+that reads those tags: ``sa_blocks`` for the per-scale convs and their
+batchnorms, ``block_nodes`` for a block's 3x3 conv, concat or closing add.
 """
 
 import re
@@ -116,19 +121,21 @@ class NetworkSpec:
             raise SpecError(f"'{self.name}' needs exactly one {op} node, has {len(found)}")
         return found[0]
 
-    def consumers(self, name):
-        return [n for n in self.nodes if name in n.inputs]
-
     def sa_blocks(self):
         """Map block index -> list of (scale, conv node, batchnorm node).
 
         An SA per-scale conv is a conv node tagged with both ``block`` and
-        ``scale`` attrs; its batchnorm is the unique consumer of that conv.
+        ``scale`` attrs; its batchnorm is the unique batchnorm reading that conv.
         """
+        bn_readers = {}
+        for n in self.nodes:
+            if n.op == "batchnorm":
+                for i in set(n.inputs):
+                    bn_readers.setdefault(i, []).append(n)
         blocks = {}
         for n in self.nodes:
             if n.op == "conv" and "block" in n.attrs and "scale" in n.attrs:
-                bns = [c for c in self.consumers(n.name) if c.op == "batchnorm"]
+                bns = bn_readers.get(n.name, [])
                 if len(bns) != 1:
                     raise SpecError(f"SA conv '{n.name}' has no unique batchnorm consumer")
                 blocks.setdefault(n.attrs["block"], []).append(
@@ -138,20 +145,11 @@ class NetworkSpec:
             blocks[k].sort(key=lambda t: t[0])
         return dict(sorted(blocks.items()))
 
-    def block_outputs(self):
-        """Map block index -> name of the residual-add node closing the block."""
-        out = {}
-        for n in self.nodes:
-            if n.op == "add" and "block" in n.attrs:
-                out[n.attrs["block"]] = n.name
-        return dict(sorted(out.items()))
-
-    def baseline_convs(self):
-        """Map block index -> the tagged 3x3 conv of a plain bottleneck."""
-        out = {}
-        for n in self.nodes:
-            if n.op == "conv" and "block" in n.attrs and "scale" not in n.attrs:
-                out[n.attrs["block"]] = n
+    def block_nodes(self, op):
+        """Map block index -> the ``op`` node tagged with ``block`` but not
+        ``scale``: a bottleneck's 3x3 conv, a block's concat or its closing add."""
+        out = {n.attrs["block"]: n for n in self.nodes
+               if n.op == op and "block" in n.attrs and "scale" not in n.attrs}
         return dict(sorted(out.items()))
 
     def to_text(self) -> str:
@@ -342,20 +340,6 @@ def _want3(n, shape):
     if len(shape) != 3:
         raise ShapeError(n.name, f"needs a CHW tensor, got shape {shape}")
     return shape
-
-
-def ancestors(spec: NetworkSpec, name) -> "NetworkSpec":
-    """Truncated spec containing `name` and everything it depends on."""
-    keep = set()
-    stack = [name]
-    while stack:
-        cur = stack.pop()
-        if cur in keep:
-            continue
-        keep.add(cur)
-        stack.extend(spec.node(cur).inputs)
-    nodes = [n for n in spec.nodes if n.name in keep]
-    return NetworkSpec(f"{spec.name}::{name}", nodes)
 
 
 class SpecBuilder:

@@ -232,7 +232,6 @@ def weighted_layer_count(spec: NetworkSpec) -> int:
 @dataclass
 class BottleneckDesc:
     block_index: int
-    in_channels: int
     mid: int
     out_channels: int
     stride: int
@@ -243,23 +242,24 @@ class BottleneckDesc:
 def describe_bottlenecks(base: NetworkSpec):
     """Recover per-block structure from a tagged baseline spec.
 
-    Returns (stem_output_name, [BottleneckDesc...]); requires the spec to be
-    one produced by the builders above (tagged 3x3 convs in bottlenecks).
+    Returns (stem_output_name, [BottleneckDesc...]). Mid width, stride and
+    working dims come from each block's tagged 3x3 conv, the output width
+    from the shape of its tagged residual add; the spec must be one produced
+    by the builders above.
     """
-    convs = base.baseline_convs()
+    convs, adds = base.block_nodes("conv"), base.block_nodes("add")
     if not convs:
         raise SpecError(f"'{base.name}' has no tagged 3x3 bottleneck convs to replace")
+    if set(adds) != set(convs):
+        raise SpecError(f"'{base.name}' tags 3x3 convs of blocks {sorted(convs)} "
+                        f"but adds of blocks {sorted(adds)}")
     shapes = propagate_shapes(base)
     descs = []
-    stem_out = None
     for k, c3 in convs.items():
-        red = _producer_of_op(base, c3.inputs[0], "conv")
-        exp = _consumer_of_op(base, c3.name, "conv")
         _, h, w = shapes[c3.name]
-        descs.append(BottleneckDesc(k, red.attrs["in"], c3.attrs["in"],
-                                    exp.attrs["out"], c3.attrs.get("stride", 1), h, w))
-        if k == min(convs):
-            stem_out = red.inputs[0]
+        descs.append(BottleneckDesc(k, c3.attrs["in"], shapes[adds[k].name][0],
+                                    c3.attrs.get("stride", 1), h, w))
+    stem_out = _producer_of_op(base, convs[min(convs)].inputs[0], "conv").inputs[0]
     return stem_out, descs
 
 
@@ -270,17 +270,6 @@ def _producer_of_op(spec, name, op):
             raise SpecError(f"no upstream {op} found from '{name}'")
         node = spec.node(node.inputs[0])
     return node
-
-
-def _consumer_of_op(spec, name, op):
-    node = spec.node(name)
-    while True:
-        nexts = spec.consumers(node.name)
-        if not nexts:
-            raise SpecError(f"no downstream {op} found from '{name}'")
-        node = nexts[0]
-        if node.op == op:
-            return node
 
 
 def build_scalenet(base: NetworkSpec, plan: AllocationPlan,

@@ -2,7 +2,7 @@
 
 Every randomized stage (init, shuffling, augmentation, synthetic data) pulls
 an independent stream derived from the run seed plus string labels, so adding
-or reordering consumers never perturbs the others.
+or reordering the stages that draw never perturbs the others.
 """
 
 import zlib

@@ -230,6 +230,12 @@ def test_csv_round_trips():
         parse_importance_csv(f"{header}\n1,1,0,0.5,0.5,9\n1,1,1,x,0.5,9\n")
     with pytest.raises(SpecError, match="line 4: k 'one' is not a number"):
         parse_importance_csv(f"{header}\n1,1,0,0.5,0.5,9\n\none,1,1,0.5,0.5,9\n")
+    with pytest.raises(SpecError, match="line 3: duplicate channel 0 of block 1 at scale 1"):
+        parse_importance_csv(f"{header}\n1,1,0,0.5,0.5,9\n1,1,0,0.7,0.7,9\n")
+    with pytest.raises(SpecError, match=r"line 2: abs_gamma 0.1 is not \|gamma\| 0.7"):
+        parse_importance_csv(f"{header}\n1,1,0,-0.7,0.1,9\n")
+    with pytest.raises(SpecError, match="line 4: unit_cost 8 differs from 9"):
+        parse_importance_csv(f"{header}\n1,1,0,0.5,0.5,9\n1,2,0,0.5,0.5,8\n1,1,1,0.5,0.5,8\n")
     with pytest.raises(SpecError, match="line 2: budget '1e3' is not a number"):
         parse_budgets_csv("k,budget\n1,1e3\n")
     with pytest.raises(SpecError, match="line 3: duplicate block 1"):

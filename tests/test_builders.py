@@ -137,6 +137,13 @@ def test_scalenet_row_count_mismatch():
         build_scalenet(base, AllocationPlan([1, 2], {1: [1, 1]}))
 
 
+def test_untagged_block_add_is_rejected():
+    base = build_cifar_resnet(1)
+    del base.node("s2.b1.add").attrs["block"]
+    with pytest.raises(SpecError, match=r"adds of blocks \[1, 3\]"):
+        even_allocation(base, [1, 2])
+
+
 def test_reference_plan_unknown_name():
     with pytest.raises(ValueError, match="available"):
         reference_plan("nope")

@@ -186,19 +186,3 @@ def test_linear_probe_below_conv_net_on_held_out_split():
     result = train(micro_sa_net(), train_ds, val_ds, cfg)
     conv_acc = result.metrics[-1]["val_top1"]
     assert conv_acc > linear_acc, (conv_acc, linear_acc)
-
-
-def test_load_image_folder_smoke(tmp_path):
-    PIL = pytest.importorskip("PIL.Image")
-    for cname, shade in [("class_a", 40), ("class_b", 220)]:
-        (tmp_path / cname).mkdir()
-        for i in range(2):
-            img = PIL.new("RGB", (10, 8), (shade, shade // 2, i * 50))
-            img.save(tmp_path / cname / f"im{i}.png")
-    from sakit.data import load_image_folder
-    ds = load_image_folder(tmp_path, size=8)
-    assert ds.images.shape == (4, 3, 8, 8)
-    assert ds.num_classes == 2
-    assert sorted(ds.labels.tolist()) == [0, 0, 1, 1]
-    with pytest.raises(DataError, match="class subdirectories"):
-        load_image_folder(tmp_path / "class_a")

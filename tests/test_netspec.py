@@ -1,8 +1,8 @@
 import pytest
 
 from sakit.netspec import (NetworkSpec, ShapeError, SpecBuilder, SpecError,
-                           ancestors, conv_out_dim, parse_node, propagate_shapes)
-from sakit.presets import build_resnet
+                           conv_out_dim, parse_node, propagate_shapes)
+from sakit.presets import build_resnet, build_scalenet, reference_plan
 
 
 def small_spec():
@@ -105,11 +105,34 @@ def test_shape_errors_name_the_node():
         propagate_shapes(spec)
 
 
-def test_ancestors_truncation():
-    spec = small_spec()
-    prefix = ancestors(spec, "r")
-    assert [n.name for n in prefix.nodes] == ["x", "c1", "bn", "r"]
-
-
 def test_sa_block_discovery_on_plain_net_is_empty():
     assert small_spec().sa_blocks() == {}
+
+
+def test_sa_conv_needs_exactly_one_batchnorm_reader():
+    for readers in (0, 1, 2):
+        b = SpecBuilder("sa")
+        b.add("x", "input", c=3, h=8, w=8)
+        b.add("c", "conv", ["x"],
+              **{"in": 3, "out": 4, "k": 3, "pad": 1, "block": 1, "scale": 2})
+        for i in range(readers):
+            b.add(f"bn{i}", "batchnorm", ["c"], c=4)
+        spec = b.build()
+        if readers == 1:
+            assert spec.sa_blocks() == {1: [(2, spec.node("c"), spec.node("bn0"))]}
+        else:
+            with pytest.raises(SpecError, match="SA conv 'c' has no unique batchnorm"):
+                spec.sa_blocks()
+
+
+def test_block_nodes_find_tagged_convs_adds_and_concats():
+    r50 = build_resnet(50)
+    convs, adds = r50.block_nodes("conv"), r50.block_nodes("add")
+    assert list(convs) == list(adds) == list(range(1, 17))
+    assert all(n.attrs["k"] == 3 for n in convs.values())
+    assert all(n.op == "add" for n in adds.values())
+    assert r50.block_nodes("concat") == {}
+    s50 = build_scalenet(r50, reference_plan("scalenet50"))
+    assert list(s50.block_nodes("concat")) == list(range(1, 17))
+    assert list(s50.block_nodes("add")) == list(range(1, 17))
+    assert s50.block_nodes("conv") == {}  # per-scale convs also carry a scale tag
