@@ -312,5 +312,5 @@ def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
     final_spec = build_scalenet(base, plan, downsample=downsample)
     final_result = stage("final", final_spec)
     return PipelineResult(plan, seed_spec, final_spec, seed_result.metrics,
-                          final_result.metrics, 1.0 - final_result.final_val_top1_err,
+                          final_result.metrics, final_result.metrics[-1]["val_top1"],
                           paths)

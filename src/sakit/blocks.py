@@ -23,11 +23,8 @@ class SABlockSpec:
     per_scale_channels: list
     block_index: int
     downsample: str = "max"
-    base_channels: int = 0  # replaced conv's output width; 0 -> in_channels
 
     def __post_init__(self):
-        if self.base_channels == 0:
-            self.base_channels = self.in_channels
         if len(self.scale_factors) != len(self.per_scale_channels):
             raise ValueError("scale_factors and per_scale_channels lengths differ")
         if sorted(self.scale_factors) != list(self.scale_factors):
@@ -50,19 +47,13 @@ class SABlockSpec:
 
 @dataclass
 class SAResidualSpec:
-    """Bottleneck with the 3x3 stage replaced by an aggregation block."""
+    """Bottleneck with the 3x3 stage replaced by an aggregation block; the 1x1
+    reduce feeds the block's input width, and the shortcut is an identity when
+    the input and expand widths match, else a 1x1 projection."""
 
     in_channels: int
-    reduce_channels: int
     sa: SABlockSpec
     expand_channels: int
-    shortcut: str = "identity"  # identity | projection
-
-    def __post_init__(self):
-        if self.shortcut not in ("identity", "projection"):
-            raise ValueError(f"unknown shortcut kind '{self.shortcut}'")
-        if self.shortcut == "identity" and self.in_channels != self.expand_channels:
-            raise ValueError("identity shortcut needs matching channel counts")
 
 
 def build_sa_block(b: SpecBuilder, prefix: str, input_name: str,
@@ -72,7 +63,7 @@ def build_sa_block(b: SpecBuilder, prefix: str, input_name: str,
     Every surviving branch is tagged with block/scale attrs on its conv and
     batchnorm so allocation and cost accounting can find them later; the
     concat records the block index and the replaced conv's output width
-    (``base``) for budget reconstruction.
+    (``base``, the block's input width) for budget reconstruction.
     """
     branch_outs = []
     k = spec.block_index
@@ -92,7 +83,7 @@ def build_sa_block(b: SpecBuilder, prefix: str, input_name: str,
         if (bh, bw) != (h, w):
             cur = b.add(f"{p}.up", "resize", [cur], h=h, w=w)
         branch_outs.append(cur)
-    return b.add(f"{prefix}.cat", "concat", branch_outs, block=k, base=spec.base_channels)
+    return b.add(f"{prefix}.cat", "concat", branch_outs, block=k, base=spec.in_channels)
 
 
 def _downsample(b, p, cur, spec, s):
@@ -116,14 +107,14 @@ def build_sa_residual(b: SpecBuilder, prefix: str, input_name: str,
     """1x1 reduce -> aggregation block -> 1x1 expand -> shortcut add -> relu."""
     sa = spec.sa
     cur = b.add(f"{prefix}.reduce", "conv", [input_name],
-                **{"in": spec.in_channels, "out": spec.reduce_channels, "k": 1})
-    cur = b.add(f"{prefix}.bn1", "batchnorm", [cur], c=spec.reduce_channels)
+                **{"in": spec.in_channels, "out": sa.in_channels, "k": 1})
+    cur = b.add(f"{prefix}.bn1", "batchnorm", [cur], c=sa.in_channels)
     cur = b.add(f"{prefix}.relu1", "relu", [cur])
     cur = build_sa_block(b, f"{prefix}.sa", cur, sa, h, w)
     cur = b.add(f"{prefix}.expand", "conv", [cur],
                 **{"in": sa.out_channels, "out": spec.expand_channels, "k": 1})
     cur = b.add(f"{prefix}.bn3", "batchnorm", [cur], c=spec.expand_channels)
-    if spec.shortcut == "projection":
+    if spec.in_channels != spec.expand_channels:
         sc = b.add(f"{prefix}.proj", "conv", [input_name],
                    **{"in": spec.in_channels, "out": spec.expand_channels, "k": 1})
         sc = b.add(f"{prefix}.projbn", "batchnorm", [sc], c=spec.expand_channels)

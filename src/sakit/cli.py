@@ -14,6 +14,7 @@ import re
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -63,36 +64,29 @@ _OPTIONS = {
     "warmup": ("int", 2, "untimed warmup passes"),
     "tolerance": ("float", 1e-5, "gradcheck relative-error bound"),
     "max_entries": ("int", 40, "finite-difference probes per parameter"),
-    "resize": ("int", None, "resize shorter edge before eval"),
-    "crop": ("int", None, "center-crop size before eval"),
     "config": ("str", None, "key=value overlay file"),
     "importances": ("str", None, "importance dump csv"),
     "budgets": ("str", None, "per-block budget csv"),
 }
 
+_NETWORK = ["preset", "scales", "plan", "allocation", "downsample"]
+_SHAPE = ["classes", "input", "in_channels"]
+_DATA = ["dataset", "data_dir", "classes", "per_class", "val_per_class"]
+_TRAINING = ["epochs", "batch", "lr", "milestones", "momentum", "weight_decay",
+             "augment", "seed", "deterministic"]
+_WRITES = ["out", "out_dir", "config"]
+
 _COMMAND_KEYS = {
-    "build": ["preset", "scales", "plan", "allocation", "downsample", "classes",
-              "input", "in_channels", "out", "out_dir", "config"],
-    "flops": ["preset", "scales", "plan", "allocation", "downsample", "classes",
-              "input", "in_channels", "out", "out_dir", "config"],
-    "train": ["preset", "spec", "scales", "plan", "allocation", "downsample",
-              "dataset", "data_dir", "classes", "per_class", "val_per_class",
-              "epochs", "batch", "lr", "milestones", "momentum", "weight_decay",
-              "augment", "seed", "deterministic", "out_dir", "config"],
-    "allocate": ["scales", "b", "out", "out_dir", "config", "importances", "budgets"],
-    "pipeline": ["preset", "scales", "b", "downsample", "dataset", "data_dir",
-                 "classes", "per_class", "val_per_class", "epochs", "batch",
-                 "lr", "milestones", "momentum", "weight_decay", "augment",
-                 "seed", "deterministic", "out_dir", "config"],
-    "rf": ["preset", "scales", "plan", "allocation", "downsample", "classes",
-           "input", "in_channels", "out", "out_dir", "config"],
-    "eval": ["checkpoint", "dataset", "data_dir", "classes", "per_class",
-             "val_per_class", "batch", "seed", "resize", "crop", "config"],
-    "report": ["plan", "preset", "scales", "classes", "input", "in_channels",
-               "downsample", "out_dir", "config"],
-    "bench": ["preset", "scales", "plan", "allocation", "downsample", "classes",
-              "input", "in_channels", "batch", "repeats", "warmup", "seed",
-              "config"],
+    "build": _NETWORK + _SHAPE + _WRITES,
+    "flops": _NETWORK + _SHAPE + _WRITES,
+    "train": ["preset", "spec"] + _NETWORK[1:] + _DATA + _TRAINING + ["out_dir", "config"],
+    "allocate": ["scales", "b"] + _WRITES + ["importances", "budgets"],
+    "pipeline": ["preset", "scales", "b", "downsample"] + _DATA + _TRAINING
+                + ["out_dir", "config"],
+    "rf": _NETWORK + _SHAPE + _WRITES,
+    "eval": ["checkpoint"] + _DATA + ["batch", "seed", "config"],
+    "report": ["plan", "preset", "scales"] + _SHAPE + ["downsample", "out_dir", "config"],
+    "bench": _NETWORK + _SHAPE + ["batch", "repeats", "warmup", "seed", "config"],
     "gradcheck": ["spec", "tolerance", "max_entries", "seed", "config"],
 }
 
@@ -114,6 +108,10 @@ def build_parser():
             else:
                 sp.add_argument(_flag(key), dest=key, default=None, help=help_text)
     return parser
+
+
+def _read(path):
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _coerce(key, tag, raw):
@@ -143,7 +141,7 @@ def resolve_config(cmd, args):
     cfg = {k: _OPTIONS[k][1] for k in keys}
     cfg_file = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if cfg_file:
-        for lineno, raw in enumerate(open(cfg_file, encoding="utf-8"), start=1):
+        for lineno, raw in enumerate(_read(cfg_file).splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -185,11 +183,21 @@ def write_snapshot(cmd, cfg, out_dir):
     return path
 
 
+def _write_output(cmd, cfg, default_name, text):
+    """Write ``text`` to --out, else to ``default_name`` in --out-dir, with the
+    snapshot beside it; returns the path."""
+    path = cfg.get("out") or os.path.join(cfg["out_dir"], default_name)
+    write_snapshot(cmd, cfg, os.path.dirname(path) or ".")  # creates the directory
+    Path(path).write_text(text, encoding="utf-8")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # shared construction helpers
 
 def _preset_base(cfg):
-    from .presets import build_cifar_resnet, build_resnet
+    from .presets import (CIFAR_SCALES, IMAGENET_SCALES, build_cifar_resnet,
+                          build_resnet)
 
     name = cfg.get("preset")
     if not name:
@@ -205,16 +213,30 @@ def _preset_base(cfg):
     channels = cfg.get("in_channels") or 3
     m = re.fullmatch(r"cifar-n(\d+)", name)
     if m:
-        return build_cifar_resnet(int(m.group(1)), classes or 100, channels), [1, 2, 4]
+        return build_cifar_resnet(int(m.group(1)), classes or 100, channels), CIFAR_SCALES
     m = re.fullmatch(r"resnet(50|101|152)", name)
     if m:
         size = cfg.get("input") or 224
-        return build_resnet(int(m.group(1)), classes or 1000, size, channels), [1, 2, 4, 7]
+        return build_resnet(int(m.group(1)), classes or 1000, size, channels), IMAGENET_SCALES
     raise UsageError(f"unknown preset '{name}'")
 
 
+def _plan(arg):
+    """A plan file if one exists at ``arg``, else the shipped plan of that name."""
+    from .presets import load_plan, reference_plan
+
+    return load_plan(arg) if os.path.exists(arg) else reference_plan(arg)
+
+
+def _spec_file(cfg):
+    """The network in the --spec file, or None when none is given."""
+    from .netspec import NetworkSpec
+
+    return NetworkSpec.from_text(_read(cfg["spec"])) if cfg.get("spec") else None
+
+
 def _resolve_plan(cfg, base, scales):
-    from .presets import even_allocation, load_plan, reference_plan, seed_plan
+    from .presets import even_allocation, seed_plan
 
     allocation = cfg.get("allocation")
     plan_arg = cfg.get("plan")
@@ -229,9 +251,7 @@ def _resolve_plan(cfg, base, scales):
     if allocation == "plan":
         if not plan_arg:
             raise UsageError("--plan required for allocation=plan")
-        if os.path.exists(plan_arg):
-            return load_plan(plan_arg)
-        return reference_plan(plan_arg)
+        return _plan(plan_arg)
     raise UsageError(f"unknown allocation '{allocation}'")
 
 
@@ -247,29 +267,22 @@ def _build_network(cfg):
 
 
 def _load_dataset(cfg, split):
+    """Load one split and set the network's classes and input channels from it."""
     from .data import load_cifar, synthetic_dataset
 
     kind = cfg["dataset"]
     if kind == "synthetic":
         per = cfg["per_class"] if split == "train" else cfg["val_per_class"]
-        return synthetic_dataset(cfg.get("classes") or 10, per, 32,
-                                 seed=cfg["seed"], split=split)
-    if kind in ("cifar10", "cifar100"):
+        ds = synthetic_dataset(cfg.get("classes") or 10, per, 32,
+                               seed=cfg["seed"], split=split)
+    elif kind in ("cifar10", "cifar100"):
         if not cfg.get("data_dir"):
             raise UsageError("--data-dir is required for CIFAR datasets")
-        return load_cifar(cfg["data_dir"], kind, "train" if split == "train" else "test")
-    raise UsageError(f"unknown dataset '{kind}'")
-
-
-def _dataset_wiring(cfg):
-    kind = cfg["dataset"]
-    if kind == "synthetic":
-        cfg["classes"] = cfg.get("classes") or 10
-        cfg["in_channels"] = 1
-    elif kind == "cifar10":
-        cfg["classes"], cfg["in_channels"] = 10, 3
-    elif kind == "cifar100":
-        cfg["classes"], cfg["in_channels"] = 100, 3
+        ds = load_cifar(cfg["data_dir"], kind, "train" if split == "train" else "test")
+    else:
+        raise UsageError(f"unknown dataset '{kind}'")
+    cfg["classes"], cfg["in_channels"] = ds.num_classes, ds.channels
+    return ds
 
 
 def _train_config(cfg):
@@ -289,11 +302,7 @@ def _train_config(cfg):
 
 def cmd_build(cfg, out):
     spec = _build_network(cfg)
-    path = cfg.get("out") or os.path.join(cfg["out_dir"], f"{spec.name}.netspec")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(spec.to_text())
-    write_snapshot("build", cfg, os.path.dirname(path) or ".")
+    path = _write_output("build", cfg, f"{spec.name}.netspec", spec.to_text())
     out(f"wrote {path} ({len(spec.nodes)} nodes)")
     return 0
 
@@ -311,25 +320,16 @@ def cmd_flops(cfg, out):
             out(" ".join(str(v) if not isinstance(v, float) else f"{v:.4f}"
                          for v in row))
     if cfg.get("out"):
-        with open(cfg["out"], "w", encoding="utf-8") as f:
-            f.write(report.block_table_csv())
-        write_snapshot("flops", cfg, os.path.dirname(cfg["out"]) or ".")
-        out(f"wrote {cfg['out']}")
+        out(f"wrote {_write_output('flops', cfg, None, report.block_table_csv())}")
     return 0
 
 
 def cmd_train(cfg, out):
-    from .netspec import NetworkSpec
     from .training import train
 
-    _dataset_wiring(cfg)
-    if cfg.get("spec"):
-        with open(cfg["spec"], encoding="utf-8") as f:
-            spec = NetworkSpec.from_text(f.read())
-    else:
-        spec = _build_network(cfg)
     train_ds = _load_dataset(cfg, "train")
     val_ds = _load_dataset(cfg, "val")
+    spec = _spec_file(cfg) or _build_network(cfg)
     write_snapshot("train", cfg, cfg["out_dir"])
     result = train(spec, train_ds, val_ds, _train_config(cfg),
                    out_dir=cfg["out_dir"], log=out)
@@ -342,23 +342,19 @@ def cmd_allocate(cfg, out):
     from .allocator import (ProjectionConfig, parse_budgets_csv,
                             parse_importance_csv, plan_from_results,
                             project_network)
-    from .presets import save_plan
+    from .presets import serialize_plan
 
     if not cfg.get("importances") or not cfg.get("budgets"):
         raise UsageError("--importances and --budgets are required")
     if not cfg.get("scales"):
         raise UsageError("--scales is required")
-    with open(cfg["importances"], encoding="utf-8") as f:
-        records = parse_importance_csv(f.read())
-    with open(cfg["budgets"], encoding="utf-8") as f:
-        budgets = parse_budgets_csv(f.read())
+    records = parse_importance_csv(_read(cfg["importances"]))
+    budgets = parse_budgets_csv(_read(cfg["budgets"]))
     proj = ProjectionConfig(exponent=cfg["b"])
     results = project_network(records, budgets, proj)
     plan = plan_from_results(results, cfg["scales"], source="allocate",
                              exponent=cfg["b"], budgets=budgets)
-    path = cfg.get("out") or os.path.join(cfg["out_dir"], "plan.txt")
-    save_plan(plan, path)
-    write_snapshot("allocate", cfg, os.path.dirname(path) or ".")
+    path = _write_output("allocate", cfg, "plan.txt", serialize_plan(plan))
     for k in sorted(plan.rows):
         out(f"{k}: {','.join(str(c) for c in plan.rows[k])}")
     out(f"wrote {path}")
@@ -370,11 +366,10 @@ def cmd_pipeline(cfg, out):
     from .report import emit_report
     from .rf import rf_network_report
 
-    _dataset_wiring(cfg)
-    base, default_scales = _preset_base(cfg)
-    scales = cfg.get("scales") or default_scales
     train_ds = _load_dataset(cfg, "train")
     val_ds = _load_dataset(cfg, "val")
+    base, default_scales = _preset_base(cfg)
+    scales = cfg.get("scales") or default_scales
     write_snapshot("pipeline", cfg, cfg["out_dir"])
     result = run_pipeline(base, scales, train_ds, val_ds, _train_config(cfg),
                           ProjectionConfig(exponent=cfg["b"]),
@@ -396,11 +391,7 @@ def cmd_rf(cfg, out):
     out("block_index min_rf max_rf")
     for k, lo, hi in rows:
         out(f"{k} {lo} {hi}")
-    path = cfg.get("out") or os.path.join(cfg["out_dir"], "rf.csv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(rf_report_csv(rows))
-    write_snapshot("rf", cfg, os.path.dirname(path) or ".")
-    out(f"wrote {path}")
+    out(f"wrote {_write_output('rf', cfg, 'rf.csv', rf_report_csv(rows))}")
     return 0
 
 
@@ -409,10 +400,8 @@ def cmd_eval(cfg, out):
 
     if not cfg.get("checkpoint"):
         raise UsageError("--checkpoint is required")
-    _dataset_wiring(cfg)
-    ds = _load_dataset(cfg, "val")
-    ev = evaluate_checkpoint(cfg["checkpoint"], ds, batch=cfg["batch"],
-                             crop_to=cfg.get("crop"), resize_to=cfg.get("resize"))
+    ev = evaluate_checkpoint(cfg["checkpoint"], _load_dataset(cfg, "val"),
+                             batch=cfg["batch"])
     out(f"top1 error {ev.top1_err:.4f}")
     if ev.top5_err is not None:
         out(f"top5 error {ev.top5_err:.4f}")
@@ -421,14 +410,12 @@ def cmd_eval(cfg, out):
 
 
 def cmd_report(cfg, out):
-    from .presets import load_plan, reference_plan
     from .report import emit_report
     from .rf import rf_network_report
 
     if not cfg.get("plan"):
         raise UsageError("--plan is required")
-    plan = load_plan(cfg["plan"]) if os.path.exists(cfg["plan"]) \
-        else reference_plan(cfg["plan"])
+    plan = _plan(cfg["plan"])
     rf_rows = None
     reference = None
     if cfg.get("preset"):
@@ -476,14 +463,9 @@ def cmd_bench(cfg, out):
 
 def cmd_gradcheck(cfg, out):
     from .autograd import Graph, gradcheck
-    from .netspec import NetworkSpec
     from .rng import stream
 
-    if cfg.get("spec"):
-        with open(cfg["spec"], encoding="utf-8") as f:
-            spec = NetworkSpec.from_text(f.read())
-    else:
-        spec = _coverage_spec()
+    spec = _spec_file(cfg) or _coverage_spec()
     graph = Graph(spec, dtype=np.float64, seed=cfg["seed"])
     c, h, w = spec.input_shape
     rng = stream(cfg["seed"], "gradcheck-input")

@@ -147,23 +147,3 @@ def normalization_stats(ds: Dataset):
 
 def normalize(images, mean, std):
     return (images - mean[None, :, None, None]) / std[None, :, None, None]
-
-
-def resize_shorter(images, target):
-    """Nearest-neighbor resize so the shorter edge equals ``target``."""
-    from .ops import resize_nearest_forward
-    n, c, h, w = images.shape
-    if h <= w:
-        out_h, out_w = target, int(round(w * target / h))
-    else:
-        out_h, out_w = int(round(h * target / w)), target
-    y, _ = resize_nearest_forward(images, out_h, out_w)
-    return y
-
-
-def center_crop(images, size):
-    h, w = images.shape[2], images.shape[3]
-    if h < size or w < size:
-        raise DataError(f"cannot center-crop {h}x{w} to {size}")
-    top, left = (h - size) // 2, (w - size) // 2
-    return np.ascontiguousarray(images[:, :, top:top + size, left:left + size])

@@ -302,10 +302,9 @@ def build_scalenet(base: NetworkSpec, plan: AllocationPlan,
         elif d.stride != 1:
             raise SpecError(f"unsupported baseline stride {d.stride}")
         sa = SABlockSpec(d.mid, list(plan.scales), list(plan.rows[d.block_index]),
-                         d.block_index, downsample=downsample, base_channels=d.mid)
-        shortcut = "identity" if c_in == d.out_channels else "projection"
-        res = SAResidualSpec(c_in, d.mid, sa, d.out_channels, shortcut)
-        cur = build_sa_residual(b, prefix, cur, res, d.h, d.w)
+                         d.block_index, downsample=downsample)
+        cur = build_sa_residual(b, prefix, cur, SAResidualSpec(c_in, sa, d.out_channels),
+                                d.h, d.w)
         c_in = d.out_channels
     _head(b, cur, c_in, base.num_classes)
     return b.build()

@@ -1,7 +1,7 @@
 """Training loop with step-decay schedule, evaluation, and checkpointing.
 
 The learning rate drops tenfold at each milestone. Metric logs hold accuracy
-fractions; evaluate() reports error rates. With the deterministic flag set
+fractions; evaluate_graph() reports error rates. With the deterministic flag set
 the per-epoch seconds column is written as 0.0 so two identically seeded
 runs produce byte-identical logs.
 """
@@ -68,10 +68,6 @@ class TrainResult:
         out["norm.mean"] = self.norm_mean
         out["norm.std"] = self.norm_std
         return out
-
-    @property
-    def final_val_top1_err(self):
-        return 1.0 - self.metrics[-1]["val_top1"]
 
 
 def train(spec: NetworkSpec, train_ds, val_ds, cfg: TrainConfig,
@@ -160,10 +156,9 @@ class EvalResult:
     loss: float
 
 
-def evaluate_graph(graph: Graph, ds, mean, std, batch=256,
-                   crop_to=None, resize_to=None) -> EvalResult:
-    """Inference-mode error rates; optionally resize-shorter then center-crop
-    (the 256 -> 224 evaluation pipeline)."""
+def evaluate_graph(graph: Graph, ds, mean, std, batch=256) -> EvalResult:
+    """Inference-mode top-1/top-5 error and mean loss of ``graph`` on ``ds``,
+    normalized with ``mean``/``std``, ``batch`` images per forward."""
     n = len(ds)
     top1 = top5 = 0
     losses = []
@@ -171,10 +166,6 @@ def evaluate_graph(graph: Graph, ds, mean, std, batch=256,
     for start in range(0, n, batch):
         x = ds.images[start:start + batch]
         y = ds.labels[start:start + batch]
-        if resize_to:
-            x = data_mod.resize_shorter(x, resize_to)
-        if crop_to:
-            x = data_mod.center_crop(x, crop_to)
         x = data_mod.normalize(x, mean, std)
         acts = graph.forward(x, labels=y, mode="infer")
         losses.append(float(acts[graph.spec.loss_name]) * len(y))
@@ -187,8 +178,7 @@ def evaluate_graph(graph: Graph, ds, mean, std, batch=256,
                       sum(losses) / n)
 
 
-def evaluate_tensors(spec: NetworkSpec, tensors: dict, ds, batch=256,
-                     crop_to=None, resize_to=None) -> EvalResult:
+def evaluate_tensors(spec: NetworkSpec, tensors: dict, ds, batch=256) -> EvalResult:
     """Evaluate a checkpoint-shaped tensor dict (params, state, norm stats)."""
     graph = Graph(spec, dtype=np.float32, init=False)
     load_tensors_into(graph, tensors)
@@ -198,13 +188,13 @@ def evaluate_tensors(spec: NetworkSpec, tensors: dict, ds, batch=256,
         if ds.mean is None:
             data_mod.normalization_stats(ds)
         mean, std = ds.mean, ds.std
-    return evaluate_graph(graph, ds, mean, std, batch, crop_to, resize_to)
+    return evaluate_graph(graph, ds, mean, std, batch)
 
 
-def evaluate_checkpoint(path, ds, batch=256, crop_to=None, resize_to=None):
+def evaluate_checkpoint(path, ds, batch=256):
     spec_text, tensors = load_checkpoint(path)
     spec = NetworkSpec.from_text(spec_text)
-    return evaluate_tensors(spec, tensors, ds, batch, crop_to, resize_to)
+    return evaluate_tensors(spec, tensors, ds, batch)
 
 
 def load_tensors_into(graph: Graph, tensors: dict):

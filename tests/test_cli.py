@@ -1,4 +1,5 @@
-import os
+import gc
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -154,6 +155,39 @@ def test_config_precedence_env_flag_file(tmp_path, monkeypatch):
         resolve_config("train", args)
 
 
+def test_config_file_is_closed(tmp_path):
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text("seed=1\n")
+    args = build_parser().parse_args(["train", "--config", str(cfg_file)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert resolve_config("train", args)["seed"] == 1
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["build", "--preset", "cifar-n1"], "cifar-n1.netspec"),
+    (["flops", "--preset", "scalenet50", "--out", "{dir}/blocks.csv"], "blocks.csv"),
+    (["rf", "--preset", "cifar-n1", "--allocation", "even"], "rf.csv"),
+    (["allocate", "--importances", "{tmp}/importances.csv",
+      "--budgets", "{tmp}/budgets.csv", "--scales", "1,2,4"], "plan.txt"),
+], ids=["build", "flops", "rf", "allocate"])
+def test_outputs_go_into_a_new_directory(capsys, tmp_path, argv, name):
+    (tmp_path / "importances.csv").write_text(
+        "k,scale,channel,gamma,abs_gamma,unit_cost\n1,1,0,0.9,0.9,4\n")
+    (tmp_path / "budgets.csv").write_text("k,budget\n1,9\n")
+    new_dir = tmp_path / "new" / "nested"
+    argv = [a.format(dir=new_dir, tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out-dir", str(new_dir)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (new_dir / name).exists()
+    assert (new_dir / "config.resolved.txt").exists()
+    assert f"wrote {new_dir / name}" in out
+
+
 def test_unknown_config_file_key_rejected(tmp_path):
     parser = build_parser()
     cfg_file = tmp_path / "conf.txt"
@@ -194,12 +228,12 @@ def test_pipeline_matches_manual_stage_composition(tmp_path):
     assert final_res.metrics == result.final_metrics
 
 
-def test_scalenet_preset_alias(capsys):
+def test_scalenet_preset_alias(capsys, tmp_path):
     code, out, _ = run(capsys, "flops", "--preset", "scalenet50")
     assert code == 0
     assert "3.869 G" in out
     code, out, _ = run(capsys, "rf", "--preset", "scalenet50",
-                       "--out", os.devnull)
+                       "--out", str(tmp_path / "rf.csv"))
     assert code == 0
 
 

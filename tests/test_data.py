@@ -3,9 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from sakit.data import (DataError, Dataset, augment, center_crop, load_cifar,
-                        normalization_stats, normalize, resize_shorter,
-                        synthetic_dataset)
+from sakit.data import (DataError, Dataset, augment, load_cifar,
+                        normalization_stats, normalize, synthetic_dataset)
 from sakit.rng import stream
 
 
@@ -144,16 +143,6 @@ def test_dataset_validation():
     with pytest.raises(DataError, match="range"):
         Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32),
                 np.array([0, 5], dtype=np.int64), 2)
-
-
-def test_resize_shorter_and_center_crop():
-    x = np.arange(2 * 3 * 8 * 6, dtype=np.float32).reshape(2, 3, 8, 6)
-    y = resize_shorter(x, 12)
-    assert y.shape == (2, 3, 16, 12)
-    z = center_crop(y, 12)
-    assert z.shape == (2, 3, 12, 12)
-    with pytest.raises(DataError, match="crop"):
-        center_crop(x, 100)
 
 
 def test_linear_probe_below_conv_net_on_held_out_split():

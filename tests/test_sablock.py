@@ -114,12 +114,12 @@ def test_residual_zero_branch_passes_shortcut():
     b = SpecBuilder("res")
     b.add("x", "input", c=8, h=10, w=10)
     sa = SABlockSpec(4, [1, 2], [3, 2], 1)
-    out = build_sa_residual(b, "blk", "x", SAResidualSpec(8, 4, sa, 8, "identity"),
-                            10, 10)
+    out = build_sa_residual(b, "blk", "x", SAResidualSpec(8, sa, 8), 10, 10)
     b.add("head.gap", "gap", [out])
     b.add("head.fc", "dense", ["head.gap"], **{"in": 8, "out": 2})
     b.add("loss", "softmax_xent", ["head.fc"])
     spec = b.build()
+    assert "blk.proj" not in spec  # equal widths give an identity shortcut
     g = Graph(spec, dtype=np.float64, seed=2)
     for pname, p in g.params.items():
         if ".sa." in pname and pname.endswith(".weight"):
@@ -133,10 +133,7 @@ def test_residual_projection_when_channels_differ():
     b = SpecBuilder("proj")
     b.add("x", "input", c=4, h=6, w=6)
     sa = SABlockSpec(4, [1, 2], [2, 2], 1)
-    with pytest.raises(ValueError, match="identity shortcut"):
-        SAResidualSpec(4, 4, sa, 16, "identity")
-    out = build_sa_residual(b, "blk", "x", SAResidualSpec(4, 4, sa, 16, "projection"),
-                            6, 6)
+    out = build_sa_residual(b, "blk", "x", SAResidualSpec(4, sa, 16), 6, 6)
     b.add("head.gap", "gap", [out])
     b.add("head.fc", "dense", ["head.gap"], **{"in": 16, "out": 2})
     b.add("loss", "softmax_xent", ["head.fc"])

@@ -19,8 +19,7 @@ def micro_sa_net(classes=10, size=16, width=8):
     cur = b.add("stem.bn", "batchnorm", [cur], c=width)
     cur = b.add("stem.relu", "relu", [cur])
     sa = SABlockSpec(width, [1, 2, 4], [width // 2, width // 4, width // 4], 1)
-    cur = build_sa_residual(b, "sa1", cur,
-                            SAResidualSpec(width, width, sa, 2 * width, "projection"),
+    cur = build_sa_residual(b, "sa1", cur, SAResidualSpec(width, sa, 2 * width),
                             size, size)
     b.add("head.gap", "gap", [cur])
     b.add("head.fc", "dense", ["head.gap"], **{"in": 2 * width, "out": classes})
