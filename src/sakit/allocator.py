@@ -171,7 +171,7 @@ def _knapsack_optimum(records, budget):
 
 def project_network(records, budgets, config: ProjectionConfig = None):
     """Run the per-block selection for every block; returns
-    (AllocationPlan-rows dict, {block: ProjectionResult})."""
+    {block: ProjectionResult}."""
     config = config or ProjectionConfig()
     by_block = {}
     for rec in records:

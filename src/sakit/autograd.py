@@ -2,7 +2,8 @@
 
 The graph owns named parameter and state arrays. One forward loop serves
 both modes. A training forward keeps every node output and each node's
-backward cache, so one backward can follow it; backward frees each cache
+backward cache, so one backward can follow it; conv, batchnorm and relu
+caches hold those outputs themselves, not copies. Backward frees each cache
 once that node's backward has run. An inference forward keeps no cache and
 frees each activation after its last consumer (computed once from the
 spec), so it returns only the logits, the loss and the names the caller

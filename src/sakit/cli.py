@@ -285,6 +285,17 @@ def _load_dataset(cfg, split):
     return ds
 
 
+def _check_fits(spec, ds):
+    """Raise UsageError unless ``spec`` takes ``ds``'s images and classes."""
+    images = tuple(ds.images.shape[1:])
+    if spec.input_shape != images:
+        raise UsageError(f"network '{spec.name}' takes {spec.input_shape} inputs, "
+                         f"the dataset has {images} images")
+    if spec.num_classes != ds.num_classes:
+        raise UsageError(f"network '{spec.name}' has {spec.num_classes} classes, "
+                         f"the dataset has {ds.num_classes}")
+
+
 def _train_config(cfg):
     from .training import TrainConfig
 
@@ -330,6 +341,7 @@ def cmd_train(cfg, out):
     train_ds = _load_dataset(cfg, "train")
     val_ds = _load_dataset(cfg, "val")
     spec = _spec_file(cfg) or _build_network(cfg)
+    _check_fits(spec, train_ds)
     write_snapshot("train", cfg, cfg["out_dir"])
     result = train(spec, train_ds, val_ds, _train_config(cfg),
                    out_dir=cfg["out_dir"], log=out)
@@ -396,12 +408,17 @@ def cmd_rf(cfg, out):
 
 
 def cmd_eval(cfg, out):
-    from .training import evaluate_checkpoint
+    from .checkpoint import load_checkpoint
+    from .netspec import NetworkSpec
+    from .training import evaluate_tensors
 
     if not cfg.get("checkpoint"):
         raise UsageError("--checkpoint is required")
-    ev = evaluate_checkpoint(cfg["checkpoint"], _load_dataset(cfg, "val"),
-                             batch=cfg["batch"])
+    spec_text, tensors = load_checkpoint(cfg["checkpoint"])
+    spec = NetworkSpec.from_text(spec_text)
+    ds = _load_dataset(cfg, "val")
+    _check_fits(spec, ds)
+    ev = evaluate_tensors(spec, tensors, ds, batch=cfg["batch"])
     out(f"top1 error {ev.top1_err:.4f}")
     if ev.top5_err is not None:
         out(f"top5 error {ev.top5_err:.4f}")

@@ -1,10 +1,14 @@
 """Layer kernels in NCHW layout, each a forward/backward pair over ndarrays.
 
-Convolution is cross-correlation via patch gathering and one matmul; its
-input gradient is reconstructed with a k*k tap loop of strided slice adds
+Convolution is cross-correlation via one matmul over patches gathered by k*k
+strided slice copies from an NHWC copy of the padded input; its input
+gradient is reconstructed with a k*k tap loop of strided slice adds
 (collision-free per tap), which keeps backward vectorized and deterministic.
-Max pooling folds each tap into its output with an in-place maximum; only
-training also records the argmax that backward masks its taps with.
+Caches hold inputs, not copies: conv and batchnorm keep their input, and
+backward recomputes the patches and ``xhat`` with the forward's expressions;
+relu is ``maximum(x, 0)`` and keeps its output. Max pooling folds each tap
+into its output with an in-place maximum; only training also records the
+argmax that backward masks its taps with.
 """
 
 import numpy as np
@@ -12,11 +16,26 @@ import numpy as np
 from .netspec import conv_out_dim, pool_out_dim
 
 
+def _patches(x, k, stride, dilation, pad, ho, wo):
+    """(N*Ho*Wo, Cin*k*k) patch matrix of x, filled in (N, Ho, Wo, Cin, k, k)
+    order by k*k strided slice copies of an NHWC copy of the padded input."""
+    n, cin, h, w = x.shape
+    xh = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
+    xh[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    patches = np.empty((n, ho, wo, cin, k, k), dtype=x.dtype)
+    he, we = (ho - 1) * stride + 1, (wo - 1) * stride + 1
+    for a, b in np.ndindex(k, k):
+        ra, cb = a * dilation, b * dilation
+        patches[..., a, b] = xh[:, ra:ra + he:stride, cb:cb + we:stride]
+    return patches.reshape(n * ho * wo, cin * k * k)
+
+
 def conv2d_forward(x, w, stride=1, dilation=1, pad=0):
     """Cross-correlate x (N,Cin,H,W) with w (Cout,Cin,k,k).
 
-    Output dims follow ``netspec.conv_out_dim``. Returns (y, cache). 1x1
-    stride-1 convs take a patch-free channel-mix path.
+    Output dims follow ``netspec.conv_out_dim``. Returns (y, cache); the
+    cache holds x itself, not its patches. 1x1 stride-1 convs take a
+    patch-free channel-mix path.
     """
     n, cin, h, wd = x.shape
     cout, cin_w, k, _ = w.shape
@@ -26,35 +45,28 @@ def conv2d_forward(x, w, stride=1, dilation=1, pad=0):
     wo = conv_out_dim(wd, k, stride, dilation, pad)
     if ho < 1 or wo < 1:
         raise ValueError(f"non-positive conv output dims {ho}x{wo}")
+    cache = (x, stride, dilation, pad)
     if k == 1 and stride == 1 and pad == 0:
         y = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1])).transpose(1, 0, 2, 3)
-        cache = ("1x1", x, w.shape)
         return np.ascontiguousarray(y), cache
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    rows = np.arange(ho)[:, None] * stride + np.arange(k)[None, :] * dilation
-    cols = np.arange(wo)[:, None] * stride + np.arange(k)[None, :] * dilation
-    # patches: (N, Cin, Ho, k, Wo, k) -> (N*Ho*Wo, Cin*k*k)
-    patches = xp[:, :, rows[:, :, None, None], cols[None, None, :, :]]
-    patches = patches.transpose(0, 2, 4, 1, 3, 5).reshape(n * ho * wo, cin * k * k)
-    y = patches @ w.reshape(cout, -1).T
+    y = _patches(x, k, stride, dilation, pad, ho, wo) @ w.reshape(cout, -1).T
     y = y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
-    cache = ("im2col", patches, x.shape, w.shape, stride, dilation, pad, (ho, wo))
     return np.ascontiguousarray(y), cache
 
 
 def conv2d_backward(dy, w, cache):
-    """Gradients (dx, dw) for conv2d_forward."""
-    if cache[0] == "1x1":
-        _, x, w_shape = cache
+    """Gradients (dx, dw) for conv2d_forward; dw rebuilds the forward's patches."""
+    x, stride, dilation, pad = cache
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    if k == 1 and stride == 1 and pad == 0:
         w2 = w[:, :, 0, 0]
         dx = np.tensordot(w2.T, dy, axes=([1], [1])).transpose(1, 0, 2, 3)
-        dw = np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3])).reshape(w_shape)
+        dw = np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3])).reshape(w.shape)
         return np.ascontiguousarray(dx), dw
-    _, patches, x_shape, w_shape, stride, dilation, pad, (ho, wo) = cache
-    n, cin, h, wd = x_shape
-    cout, _, k, _ = w_shape
+    ho, wo = dy.shape[2:]
     dyf = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-    dw = (dyf.T @ patches).reshape(w_shape)
+    dw = (dyf.T @ _patches(x, k, stride, dilation, pad, ho, wo)).reshape(w.shape)
     dpatch = dyf @ w.reshape(cout, -1)
     dpatch = dpatch.reshape(n, ho, wo, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
     dxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=dy.dtype)
@@ -118,8 +130,7 @@ def maxpool2d_backward(dy, cache):
     hs, ws = ho * stride, wo * stride
     for t in range(k * k):
         a, b = divmod(t, k)
-        contrib = np.where(arg == t, dy, 0)
-        dxp[:, :, a:a + hs:stride, b:b + ws:stride] += contrib
+        dxp[:, :, a:a + hs:stride, b:b + ws:stride] += dy * (arg == t)
     return dxp[:, :, pad:pad + h, pad:pad + w]
 
 
@@ -202,40 +213,45 @@ def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
         if n * h * w < 2:
             raise ValueError("batchnorm training needs >= 2 elements per channel")
         mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        d = x - mean[None, :, None, None]
+        # np.var's own expression, so the bits match x.var(axis=(0, 2, 3))
+        var = np.square(d).sum(axis=(0, 2, 3)) / (n * h * w)
         new_mean = (1 - momentum) * running_mean + momentum * mean
         new_var = (1 - momentum) * running_var + momentum * var
     else:
         mean, var = running_mean, running_var
         new_mean, new_var = running_mean, running_var
+        d = x - mean[None, :, None, None]
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-    cache = (xhat, inv_std, gamma)
-    return y, cache, new_mean, new_var
+    d *= inv_std[None, :, None, None]
+    d *= gamma[None, :, None, None]
+    d += beta[None, :, None, None]
+    return d, (x, mean, inv_std, gamma), new_mean, new_var
 
 
 def batchnorm2d_backward(dy, cache):
     """Gradients (dx, dgamma, dbeta) of a training-mode forward, through the
-    batch statistics."""
-    xhat, inv_std, gamma = cache
+    batch statistics; ``xhat`` is recomputed from the cached input."""
+    x, mean, inv_std, gamma = cache
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
     dgamma = (dy * xhat).sum(axis=(0, 2, 3))
     dbeta = dy.sum(axis=(0, 2, 3))
-    scale = (gamma * inv_std)[None, :, None, None]
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    mean_dy = dy.mean(axis=(0, 2, 3))[None, :, None, None]
-    mean_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3))[None, :, None, None] / m
-    dx = scale * (dy - mean_dy - xhat * mean_dy_xhat)
+    xhat *= dgamma[None, :, None, None] / m
+    dx = dy - dy.mean(axis=(0, 2, 3))[None, :, None, None]
+    dx -= xhat
+    dx *= (gamma * inv_std)[None, :, None, None]
     return dx, dgamma, dbeta
 
 
 def relu_forward(x):
-    mask = x > 0
-    return np.where(mask, x, 0), mask
+    """Returns (y, y): the output is its own backward cache."""
+    y = np.maximum(x, 0)
+    return y, y
 
 
-def relu_backward(dy, mask):
-    return np.where(mask, dy, 0)
+def relu_backward(dy, y):
+    return dy * (y > 0)
 
 
 def add_forward(a, b):

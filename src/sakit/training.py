@@ -125,7 +125,8 @@ def train(spec: NetworkSpec, train_ds, val_ds, cfg: TrainConfig,
                 f"train {row['train_top1']:.3f}  val {row['val_top1']:.3f}")
         if row["val_top1"] >= result.best_val_top1:
             result.best_val_top1 = row["val_top1"]
-            best_params = {p: v.copy() for p, v in result.tensors().items()}
+            if out_dir:  # only best.sanc reads it
+                best_params = {p: v.copy() for p, v in result.tensors().items()}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_metrics_csv(result.metrics, os.path.join(out_dir, "metrics.csv"))

@@ -131,6 +131,32 @@ def test_train_and_eval_commands(capsys, tmp_path):
     assert "top1 error" in out
 
 
+def test_eval_rejects_a_dataset_with_other_classes(capsys, tmp_path):
+    out_dir = tmp_path / "run"
+    code, out, _ = run(capsys, "train", "--preset", "cifar-n1", "--classes", "4",
+                       "--per-class", "2", "--val-per-class", "2", "--epochs", "1",
+                       "--batch", "8", "--deterministic", "--out-dir", str(out_dir))
+    assert code == 0, out
+    code, out, err = run(capsys, "eval", "--checkpoint", str(out_dir / "final.sanc"),
+                         "--classes", "2", "--val-per-class", "2")
+    assert code == 1 and "top1" not in out
+    assert "4 classes" in err and "has 2" in err
+
+
+def test_train_checks_spec_input_before_writing(capsys, tmp_path):
+    from sakit.presets import build_cifar_resnet
+
+    spec_file = tmp_path / "rgb.netspec"
+    spec_file.write_text(build_cifar_resnet(1, num_classes=10, in_channels=3).to_text())
+    out_dir = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--spec", str(spec_file), "--classes", "10",
+                       "--per-class", "2", "--val-per-class", "1", "--epochs", "1",
+                       "--out-dir", str(out_dir))
+    assert code == 1
+    assert "(3, 32, 32)" in err and "(1, 32, 32)" in err
+    assert not (out_dir / "config.resolved.txt").exists()
+
+
 def test_runtime_failure_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "missing.sanc"),
                        "--dataset", "synthetic")

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sakit.autograd import Graph
+from sakit.autograd import BatchNormNode, ConvNode, Graph, ReluNode
 from sakit.netspec import ShapeError
 from sakit.presets import build_cifar_resnet, build_seed
 from sakit.rng import stream
@@ -79,6 +79,21 @@ def test_training_keeps_every_output_and_backward_drops_caches(seed_net):
     # the next forward empties the previous pass's dict, even one a caller holds
     g.forward(x, labels=y, mode="infer")
     assert acts == {}
+
+
+def test_training_caches_hold_activations_not_copies(seed_net):
+    """Conv and batchnorm caches hold their input and relu's its output, so a
+    training forward retains no patch matrix, xhat or mask beside them."""
+    g, x, y = seed_net
+    acts = g.forward(x, labels=y, mode="train")
+    kinds = (ConvNode, BatchNormNode, ReluNode)
+    checked = [n for n in g.nodes if isinstance(n, kinds)]
+    assert {type(n) for n in checked} == set(kinds)
+    for node in checked:
+        held = node.cache if isinstance(node, ReluNode) else node.cache[0]
+        source = acts[node.name] if isinstance(node, ReluNode) else acts[node.layer.inputs[0]]
+        assert np.shares_memory(held, source), node.name
+    g.backward()
 
 
 def test_inference_peak_memory_is_well_under_keep_everything(seed_net):

@@ -4,7 +4,75 @@ import numpy as np
 import pytest
 
 from sakit import ops
+from sakit.netspec import conv_out_dim
 from sakit.rng import stream
+
+
+# Reference kernels: the fancy-index im2col conv, two-pass batchnorm, where-relu
+# and where-maxpool-backward that the current kernels replaced. The current
+# kernels must give the same bytes.
+
+def _conv_oracle(x, w, stride, dilation, pad):
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    ho = conv_out_dim(h, k, stride, dilation, pad)
+    wo = conv_out_dim(wd, k, stride, dilation, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    rows = np.arange(ho)[:, None] * stride + np.arange(k)[None, :] * dilation
+    cols = np.arange(wo)[:, None] * stride + np.arange(k)[None, :] * dilation
+    patches = xp[:, :, rows[:, :, None, None], cols[None, None, :, :]]
+    patches = patches.transpose(0, 2, 4, 1, 3, 5).reshape(n * ho * wo, cin * k * k)
+    y = (patches @ w.reshape(cout, -1).T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(y), patches
+
+
+def _conv_backward_oracle(dy, w, patches, x_shape, stride, dilation, pad):
+    n, cin, h, wd = x_shape
+    cout, _, k, _ = w.shape
+    ho, wo = dy.shape[2:]
+    dyf = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
+    dw = (dyf.T @ patches).reshape(w.shape)
+    dpatch = (dyf @ w.reshape(cout, -1)).reshape(n, ho, wo, cin, k, k)
+    dpatch = dpatch.transpose(0, 3, 1, 2, 4, 5)
+    dxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=dy.dtype)
+    for a in range(k):
+        for b in range(k):
+            dxp[:, :, a * dilation:a * dilation + ho * stride:stride,
+                b * dilation:b * dilation + wo * stride:stride] += dpatch[..., a, b]
+    return dxp[:, :, pad:pad + h, pad:pad + wd], dw
+
+
+def _batchnorm_oracle(x, gamma, beta, eps, training, running_mean, running_var):
+    if training:
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    return gamma[None, :, None, None] * xhat + beta[None, :, None, None], xhat, inv_std
+
+
+def _batchnorm_backward_oracle(dy, xhat, inv_std, gamma):
+    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    scale = (gamma * inv_std)[None, :, None, None]
+    mean_dy = dy.mean(axis=(0, 2, 3))[None, :, None, None]
+    mean_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3))[None, :, None, None] / m
+    dx = scale * (dy - mean_dy - xhat * mean_dy_xhat)
+    return dx, (dy * xhat).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
+
+
+def _maxpool_backward_oracle(dy, cache):
+    arg, (n, c, h, w), k, stride, pad, (ho, wo), (ph, pw) = cache
+    dxp = np.zeros((n, c, ph, pw), dtype=dy.dtype)
+    for t in range(k * k):
+        a, b = divmod(t, k)
+        dxp[:, :, a:a + ho * stride:stride, b:b + wo * stride:stride] += np.where(arg == t, dy, 0)
+    return dxp[:, :, pad:pad + h, pad:pad + w]
+
+
+def _same_bytes(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_conv_ones_overlap_counts():
@@ -240,3 +308,81 @@ def test_dense_and_gap():
     assert np.allclose(g, [[1.5, 5.5]])
     dg = ops.global_avg_pool_backward(np.ones((1, 2)), cache)
     assert np.allclose(dg, 0.25)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_bytes_match_im2col_oracle(dtype):
+    rng = stream(7, "conv-oracle")
+    # (cin, h, w, cout, k, stride, dilation, pad): 3x3 grid, the k7 s2 p3
+    # stem, dilated, strided 1x1 and an even-sized kernel
+    cases = [(c, 9, 11, 5, 3, s, d, p) for c in (1, 6) for s in (1, 2)
+             for d in (1, 2) for p in (0, 1, 2)]
+    cases += [(3, 23, 23, 8, 7, 2, 1, 3), (4, 15, 15, 4, 3, 1, 3, 3),
+              (8, 8, 8, 6, 1, 2, 1, 0), (5, 10, 9, 3, 4, 2, 1, 1)]
+    for cin, h, w, cout, k, stride, dil, pad in cases:
+        x = rng.normal(size=(2, cin, h, w)).astype(dtype)
+        wt = rng.normal(size=(cout, cin, k, k)).astype(dtype)
+        y, cache = ops.conv2d_forward(x, wt, stride, dil, pad)
+        y_ref, patches = _conv_oracle(x, wt, stride, dil, pad)
+        assert _same_bytes(y, y_ref), (k, stride, dil, pad)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        got = ops.conv2d_backward(dy, wt, cache)
+        ref = _conv_backward_oracle(dy, wt, patches, x.shape, stride, dil, pad)
+        for g, r in zip(got, ref):
+            assert _same_bytes(g, r), (k, stride, dil, pad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_bytes_match_two_pass_oracle(dtype):
+    rng = stream(8, "bn-oracle")
+    for shape in [(2, 3, 5, 7), (8, 16, 8, 8), (1, 4, 1, 2)]:
+        c = shape[1]
+        x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+        gamma, beta = rng.normal(size=c).astype(dtype), rng.normal(size=c).astype(dtype)
+        rm, rv = rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2, size=c).astype(dtype)
+        for training in (True, False):
+            y, cache, new_mean, new_var = ops.batchnorm2d_forward(
+                x, gamma, beta, rm, rv, 1e-5, 0.1, training)
+            y_ref, xhat, inv_std = _batchnorm_oracle(x, gamma, beta, 1e-5, training, rm, rv)
+            assert _same_bytes(y, y_ref)
+            if training:
+                assert _same_bytes(new_var, 0.9 * rv + 0.1 * x.var(axis=(0, 2, 3)))
+                dy = rng.normal(size=shape).astype(dtype)
+                got = ops.batchnorm2d_backward(dy, cache)
+                ref = _batchnorm_backward_oracle(dy, xhat, inv_std, gamma)
+                for g, r in zip(got, ref):
+                    assert _same_bytes(g, r)
+
+
+@pytest.mark.parametrize("shape, k, stride, pad, ceil", [
+    ((2, 3, 9, 9), 2, 2, 0, True),     # k == stride, ceil tail
+    ((2, 4, 13, 17), 4, 4, 0, True),
+    ((2, 3, 15, 15), 3, 2, 1, False),  # the ImageNet stem's overlapping pool
+])
+def test_maxpool_backward_bytes_match_where_oracle(shape, k, stride, pad, ceil):
+    rng = stream(9, "pool-oracle")
+    x = rng.normal(size=shape).astype(np.float32)
+    x[:, :, :2, :2] = 1.0  # ties route to the first index
+    y, cache = ops.maxpool2d_forward(x, k, stride, pad, ceil)
+    dy = rng.normal(size=y.shape).astype(np.float32)
+    assert _same_bytes(ops.maxpool2d_backward(dy, cache), _maxpool_backward_oracle(dy, cache))
+
+
+def test_relu_matches_where_oracle_and_clears_negative_zero():
+    rng = stream(10, "relu-oracle")
+    x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
+    x[0, 0, 0, :2] = [-0.0, 0.0]
+    y, cache = ops.relu_forward(x)
+    assert _same_bytes(y, np.where(x > 0, x, 0))
+    assert not np.signbit(y).any()
+    dy = rng.normal(size=x.shape).astype(np.float32)
+    # equal up to the sign of an exact zero
+    assert np.array_equal(ops.relu_backward(dy, cache), np.where(x > 0, dy, 0))
+
+
+def test_relu_and_maxpool_propagate_nan():
+    x = np.array([np.nan, -1.0, 2.0, 0.5]).reshape(1, 1, 2, 2)
+    y, _ = ops.relu_forward(x)
+    assert np.isnan(y[0, 0, 0, 0]) and y.reshape(-1)[1:].tolist() == [0.0, 2.0, 0.5]
+    p, _ = ops.maxpool2d_forward(x, k=2, stride=2)
+    assert np.isnan(p).all()
