@@ -29,7 +29,7 @@ def show(c_in, scales, channels, h, w):
     print(f"  output: {shapes[out]} (channels = sum of allocation)")
     graph = Graph(spec, seed=0)
     acts = graph.forward(np.random.default_rng(0).normal(
-        size=(2, c_in, h, w)).astype(np.float32), labels=np.array([0, 1]))
+        size=(2, c_in, h, w)).astype(np.float32), labels=np.array([0, 1]), keep=[out])
     assert acts[out].shape == (2, sum(channels), h, w)
 
 

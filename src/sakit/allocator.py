@@ -38,8 +38,6 @@ class ProjectionConfig:
     exponent: float = 0.0  # cost-balance power b in importance / cost**b
 
     def priority(self, rec: NeuronRecord) -> float:
-        if self.exponent == 0.0:
-            return rec.importance
         return rec.importance / rec.cost ** self.exponent
 
 

@@ -1,15 +1,14 @@
 """Reverse-mode autodiff over a static graph built from a NetworkSpec.
 
 The graph owns named parameter and state arrays. One forward loop serves
-both modes. A training forward keeps every node output and each node's
-backward cache, so one backward can follow it; conv, batchnorm and relu
-caches hold those outputs themselves, not copies. Backward frees each cache
-once that node's backward has run. An inference forward keeps no cache and
-frees each activation after its last consumer (computed once from the
-spec), so it returns only the logits, the loss and the names the caller
-asks to keep. Each forward first releases the previous pass's outputs.
-Execution is single-threaded and free of hidden randomness: identical
-weights, inputs and mode flags give bitwise-identical outputs.
+both modes and frees each output after its last reader (found once from the
+spec), so it returns only the logits, the loss and the names asked for in
+``keep``. A training forward also stores the node caches, which are all that
+backward reads and which hold arrays, not copies: conv, batchnorm and dense
+keep their input, relu its output, softmax its probabilities. Backward frees
+each cache after use; each forward first releases the previous pass. One
+thread and no hidden randomness: identical weights, inputs and mode flags
+give bitwise-identical outputs.
 """
 
 from dataclasses import dataclass, field
@@ -249,7 +248,7 @@ class Graph:
     def __init__(self, spec: NetworkSpec, dtype=np.float32, seed=0, init=True):
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        self.shapes = propagate_shapes(spec)
+        propagate_shapes(spec)
         self.nodes = [_NODE_TYPES[layer.op](layer) for layer in spec.nodes]
         self.params = {}
         self.state = {}
@@ -282,17 +281,18 @@ class Graph:
     def forward(self, x, labels=None, mode="train", keep=()):
         """Run every node (the loss node only when ``labels`` are given).
 
-        Training returns every node output. Inference returns the logits and
-        the loss (of a spec that has them) and the node names in ``keep``;
-        every other output is freed after its last consumer runs. The
-        returned dict is emptied by the next forward: copy what must outlive it.
+        Both modes return the logits, the loss (of a spec that has them) and
+        the node names in ``keep``, and free every other output after its
+        last reader; training also stores the caches backward reads. The
+        next forward empties the returned dict: copy what must outlive it.
         """
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode '{mode}'")
         training = mode == "train"
         keep = frozenset(keep)
-        if keep - self.shapes.keys():
-            raise ValueError(f"keep names unknown nodes {sorted(keep - self.shapes.keys())}")
+        unknown = sorted(n for n in keep if n not in self.spec)
+        if unknown:
+            raise ValueError(f"keep names unknown nodes {unknown}")
         # release the previous pass, also from a dict a caller still holds
         if self.activations is not None:
             self.activations.clear()
@@ -317,9 +317,9 @@ class Graph:
                 raise ShapeError(node.name, str(e)) from e
             if not training:
                 node.cache = None
-                for name in dead:
-                    if name not in keep:
-                        del acts[name]
+            for name in dead:
+                if name not in keep:
+                    del acts[name]
         self._backward_ready = training and labels is not None
         return acts
 

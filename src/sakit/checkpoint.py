@@ -23,21 +23,28 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, spec_text: str, tensors: dict):
-    """Write spec text and named float tensors; iteration order is sorted by name."""
+    """Write spec text and named float tensors; iteration order is sorted by name.
+
+    Every tensor is checked before the file is opened, so a rejected save
+    leaves an existing file as it was.
+    """
+    spec_bytes = spec_text.encode("utf-8")
+    entries = []
+    for name in sorted(tensors):
+        arr = np.asarray(tensors[name], order="C")
+        if arr.dtype not in _DTYPE_CODES:
+            raise CheckpointError(f"tensor '{name}' has unsupported dtype {arr.dtype}")
+        nb = name.encode("utf-8")
+        if len(nb) > 0xFFFF:
+            raise CheckpointError(f"tensor name too long: '{name[:40]}...'")
+        entries.append((nb, arr))
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
-        spec_bytes = spec_text.encode("utf-8")
         f.write(struct.pack("<Q", len(spec_bytes)))
         f.write(spec_bytes)
-        f.write(struct.pack("<Q", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.asarray(tensors[name], order="C")
-            if arr.dtype not in _DTYPE_CODES:
-                raise CheckpointError(f"tensor '{name}' has unsupported dtype {arr.dtype}")
-            nb = name.encode("utf-8")
-            if len(nb) > 0xFFFF:
-                raise CheckpointError(f"tensor name too long: '{name[:40]}...'")
+        f.write(struct.pack("<Q", len(entries)))
+        for nb, arr in entries:
             f.write(struct.pack("<H", len(nb)))
             f.write(nb)
             f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))

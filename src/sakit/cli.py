@@ -30,7 +30,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# key -> (type tag, default, help); shared across subcommands that list them
+# key -> (type tag, default, help); shared across subcommands that list them.
+# A "count" is an int of at least 1 (--warmup: at least 0).
 _OPTIONS = {
     "preset": ("str", None,
                "resnet50|resnet101|resnet152|cifar-n<k>; scalenetNN selects "
@@ -44,11 +45,11 @@ _OPTIONS = {
     "deterministic": ("bool", False, "suppress wall-clock in logs for bitwise reruns"),
     "dataset": ("str", "synthetic", "synthetic|cifar10|cifar100"),
     "data_dir": ("str", "", "directory with CIFAR binaries"),
-    "classes": ("int", None, "class count (synthetic dataset / head override)"),
-    "per_class": ("int", 100, "synthetic samples per class and split"),
-    "val_per_class": ("int", 20, "synthetic validation samples per class"),
-    "epochs": ("int", 10, "training epochs per stage"),
-    "batch": ("int", 64, "batch size"),
+    "classes": ("count", None, "class count (synthetic dataset / head override)"),
+    "per_class": ("count", 100, "synthetic samples per class and split"),
+    "val_per_class": ("count", 20, "synthetic validation samples per class"),
+    "epochs": ("count", 10, "training epochs per stage"),
+    "batch": ("count", 64, "batch size"),
     "lr": ("float", 0.1, "initial learning rate"),
     "milestones": ("intlist", [], "epochs after which lr divides by 10"),
     "momentum": ("float", 0.9, "SGD momentum"),
@@ -56,14 +57,14 @@ _OPTIONS = {
     "augment": ("str", "none", "comma list of flip,crop-pad-4 or 'none'"),
     "out_dir": ("str", ".", "output directory"),
     "out": ("str", None, "output file path"),
-    "input": ("int", None, "input resolution override"),
-    "in_channels": ("int", None, "input channel override"),
+    "input": ("count", None, "input resolution override"),
+    "in_channels": ("count", None, "input channel override"),
     "checkpoint": ("str", None, "checkpoint file"),
     "spec": ("str", None, "network spec text file"),
-    "repeats": ("int", None, "timed forward passes"),
-    "warmup": ("int", 2, "untimed warmup passes"),
+    "repeats": ("count", 5, "timed forward passes"),
+    "warmup": ("count", 2, "untimed warmup passes"),
     "tolerance": ("float", 1e-5, "gradcheck relative-error bound"),
-    "max_entries": ("int", 40, "finite-difference probes per parameter"),
+    "max_entries": ("count", 40, "finite-difference probes per parameter"),
     "config": ("str", None, "key=value overlay file"),
     "importances": ("str", None, "importance dump csv"),
     "budgets": ("str", None, "per-block budget csv"),
@@ -123,6 +124,11 @@ def _coerce(key, tag, raw):
     try:
         if tag == "int":
             return int(text)
+        if tag == "count":
+            value, least = int(text), 0 if key == "warmup" else 1
+            if value < least:
+                raise UsageError(f"{_flag(key)} must be at least {least}, got {value}")
+            return value
         if tag == "float":
             return float(text)
         if tag == "bool":
@@ -450,9 +456,7 @@ def cmd_bench(cfg, out):
     from .autograd import Graph
     from .flops import network_flops
 
-    repeats = cfg.get("repeats")
-    if not repeats or repeats < 1:
-        raise UsageError("--repeats must be a positive integer")
+    repeats = cfg["repeats"]
     spec = _build_network(cfg)
     graph = Graph(spec, seed=cfg["seed"])
     c, h, w = spec.input_shape

@@ -32,21 +32,22 @@ class ShapeError(ValueError):
         self.node = node
 
 
-# op name -> required attrs (others are optional markers such as block/scale)
+# op name -> (required attrs, optional attrs); the block tags are allowed on any op
 KNOWN_OPS = {
-    "input": ("c", "h", "w"),
-    "conv": ("in", "out", "k"),
-    "maxpool": ("k", "stride"),
-    "avgpool": ("k", "stride"),
-    "resize": ("h", "w"),
-    "batchnorm": ("c",),
-    "relu": (),
-    "concat": (),
-    "add": (),
-    "gap": (),
-    "dense": ("in", "out"),
-    "softmax_xent": (),
+    "input": (("c", "h", "w"), ()),
+    "conv": (("in", "out", "k"), ("stride", "dilation", "pad", "bias")),
+    "maxpool": (("k", "stride"), ("pad", "ceil")),
+    "avgpool": (("k", "stride"), ("pad", "ceil")),
+    "resize": (("h", "w"), ()),
+    "batchnorm": (("c",), ("eps", "momentum")),
+    "relu": ((), ()),
+    "concat": ((), ()),
+    "add": ((), ()),
+    "gap": ((), ()),
+    "dense": (("in", "out"), ()),
+    "softmax_xent": ((), ()),
 }
+_TAGS = ("block", "scale", "base")
 
 # canonical attribute order for serialization
 _ATTR_ORDER = [
@@ -222,9 +223,13 @@ def parse_node(line, lineno=None) -> LayerSpec:
                 raise SpecError(f"bad attribute '{part}'", lineno)
             k, v = part.split("=", 1)
             attrs[k.strip()] = _parse_value(v.strip(), lineno)
-    for req in KNOWN_OPS[op]:
+    required, optional = KNOWN_OPS[op]
+    for req in required:
         if req not in attrs:
             raise SpecError(f"op '{op}' missing required attr '{req}'", lineno)
+    for name in attrs:
+        if name not in required + optional + _TAGS:
+            raise SpecError(f"op '{op}' has unknown attr '{name}'", lineno)
     inputs = []
     if m.group("inputs"):
         inputs = [s.strip() for s in m.group("inputs").split(",") if s.strip()]

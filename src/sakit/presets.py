@@ -58,6 +58,7 @@ def parse_plan(text: str) -> AllocationPlan:
     budgets = {}
     source = ""
     exponent = None
+    seen = {}  # canonical key -> line of its first occurrence
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -66,8 +67,18 @@ def parse_plan(text: str) -> AllocationPlan:
             raise SpecError(f"expected 'key: value', got '{line}'", lineno)
         key, _, value = line.partition(":")
         key, value = key.strip(), value.strip()
+        if key.startswith("budget "):
+            key = f"budget {_int(key.split()[1], lineno)}"
+        elif key not in ("scales", "source", "b"):
+            key = str(_int(key, lineno))
+        if key in seen:
+            raise SpecError(f"duplicate '{key}:' line (first on line {seen[key]})", lineno)
+        seen[key] = lineno
         if key == "scales":
             scales = _int_list(value, lineno)
+            if not scales or scales[0] < 1 or any(a >= b for a, b in zip(scales, scales[1:])):
+                raise SpecError(f"scales must be positive and strictly ascending, got "
+                                f"'{value}'", lineno)
         elif key == "source":
             source = value
         elif key == "b":
@@ -76,12 +87,9 @@ def parse_plan(text: str) -> AllocationPlan:
             except ValueError:
                 raise SpecError(f"bad exponent '{value}'", lineno) from None
         elif key.startswith("budget "):
-            budgets[_int(key.split()[1], lineno)] = _int(value, lineno)
+            budgets[int(key.split()[1])] = _int(value, lineno)
         else:
-            k = _int(key, lineno)
-            if k in rows:
-                raise SpecError(f"duplicate block row {k}", lineno)
-            rows[k] = _int_list(value, lineno)
+            rows[int(key)] = _int_list(value, lineno)
     if scales is None:
         raise SpecError("missing 'scales:' header")
     if not rows:

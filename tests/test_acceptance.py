@@ -192,7 +192,7 @@ def test_criterion_6_sa_shape_invariants():
         spec = b.build()
         g = Graph(spec, seed=0)
         acts = g.forward(np.ones((2, 2, h, w), dtype=np.float32),
-                         labels=np.array([0, 1]))
+                         labels=np.array([0, 1]), keep=[out])
         if acts[out].shape != (2, sum(channels), h, w):
             bad.append((scales, (h, w), acts[out].shape))
     elapsed = time.perf_counter() - t0

@@ -25,7 +25,7 @@ def relu_only_spec():
 def test_forward_identity_and_relu():
     g = Graph(relu_only_spec(), dtype=np.float64)
     x = np.array([-1.0, 2.0]).reshape(1, 2, 1, 1)
-    acts = g.forward(x, labels=np.array([0]))
+    acts = g.forward(x, labels=np.array([0]), keep=["r", "x"])
     assert acts["r"].reshape(-1).tolist() == [0.0, 2.0]
     # identity through the input node
     assert np.array_equal(acts["x"], x)
@@ -38,7 +38,8 @@ def test_zero_conv_relu_chain_outputs_zero():
     b.add("r", "relu", ["c"])
     loss_head(b, "r", 2)
     g = Graph(b.build(), dtype=np.float64, init=False)  # weights stay zero
-    acts = g.forward(stream(0, "z").normal(size=(2, 1, 4, 4)), labels=np.array([0, 1]))
+    acts = g.forward(stream(0, "z").normal(size=(2, 1, 4, 4)), labels=np.array([0, 1]),
+                     keep=["r"])
     assert np.all(acts["r"] == 0)
 
 

@@ -119,6 +119,21 @@ def test_plan_parse_errors_carry_line_numbers():
         parse_plan("scales: 1,2\n1: 0,0\n")
 
 
+@pytest.mark.parametrize("text, line, match", [
+    ("scales: 1,2\nscales: 1,2\n1: 3,4\n", 2, "duplicate 'scales:'"),
+    ("scales: 1,2\nsource: a\nsource: b\n1: 3,4\n", 3, "duplicate 'source:'"),
+    ("scales: 1,2\nb: 0.5\nb: 1\n1: 3,4\n", 3, "duplicate 'b:'"),
+    ("scales: 1,2\nbudget 1: 10\nbudget 1: 99\n1: 3,4\n", 3, "duplicate 'budget 1:'"),
+    ("scales: 1,2\n1: 3,4\n01: 3,4\n", 3, "duplicate '1:'"),
+    ("scales: 2,1\n1: 3,4\n", 1, "ascending"),
+    ("scales: 1,1\n1: 3,4\n", 1, "ascending"),
+    ("scales: 0,2\n1: 3,4\n", 1, "positive"),
+    ("scales:\n1: 3,4\n", 1, "positive")])
+def test_plan_rejects_repeated_keys_and_bad_scales(text, line, match):
+    with pytest.raises(SpecError, match=f"line {line}: .*{match}"):
+        parse_plan(text)
+
+
 def test_plan_file_round_trip(tmp_path):
     plan = AllocationPlan([1, 2], {1: [4, 4], 2: [3, 5]}, source="t",
                           exponent=0.5, budgets={1: 100, 2: 200})

@@ -92,6 +92,19 @@ def test_unsupported_dtype_rejected(tmp_path):
         save_checkpoint(tmp_path / "t.sanc", "", {"a": np.zeros(2, dtype=np.int32)})
 
 
+@pytest.mark.parametrize("bad", [{"z": np.zeros(2, dtype=np.int32)},
+                                 {"n" * 0x10000: np.zeros(2, dtype=np.float32)}])
+def test_rejected_save_leaves_existing_file_unchanged(tmp_path, bad):
+    path = tmp_path / "t.sanc"
+    good = {"a": np.arange(3, dtype=np.float32)}
+    save_checkpoint(path, "network toy\n", good)
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError):
+        save_checkpoint(path, "network toy\n", {**good, **bad})
+    assert path.read_bytes() == before
+    assert load_checkpoint(path)[1]["a"].tobytes() == good["a"].tobytes()
+
+
 def _sample_checkpoint(tmp_path):
     path = tmp_path / "ck.sanc"
     save_checkpoint(path, "network toy\n", {

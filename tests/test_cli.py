@@ -24,6 +24,27 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["flops", "--preset", "cifar-n1", "--classes", "0"], "--classes"),
+    (["flops", "--preset", "cifar-n1", "--classes", "-3"], "--classes"),
+    (["flops", "--preset", "resnet50", "--input", "0"], "--input"),
+    (["flops", "--preset", "resnet50", "--in-channels", "0"], "--in-channels"),
+    (["bench", "--preset", "cifar-n1", "--warmup", "-2", "--repeats", "3"], "--warmup"),
+    (["bench", "--preset", "cifar-n1", "--batch", "0"], "--batch"),
+    (["gradcheck", "--max-entries", "0"], "--max-entries"),
+    (["train", "--preset", "cifar-n1", "--epochs", "0"], "--epochs"),
+    (["train", "--preset", "cifar-n1", "--per-class", "0"], "--per-class"),
+    (["train", "--preset", "cifar-n1", "--val-per-class", "0"], "--val-per-class"),
+    (["train", "--preset", "cifar-n1", "--batch", "0"], "--batch"),
+])
+def test_counts_below_their_least_value_are_usage_errors(capsys, tmp_path, argv, flag):
+    if argv[0] in ("flops", "train"):
+        argv += ["--out-dir", str(tmp_path / "run")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and f"{flag} must be at least" in err, (out, err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_flops_command_prints_total(capsys):
     code, out, _ = run(capsys, "flops", "--preset", "resnet50")
     assert code == 0

@@ -69,14 +69,18 @@ def test_backward_needs_a_fresh_training_forward(seed_net):
         g.backward()
 
 
-def test_training_keeps_every_output_and_backward_drops_caches(seed_net):
+def test_training_frees_unkept_outputs_and_backward_drops_caches(seed_net):
     g, x, y = seed_net
+    spec = g.spec
     acts = g.forward(x, labels=y, mode="train")
-    assert set(acts) == {n.name for n in g.spec.nodes}
+    assert set(acts) == {spec.logits_name, spec.loss_name}
+    assert set(g.forward(x, labels=y, mode="train", keep=["x"])) == {
+        spec.logits_name, spec.loss_name, "x"}
     assert any(node.cache is not None for node in g.nodes)
     g.backward()
     assert all(node.cache is None for node in g.nodes)
     # the next forward empties the previous pass's dict, even one a caller holds
+    acts = g.forward(x, labels=y, mode="train")
     g.forward(x, labels=y, mode="infer")
     assert acts == {}
 
@@ -85,7 +89,7 @@ def test_training_caches_hold_activations_not_copies(seed_net):
     """Conv and batchnorm caches hold their input and relu's its output, so a
     training forward retains no patch matrix, xhat or mask beside them."""
     g, x, y = seed_net
-    acts = g.forward(x, labels=y, mode="train")
+    acts = g.forward(x, labels=y, mode="train", keep=[n.name for n in g.spec.nodes])
     kinds = (ConvNode, BatchNormNode, ReluNode)
     checked = [n for n in g.nodes if isinstance(n, kinds)]
     assert {type(n) for n in checked} == set(kinds)
@@ -94,6 +98,36 @@ def test_training_caches_hold_activations_not_copies(seed_net):
         source = acts[node.name] if isinstance(node, ReluNode) else acts[node.layer.inputs[0]]
         assert np.shares_memory(held, source), node.name
     g.backward()
+
+
+def test_lean_training_gradients_match_keep_everything_bitwise(seed_net):
+    g, x, y = seed_net
+    every = [n.name for n in g.spec.nodes]
+    runs = []
+    for keep in ((), every):
+        loss = g.forward(x, labels=y, mode="train", keep=keep)[g.spec.loss_name].copy()
+        grads = g.backward()
+        runs.append((loss.tobytes(), g.input_grad.tobytes(),
+                     {p: v.tobytes() for p, v in grads.items()}))
+    assert runs[0] == runs[1]
+
+
+def test_training_retains_well_under_keep_everything(seed_net):
+    """After a training forward only the arrays some backward cache reads
+    stay alive, not every node output."""
+    g, x, y = seed_net
+    every = [n.name for n in g.spec.nodes]
+    total = sum(a.nbytes for a in g.forward(x, labels=y, mode="train", keep=every).values())
+    g.backward()
+    g.forward(x, labels=y, mode="infer")  # drop the kept outputs before tracing
+    tracemalloc.start()
+    try:
+        g.forward(x, labels=y, mode="train")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    g.backward()
+    assert retained < 0.7 * total, (retained, total)
 
 
 def test_inference_peak_memory_is_well_under_keep_everything(seed_net):

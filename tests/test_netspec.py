@@ -58,6 +58,23 @@ def test_parse_errors_carry_line_numbers():
         NetworkSpec.from_text("x = input(c=1,h=2,w=2)\n")
 
 
+@pytest.mark.parametrize("line, attr", [
+    ("c = conv(in=1,out=2,k=3,strid=2,pad=1) <- x", "strid"),
+    ("r = relu(k=9) <- x", "k"),
+    ("p = maxpool(k=2,stride=2,dilation=2) <- x", "dilation"),
+    ("b = batchnorm(c=2,bias=1) <- x", "bias")])
+def test_unknown_attrs_rejected_with_line(line, attr):
+    with pytest.raises(SpecError, match=f"line 3: .*unknown attr '{attr}'"):
+        parse_node(line, 3)
+
+
+def test_optional_attrs_and_tags_accepted():
+    n = parse_node("c = conv(in=1,out=2,k=3,stride=2,dilation=1,pad=1,bias=1,block=4,"
+                   "scale=2) <- x")
+    assert n.attrs["stride"] == 2 and n.attrs["scale"] == 2
+    assert parse_node("r = relu(block=1,base=1) <- x").attrs == {"block": 1, "base": 1}
+
+
 def test_duplicate_names_rejected():
     b = SpecBuilder("dup")
     b.add("x", "input", c=1, h=2, w=2)

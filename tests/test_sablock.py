@@ -33,7 +33,7 @@ def test_degenerate_single_scale_equals_plain_conv():
     assert "sa.x1.down" not in names and "sa.x1.up" not in names
     g = Graph(spec, dtype=np.float64, seed=4)
     x = stream(4, "sa1").normal(size=(2, 3, 9, 9))
-    acts = g.forward(x, labels=np.array([0, 1]))
+    acts = g.forward(x, labels=np.array([0, 1]), keep=[out, "sa.x1.relu"])
     # concat of the single branch is exactly the branch output
     assert np.array_equal(acts[out], acts["sa.x1.relu"])
 
@@ -45,7 +45,7 @@ def test_non_divisible_dims_round_trip():
     assert shapes[out] == (2, 14, 14)
     g = Graph(spec, seed=0)
     acts = g.forward(np.ones((1, 2, 14, 14), dtype=np.float32),
-                     labels=np.array([0]))
+                     labels=np.array([0]), keep=[out])
     assert acts[out].shape == (1, 2, 14, 14)
 
 
@@ -149,5 +149,6 @@ def test_downsample_mode_variants_build_and_run():
         assert shapes[out] == (4, 9, 9), mode
         assert shapes["sa.x2.down"][1] == math.ceil(9 / 2), mode
         g = Graph(spec, seed=1)
-        y = g.forward(np.ones((1, 3, 9, 9), dtype=np.float32), labels=np.array([0]))
+        y = g.forward(np.ones((1, 3, 9, 9), dtype=np.float32), labels=np.array([0]),
+                      keep=[out])
         assert np.all(np.isfinite(y[out]))
