@@ -181,6 +181,13 @@ def project_network(records, budgets, config: ProjectionConfig = None):
 
 
 def plan_from_results(results, scales, source="", exponent=None, budgets=None):
+    """One plan row per block; a kept channel at a scale outside ``scales``
+    raises SpecError rather than drop out of the row."""
+    for k, res in results.items():
+        lost = sorted(set(res.per_scale) - set(scales))
+        if lost:
+            raise SpecError(f"block {k} keeps channels at scales {lost}, "
+                            f"outside the plan's scales {list(scales)}")
     rows = {k: [res.per_scale.get(s, 0) for s in scales]
             for k, res in results.items()}
     return AllocationPlan(list(scales), rows, source=source, exponent=exponent,

@@ -59,11 +59,10 @@ class ConvNode(Node):
         super().__init__(layer)
         a = layer.attrs
         self.k = a["k"]
-        self.stride = a.get("stride", 1)
-        self.dilation = a.get("dilation", 1)
-        self.pad = a.get("pad", 0)
+        self.stride, self.dilation = layer.get("stride"), layer.get("dilation")
+        self.pad = layer.get("pad")
         self.cin, self.cout = a["in"], a["out"]
-        self.has_bias = bool(a.get("bias", 0))
+        self.has_bias = bool(layer.get("bias"))
         self.wname = f"{self.name}.weight"
         self.bname = f"{self.name}.bias"
 
@@ -99,11 +98,9 @@ class ConvNode(Node):
 class PoolNode(Node):
     def __init__(self, layer):
         super().__init__(layer)
-        a = layer.attrs
         self.kind = layer.op
-        self.k, self.stride = a["k"], a["stride"]
-        self.pad = a.get("pad", 0)
-        self.ceil = bool(a.get("ceil", 0))
+        self.k, self.stride = layer.attrs["k"], layer.attrs["stride"]
+        self.pad, self.ceil = layer.get("pad"), bool(layer.get("ceil"))
 
     def forward(self, xs, params, state, training):
         if self.kind == "maxpool":
@@ -127,10 +124,7 @@ class ResizeNode(Node):
 class BatchNormNode(Node):
     def __init__(self, layer):
         super().__init__(layer)
-        a = layer.attrs
-        self.c = a["c"]
-        self.eps = a.get("eps", 1e-5)
-        self.momentum = a.get("momentum", 0.1)
+        self.c = layer.attrs["c"]
         self.gname = f"{self.name}.gamma"
         self.bname = f"{self.name}.beta"
         self.mname = f"{self.name}.running_mean"
@@ -149,8 +143,7 @@ class BatchNormNode(Node):
     def forward(self, xs, params, state, training):
         y, cache, new_mean, new_var = ops.batchnorm2d_forward(
             xs[0], params[self.gname], params[self.bname],
-            state[self.mname], state[self.vname],
-            self.eps, self.momentum, training)
+            state[self.mname], state[self.vname], training=training)
         # inference returns the running stats themselves, so this keeps them
         state[self.mname], state[self.vname] = new_mean, new_var
         return y, cache

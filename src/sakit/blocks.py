@@ -14,6 +14,12 @@ from .netspec import SpecBuilder
 DOWNSAMPLE_MODES = ("max", "avg", "conv", "dilated")
 
 
+def check_scales(scales):
+    """Raise ValueError unless ``scales`` are positive and strictly ascending."""
+    if not scales or scales[0] < 1 or any(a >= b for a, b in zip(scales, scales[1:])):
+        raise ValueError(f"scales must be positive and strictly ascending, got {scales}")
+
+
 @dataclass
 class SABlockSpec:
     """One aggregation block: input width, scale factors, per-scale widths."""
@@ -27,12 +33,7 @@ class SABlockSpec:
     def __post_init__(self):
         if len(self.scale_factors) != len(self.per_scale_channels):
             raise ValueError("scale_factors and per_scale_channels lengths differ")
-        if sorted(self.scale_factors) != list(self.scale_factors):
-            raise ValueError("scale factors must be ascending")
-        if len(set(self.scale_factors)) != len(self.scale_factors):
-            raise ValueError("scale factors must be distinct")
-        if any(s < 1 for s in self.scale_factors):
-            raise ValueError("scale factors must be positive")
+        check_scales(self.scale_factors)
         if any(c < 0 for c in self.per_scale_channels):
             raise ValueError("per-scale channel counts must be nonnegative")
         if sum(self.per_scale_channels) < 1:

@@ -2,7 +2,8 @@
 eval / report / bench / gradcheck.
 
 Option values resolve with precedence env > flag > config file > default;
-env overrides use the SAKIT_ prefix (SAKIT_SEED=7). Commands that write
+env overrides use the SAKIT_ prefix (SAKIT_SEED=7). A boolean value is one
+of 1/0/true/false/yes/no/on/off in any case. Commands that write
 artifacts drop a ``config.resolved.txt`` snapshot next to them so any run
 can be reproduced from its output directory. Exit codes: 0 success, 1 usage
 error, 2 runtime failure.
@@ -18,7 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .blocks import DOWNSAMPLE_MODES, check_scales
+
 ENV_PREFIX = "SAKIT_"
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 class UsageError(Exception):
@@ -132,12 +137,19 @@ def _coerce(key, tag, raw):
         if tag == "float":
             return float(text)
         if tag == "bool":
-            return text.lower() in ("1", "true", "yes", "on")
+            if text.lower() not in _BOOLS:
+                raise ValueError(f"expected one of {'/'.join(_BOOLS)}")
+            return _BOOLS[text.lower()]
         if tag == "intlist":
-            return [int(p) for p in text.split(",") if p.strip()]
+            values = [int(p) for p in text.split(",") if p.strip()]
+            if key == "scales":
+                check_scales(values)
+            return values
+        if key == "downsample" and text not in DOWNSAMPLE_MODES:
+            raise ValueError(f"expected one of {'|'.join(DOWNSAMPLE_MODES)}")
         return text
-    except ValueError:
-        raise UsageError(f"bad value '{text}' for {key}") from None
+    except ValueError as e:
+        raise UsageError(f"bad value '{text}' for {_flag(key)}: {e}") from None
 
 
 def resolve_config(cmd, args):
@@ -344,13 +356,13 @@ def cmd_flops(cfg, out):
 def cmd_train(cfg, out):
     from .training import train
 
+    train_cfg = _train_config(cfg)
     train_ds = _load_dataset(cfg, "train")
     val_ds = _load_dataset(cfg, "val")
     spec = _spec_file(cfg) or _build_network(cfg)
     _check_fits(spec, train_ds)
     write_snapshot("train", cfg, cfg["out_dir"])
-    result = train(spec, train_ds, val_ds, _train_config(cfg),
-                   out_dir=cfg["out_dir"], log=out)
+    result = train(spec, train_ds, val_ds, train_cfg, out_dir=cfg["out_dir"], log=out)
     out(f"final val top1 {result.metrics[-1]['val_top1']:.4f}; "
         f"artifacts in {cfg['out_dir']}")
     return 0
@@ -384,12 +396,13 @@ def cmd_pipeline(cfg, out):
     from .report import emit_report
     from .rf import rf_network_report
 
+    train_cfg = _train_config(cfg)
     train_ds = _load_dataset(cfg, "train")
     val_ds = _load_dataset(cfg, "val")
     base, default_scales = _preset_base(cfg)
     scales = cfg.get("scales") or default_scales
     write_snapshot("pipeline", cfg, cfg["out_dir"])
-    result = run_pipeline(base, scales, train_ds, val_ds, _train_config(cfg),
+    result = run_pipeline(base, scales, train_ds, val_ds, train_cfg,
                           ProjectionConfig(exponent=cfg["b"]),
                           out_dir=cfg["out_dir"],
                           downsample=cfg.get("downsample") or "max")

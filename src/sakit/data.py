@@ -42,10 +42,6 @@ class Dataset:
     def channels(self):
         return self.images.shape[1]
 
-    @property
-    def size(self):
-        return self.images.shape[2]
-
 
 _CIFAR_FILES = {
     "cifar10": {"train": [f"data_batch_{i}.bin" for i in range(1, 6)],

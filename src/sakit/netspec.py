@@ -4,6 +4,10 @@ A network is an ordered DAG of layer nodes, weight-free. The text form is
 line oriented (one node per line, ``name = op(key=val,...) <- in1,in2``) so
 specs diff cleanly and can be embedded verbatim in checkpoints.
 
+``KNOWN_OPS`` is the one node schema: each op's required attributes, then its
+optional ones with their defaults (read through ``LayerSpec.get``), in print
+order. Every ``NetworkSpec`` checks each node against it, however it was made.
+
 The block and preset builders tag block nodes with ``block`` (and the
 per-scale convs and batchnorms also with ``scale``); this is the only module
 that reads those tags: ``sa_blocks`` for the per-scale convs and their
@@ -32,28 +36,22 @@ class ShapeError(ValueError):
         self.node = node
 
 
-# op name -> (required attrs, optional attrs); the block tags are allowed on any op
+# op name -> (required attrs, {optional attr: default}); see the module docstring
 KNOWN_OPS = {
-    "input": (("c", "h", "w"), ()),
-    "conv": (("in", "out", "k"), ("stride", "dilation", "pad", "bias")),
-    "maxpool": (("k", "stride"), ("pad", "ceil")),
-    "avgpool": (("k", "stride"), ("pad", "ceil")),
-    "resize": (("h", "w"), ()),
-    "batchnorm": (("c",), ("eps", "momentum")),
-    "relu": ((), ()),
-    "concat": ((), ()),
-    "add": ((), ()),
-    "gap": ((), ()),
-    "dense": (("in", "out"), ()),
-    "softmax_xent": ((), ()),
+    "input": (("c", "h", "w"), {}),
+    "conv": (("in", "out", "k"), {"stride": 1, "dilation": 1, "pad": 0, "bias": 0}),
+    "maxpool": (("k", "stride"), {"pad": 0, "ceil": 0}),
+    "avgpool": (("k", "stride"), {"pad": 0, "ceil": 0}),
+    "resize": (("h", "w"), {}),
+    "batchnorm": (("c",), {}),
+    "relu": ((), {}),
+    "concat": ((), {}),
+    "add": ((), {}),
+    "gap": ((), {}),
+    "dense": (("in", "out"), {}),
+    "softmax_xent": ((), {}),
 }
-_TAGS = ("block", "scale", "base")
-
-# canonical attribute order for serialization
-_ATTR_ORDER = [
-    "c", "in", "out", "k", "stride", "dilation", "pad", "bias", "ceil",
-    "h", "w", "eps", "momentum", "block", "scale", "base",
-]
+_TAGS = ("block", "scale", "base")  # allowed on any op, default None
 
 _NODE_RE = re.compile(
     r"^(?P<name>[\w.\-]+)\s*=\s*(?P<op>\w+)\((?P<args>[^)]*)\)"
@@ -70,8 +68,12 @@ class LayerSpec:
     inputs: list = field(default_factory=list)
     attrs: dict = field(default_factory=dict)
 
-    def get(self, key, default=None):
-        return self.attrs.get(key, default)
+    def get(self, key):
+        """The node's value of ``key``, else its op's declared default (None
+        for an absent tag); a key its op does not declare is a KeyError."""
+        if key in self.attrs:
+            return self.attrs[key]
+        return None if key in _TAGS else KNOWN_OPS[self.op][1][key]
 
 
 @dataclass
@@ -82,9 +84,21 @@ class NetworkSpec:
     nodes: list = field(default_factory=list)
 
     def __post_init__(self):
-        self._index = {n.name: i for i, n in enumerate(self.nodes)}
-        if len(self._index) != len(self.nodes):
-            raise SpecError(f"duplicate node names in '{self.name}'")
+        """Check every node against its op's schema and the wiring: a DAG in
+        topological order, one name per node, inputs only where not ``input``."""
+        self._index = {}
+        for i, n in enumerate(self.nodes):
+            check_node(n)
+            if n.name in self._index:
+                raise SpecError(f"duplicate node name '{n.name}' in '{self.name}'")
+            if n.op == "input" and n.inputs:
+                raise SpecError(f"input node '{n.name}' must not have inputs")
+            if n.op != "input" and not n.inputs:
+                raise SpecError(f"node '{n.name}' has no inputs")
+            for name in n.inputs:
+                if name not in self._index:
+                    raise SpecError(f"node '{n.name}' uses '{name}' before definition")
+            self._index[n.name] = i
 
     def node(self, name) -> LayerSpec:
         return self.nodes[self._index[name]]
@@ -173,9 +187,7 @@ class NetworkSpec:
             nodes.append(parse_node(line, lineno))
         if name is None:
             raise SpecError("missing 'network <name>' header")
-        spec = cls(name, nodes)
-        validate(spec)
-        return spec
+        return cls(name, nodes)
 
 
 def format_attr_value(v):
@@ -185,8 +197,8 @@ def format_attr_value(v):
 
 
 def format_node(n: LayerSpec) -> str:
-    keys = [k for k in _ATTR_ORDER if k in n.attrs]
-    keys += sorted(k for k in n.attrs if k not in _ATTR_ORDER)
+    required, optional = KNOWN_OPS[n.op]
+    keys = [k for k in (*required, *optional, *_TAGS) if k in n.attrs]
     args = ",".join(f"{k}={format_attr_value(n.attrs[k])}" for k in keys)
     line = f"{n.name} = {n.op}({args})"
     if n.inputs:
@@ -212,9 +224,6 @@ def parse_node(line, lineno=None) -> LayerSpec:
     m = _NODE_RE.match(line)
     if not m:
         raise SpecError(f"unparseable node line '{line}'", lineno)
-    op = m.group("op")
-    if op not in KNOWN_OPS:
-        raise SpecError(f"unknown op '{op}'", lineno)
     attrs = {}
     args = m.group("args").strip()
     if args:
@@ -223,33 +232,27 @@ def parse_node(line, lineno=None) -> LayerSpec:
                 raise SpecError(f"bad attribute '{part}'", lineno)
             k, v = part.split("=", 1)
             attrs[k.strip()] = _parse_value(v.strip(), lineno)
-    required, optional = KNOWN_OPS[op]
-    for req in required:
-        if req not in attrs:
-            raise SpecError(f"op '{op}' missing required attr '{req}'", lineno)
-    for name in attrs:
-        if name not in required + optional + _TAGS:
-            raise SpecError(f"op '{op}' has unknown attr '{name}'", lineno)
     inputs = []
     if m.group("inputs"):
         inputs = [s.strip() for s in m.group("inputs").split(",") if s.strip()]
-    return LayerSpec(m.group("name"), op, inputs, attrs)
+    layer = LayerSpec(m.group("name"), m.group("op"), inputs, attrs)
+    check_node(layer, lineno)
+    return layer
 
 
-def validate(spec: NetworkSpec):
-    """Check the node list is a DAG in topological order with known wiring."""
-    seen = set()
-    for n in spec.nodes:
-        if n.op not in KNOWN_OPS:
-            raise SpecError(f"unknown op '{n.op}' at node '{n.name}'")
-        if n.op == "input" and n.inputs:
-            raise SpecError(f"input node '{n.name}' must not have inputs")
-        if n.op != "input" and not n.inputs:
-            raise SpecError(f"node '{n.name}' has no inputs")
-        for i in n.inputs:
-            if i not in seen:
-                raise SpecError(f"node '{n.name}' uses '{i}' before definition")
-        seen.add(n.name)
+def check_node(layer: LayerSpec, lineno=None):
+    """Raise SpecError unless the op is known and the node sets every required
+    attribute of its op and nothing besides its optional ones and the tags."""
+    where = f"node '{layer.name}'"
+    if layer.op not in KNOWN_OPS:
+        raise SpecError(f"{where}: unknown op '{layer.op}'", lineno)
+    required, optional = KNOWN_OPS[layer.op]
+    for req in required:
+        if req not in layer.attrs:
+            raise SpecError(f"{where}: op '{layer.op}' missing required attr '{req}'", lineno)
+    for name in layer.attrs:
+        if name not in required and name not in optional and name not in _TAGS:
+            raise SpecError(f"{where}: op '{layer.op}' has unknown attr '{name}'", lineno)
 
 
 def conv_out_dim(size, k, stride, dilation, pad):
@@ -284,8 +287,8 @@ def _node_shape(n: LayerSpec, ins):
         c, h, w = _want3(n, ins[0])
         if c != a["in"]:
             raise ShapeError(n.name, f"expects {a['in']} channels, got {c}")
-        k, s = a["k"], a.get("stride", 1)
-        d, p = a.get("dilation", 1), a.get("pad", 0)
+        k, s = a["k"], n.get("stride")
+        d, p = n.get("dilation"), n.get("pad")
         ho = conv_out_dim(h, k, s, d, p)
         wo = conv_out_dim(w, k, s, d, p)
         if ho < 1 or wo < 1:
@@ -294,7 +297,7 @@ def _node_shape(n: LayerSpec, ins):
     if n.op in ("maxpool", "avgpool"):
         c, h, w = _want3(n, ins[0])
         k, s = a["k"], a["stride"]
-        p, ceil = a.get("pad", 0), bool(a.get("ceil", 0))
+        p, ceil = n.get("pad"), bool(n.get("ceil"))
         ho = pool_out_dim(h, k, s, p, ceil)
         wo = pool_out_dim(w, k, s, p, ceil)
         if ho < 1 or wo < 1:
@@ -363,6 +366,4 @@ class SpecBuilder:
         return name
 
     def build(self) -> NetworkSpec:
-        spec = NetworkSpec(self.name, self.nodes)
-        validate(spec)
-        return spec
+        return NetworkSpec(self.name, self.nodes)

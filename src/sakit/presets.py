@@ -10,7 +10,7 @@ block, ``#`` comments allowed.
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .blocks import SABlockSpec, SAResidualSpec, build_sa_residual
+from .blocks import SABlockSpec, SAResidualSpec, build_sa_residual, check_scales
 from .netspec import NetworkSpec, SpecBuilder, SpecError, propagate_shapes
 
 RESNET_STAGE_BLOCKS = {50: (3, 4, 6, 3), 101: (3, 4, 23, 3), 152: (3, 8, 36, 3)}
@@ -76,9 +76,10 @@ def parse_plan(text: str) -> AllocationPlan:
         seen[key] = lineno
         if key == "scales":
             scales = _int_list(value, lineno)
-            if not scales or scales[0] < 1 or any(a >= b for a, b in zip(scales, scales[1:])):
-                raise SpecError(f"scales must be positive and strictly ascending, got "
-                                f"'{value}'", lineno)
+            try:
+                check_scales(scales)
+            except ValueError as e:
+                raise SpecError(str(e), lineno) from None
         elif key == "source":
             source = value
         elif key == "b":
@@ -266,7 +267,7 @@ def describe_bottlenecks(base: NetworkSpec):
     for k, c3 in convs.items():
         _, h, w = shapes[c3.name]
         descs.append(BottleneckDesc(k, c3.attrs["in"], shapes[adds[k].name][0],
-                                    c3.attrs.get("stride", 1), h, w))
+                                    c3.get("stride"), h, w))
     stem_out = _producer_of_op(base, convs[min(convs)].inputs[0], "conv").inputs[0]
     return stem_out, descs
 

@@ -65,8 +65,8 @@ def rf_propagate(node, incoming, in_shape=None) -> RFInterval:
     if op in _ELEMENTWISE:
         return incoming[0]
     if op in _WINDOWED:
-        k, s = a["k"], a.get("stride", 1)
-        d = a.get("dilation", 1)
+        k, s = a["k"], node.get("stride")
+        d = node.get("dilation") if op == "conv" else 1  # pools declare none
         iv = incoming[0]
         return RFInterval(iv.lo.after_window(k, s, d), iv.hi.after_window(k, s, d))
     if op == "resize":

@@ -45,6 +45,10 @@ class TrainConfig:
             raise ValueError("milestones must be ascending")
         if any(m >= self.epochs for m in ms):
             raise ValueError("milestones must be smaller than the epoch count")
+        unknown = sorted(set(self.augment_flags) - set(data_mod.AUGMENT_FLAGS))
+        if unknown:
+            raise ValueError(f"unknown augmentation flags {unknown}")
+        SgdState(self.lr, self.momentum, self.weight_decay)  # its range checks
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:

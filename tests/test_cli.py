@@ -45,6 +45,51 @@ def test_counts_below_their_least_value_are_usage_errors(capsys, tmp_path, argv,
     assert not (tmp_path / "run").exists()
 
 
+_SMALL = ["--preset", "cifar-n1", "--per-class", "2", "--val-per-class", "1"]
+_ALLOCATE = ["allocate", "--importances", "{tmp}/imp.csv", "--budgets", "{tmp}/bud.csv"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["train", *_SMALL, "--epochs", "2", "--milestones", "3"], "milestones"),
+    (["train", *_SMALL, "--augment", "flipp"], "flipp"),
+    (["train", *_SMALL, "--lr", "-1"], "learning rate"),
+    (["pipeline", *_SMALL, "--downsample", "bogus"], "--downsample"),
+    (["pipeline", *_SMALL, "--scales", "2,1"], "--scales"),
+    (["build", "--preset", "cifar-n1", "--scales", "2,1", "--allocation", "even"], "--scales"),
+    ([*_ALLOCATE, "--scales", "2,1"], "--scales"),
+    ([*_ALLOCATE, "--scales", "1,4"], "scales [2]"),  # the kept scale-2 channel
+], ids=["milestones", "augment", "lr", "downsample", "pipeline-scales", "build-scales",
+        "allocate-scales", "allocate-lost-scale"])
+def test_bad_options_fail_before_anything_is_written(capsys, tmp_path, argv, says):
+    (tmp_path / "imp.csv").write_text("k,scale,channel,gamma,abs_gamma,unit_cost\n"
+                                      "1,1,0,0.9,0.9,4\n1,2,0,0.7,0.7,1\n")
+    (tmp_path / "bud.csv").write_text("k,budget\n1,99\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path / "run"))
+    assert code != 0 and says in err, err
+    assert not (tmp_path / "run").exists() or not list((tmp_path / "run").iterdir())
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize("text, value", [
+    ("ture", None), ("yes", True), ("On", True), ("1", True), ("FALSE", False), ("off", False)])
+def test_boolean_values_are_checked(tmp_path, monkeypatch, source, text, value):
+    from sakit.cli import UsageError
+
+    argv = ["train"]
+    if source == "file":
+        (tmp_path / "conf.txt").write_text(f"deterministic={text}\n")
+        argv += ["--config", str(tmp_path / "conf.txt")]
+    else:
+        monkeypatch.setenv("SAKIT_DETERMINISTIC", text)
+    args = build_parser().parse_args(argv)
+    if value is None:
+        with pytest.raises(UsageError, match="deterministic"):
+            resolve_config("train", args)
+    else:
+        assert resolve_config("train", args)["deterministic"] is value
+
+
 def test_flops_command_prints_total(capsys):
     code, out, _ = run(capsys, "flops", "--preset", "resnet50")
     assert code == 0

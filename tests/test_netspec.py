@@ -1,6 +1,7 @@
 import pytest
 
-from sakit.netspec import (NetworkSpec, ShapeError, SpecBuilder, SpecError,
+from sakit import autograd
+from sakit.netspec import (KNOWN_OPS, NetworkSpec, ShapeError, SpecBuilder, SpecError,
                            conv_out_dim, parse_node, propagate_shapes)
 from sakit.presets import build_resnet, build_scalenet, reference_plan
 
@@ -42,8 +43,8 @@ def test_parse_node_forms():
     assert n.name == "a.b" and n.attrs["out"] == 4 and n.inputs == ["x"]
     n = parse_node("x = input(c=3,h=4,w=5)")
     assert n.inputs == []
-    n = parse_node("bn = batchnorm(c=8,eps=1e-05) <- a")
-    assert n.attrs["eps"] == 1e-5
+    with pytest.raises(SpecError, match="unknown attr 'eps'"):
+        parse_node("bn = batchnorm(c=8,eps=1e-05) <- a")
 
 
 def test_parse_errors_carry_line_numbers():
@@ -73,6 +74,35 @@ def test_optional_attrs_and_tags_accepted():
                    "scale=2) <- x")
     assert n.attrs["stride"] == 2 and n.attrs["scale"] == 2
     assert parse_node("r = relu(block=1,base=1) <- x").attrs == {"block": 1, "base": 1}
+
+
+def _tiny_builder():
+    b = SpecBuilder("t")
+    b.add("x", "input", c=1, h=8, w=8)
+    return b
+
+
+def test_builder_specs_are_checked_like_text():
+    b = _tiny_builder()
+    b.add("c", "conv", ["x"], **{"in": 1, "out": 2, "k": 1, "strid": 2})
+    with pytest.raises(SpecError, match="node 'c': .*unknown attr 'strid'"):
+        b.build()
+    b = _tiny_builder()
+    b.add("c", "conv", ["x"], **{"in": 1, "out": 2})
+    with pytest.raises(SpecError, match="node 'c': .*missing required attr 'k'"):
+        b.build()
+
+
+def test_get_falls_back_on_the_declared_default():
+    b = _tiny_builder()
+    b.add("c", "conv", ["x"], **{"in": 1, "out": 2, "k": 3, "pad": 1, "block": 4})
+    c = b.build().node("c")
+    assert (c.get("stride"), c.get("dilation"), c.get("pad"), c.get("bias")) == (1, 1, 1, 0)
+    assert c.get("block") == 4 and c.get("scale") is None
+
+
+def test_every_known_op_has_an_executor_node():
+    assert set(KNOWN_OPS) == set(autograd._NODE_TYPES)
 
 
 def test_duplicate_names_rejected():
