@@ -283,7 +283,7 @@ def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
     are written under ``out_dir`` but never read back.
     """
     import sakit.training as train_mod
-    from .checkpoint import save_checkpoint
+    from .checkpoint import atomic_open, save_checkpoint
 
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, name) for name in
@@ -292,7 +292,7 @@ def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
               "final.netspec", "final.sanc", "final_metrics.csv")}
 
     def write(name, text):
-        with open(paths[name], "w") as f:
+        with atomic_open(paths[name]) as f:
             f.write(text)
 
     def stage(name, spec):

@@ -104,8 +104,7 @@ class PoolNode(Node):
 
     def forward(self, xs, params, state, training):
         if self.kind == "maxpool":
-            return ops.maxpool2d_forward(xs[0], self.k, self.stride, self.pad, self.ceil,
-                                         training=training)
+            return ops.maxpool2d_forward(xs[0], self.k, self.stride, self.pad, self.ceil)
         return ops.avgpool2d_forward(xs[0], self.k, self.stride, self.pad, self.ceil)
 
     def backward(self, dy, params):

@@ -4,10 +4,16 @@ Layout: magic "SANC", version u32 LE, spec-text length u64 + UTF-8 network
 spec text, tensor count u64, then per tensor: name length u16 + UTF-8 name,
 dtype code u8 (0=f32, 1=f64), rank u8, dims as u32 list, raw little-endian
 IEEE-754 payload.
+
+Every artifact sakit writes goes through ``atomic_open``, so an interrupted
+write leaves the previous file, never half of a new one.
 """
 
 import math
+import os
+import secrets
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -20,6 +26,26 @@ _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 class CheckpointError(ValueError):
     pass
+
+
+@contextmanager
+def atomic_open(path, mode="w"):
+    """Open a new file beside ``path`` for writing (mode "w" for UTF-8 text,
+    "wb" for bytes). When the block ends it is synced and moved onto ``path``
+    with ``os.replace``; when the block raises it is removed instead."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_checkpoint(path, spec_text: str, tensors: dict):
@@ -38,7 +64,7 @@ def save_checkpoint(path, spec_text: str, tensors: dict):
         if len(nb) > 0xFFFF:
             raise CheckpointError(f"tensor name too long: '{name[:40]}...'")
         entries.append((nb, arr))
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<Q", len(spec_bytes)))

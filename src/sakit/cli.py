@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import DOWNSAMPLE_MODES, check_scales
+from .checkpoint import atomic_open
 
 ENV_PREFIX = "SAKIT_"
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -191,7 +192,7 @@ def resolve_config(cmd, args):
 def write_snapshot(cmd, cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.resolved.txt")
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write(f"command={cmd}\n")
         for key in sorted(cfg):
             val = cfg[key]
@@ -206,7 +207,8 @@ def _write_output(cmd, cfg, default_name, text):
     snapshot beside it; returns the path."""
     path = cfg.get("out") or os.path.join(cfg["out_dir"], default_name)
     write_snapshot(cmd, cfg, os.path.dirname(path) or ".")  # creates the directory
-    Path(path).write_text(text, encoding="utf-8")
+    with atomic_open(path) as f:
+        f.write(text)
     return path
 
 

@@ -6,7 +6,9 @@ specs diff cleanly and can be embedded verbatim in checkpoints.
 
 ``KNOWN_OPS`` is the one node schema: each op's required attributes, then its
 optional ones with their defaults (read through ``LayerSpec.get``), in print
-order. Every ``NetworkSpec`` checks each node against it, however it was made.
+order. Every attribute and tag is an integer; every attribute is >= 1, except
+``pad`` (>= 0) and the ``bias``/``ceil`` flags (0 or 1). Every ``NetworkSpec``
+checks each node against these rules, however it was made.
 
 The block and preset builders tag block nodes with ``block`` (and the
 per-scale convs and batchnorms also with ``scale``); this is the only module
@@ -14,6 +16,7 @@ that reads those tags: ``sa_blocks`` for the per-scale convs and their
 batchnorms, ``block_nodes`` for a block's 3x3 conv, concat or closing add.
 """
 
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -52,6 +55,8 @@ KNOWN_OPS = {
     "softmax_xent": ((), {}),
 }
 _TAGS = ("block", "scale", "base")  # allowed on any op, default None
+# (least, greatest) value of an attribute; any other attribute is >= 1
+_RANGES = {"pad": (0, None), "bias": (0, 1), "ceil": (0, 1)}
 
 _NODE_RE = re.compile(
     r"^(?P<name>[\w.\-]+)\s*=\s*(?P<op>\w+)\((?P<args>[^)]*)\)"
@@ -190,34 +195,22 @@ class NetworkSpec:
         return cls(name, nodes)
 
 
-def format_attr_value(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def format_node(n: LayerSpec) -> str:
     required, optional = KNOWN_OPS[n.op]
     keys = [k for k in (*required, *optional, *_TAGS) if k in n.attrs]
-    args = ",".join(f"{k}={format_attr_value(n.attrs[k])}" for k in keys)
+    args = ",".join(f"{k}={n.attrs[k]}" for k in keys)
     line = f"{n.name} = {n.op}({args})"
     if n.inputs:
         line += " <- " + ",".join(n.inputs)
     return line
 
 
-def _parse_value(text, lineno):
+def _parse_value(text):
+    """An integer, or the text itself for ``check_node`` to reject."""
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if re.fullmatch(r"[\w\-]+", text):
         return text
-    raise SpecError(f"bad attribute value '{text}'", lineno)
 
 
 def parse_node(line, lineno=None) -> LayerSpec:
@@ -231,7 +224,7 @@ def parse_node(line, lineno=None) -> LayerSpec:
             if "=" not in part:
                 raise SpecError(f"bad attribute '{part}'", lineno)
             k, v = part.split("=", 1)
-            attrs[k.strip()] = _parse_value(v.strip(), lineno)
+            attrs[k.strip()] = _parse_value(v.strip())
     inputs = []
     if m.group("inputs"):
         inputs = [s.strip() for s in m.group("inputs").split(",") if s.strip()]
@@ -242,7 +235,8 @@ def parse_node(line, lineno=None) -> LayerSpec:
 
 def check_node(layer: LayerSpec, lineno=None):
     """Raise SpecError unless the op is known and the node sets every required
-    attribute of its op and nothing besides its optional ones and the tags."""
+    attribute of its op and nothing besides its optional ones and the tags,
+    each an integer in its range."""
     where = f"node '{layer.name}'"
     if layer.op not in KNOWN_OPS:
         raise SpecError(f"{where}: unknown op '{layer.op}'", lineno)
@@ -250,9 +244,16 @@ def check_node(layer: LayerSpec, lineno=None):
     for req in required:
         if req not in layer.attrs:
             raise SpecError(f"{where}: op '{layer.op}' missing required attr '{req}'", lineno)
-    for name in layer.attrs:
+    for name, value in layer.attrs.items():
         if name not in required and name not in optional and name not in _TAGS:
             raise SpecError(f"{where}: op '{layer.op}' has unknown attr '{name}'", lineno)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise SpecError(f"{where}: attr '{name}' must be an integer, got {value!r}",
+                            lineno)
+        lo, hi = _RANGES.get(name, (1, None))
+        if name not in _TAGS and not (lo <= value and (hi is None or value <= hi)):
+            allowed = f"{lo} or {hi}" if hi is not None else f">= {lo}"
+            raise SpecError(f"{where}: attr '{name}' must be {allowed}, got {value}", lineno)
 
 
 def conv_out_dim(size, k, stride, dilation, pad):

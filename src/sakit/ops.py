@@ -1,14 +1,30 @@
 """Layer kernels in NCHW layout, each a forward/backward pair over ndarrays.
 
-Convolution is cross-correlation via one matmul over patches gathered by k*k
-strided slice copies from an NHWC copy of the padded input; its input
-gradient is reconstructed with a k*k tap loop of strided slice adds
-(collision-free per tap), which keeps backward vectorized and deterministic.
+Convolution is cross-correlation via one GEMM over patches gathered by k*k
+strided slice copies from an NHWC copy of the padded input; the patch
+columns run in (Cin, k, k) order, which is the GEMM's K order and so fixes
+the forward's rounding. 1x1 stride-1 convs mix channels without patches.
+
+Backward keeps the bytes of the forward-ordered formulation (dw = dyf.T @ P,
+dP = dyf @ W, dP's taps added into dx tap by tap in row-major order) while
+laying out the work differently. Each output element of a GEMM is one dot
+product whose K order (the batch-position rows for dw, Cout for dP) is never
+changed: only output columns are permuted or split. dw gathers the patches
+tap-major, (k, k, Cin) columns, in one copy of a window view and moves its
+columns back after the GEMM; dP is one (M, Cin) GEMM per tap, added into the
+zeroed gather buffer, which is transposed to NCHW once. OpenBLAS computes a
+GEMM's last columns with edge kernels that round differently from its main
+kernel, so this holds only when no column lands in an edge either way: when
+Cin fills whole 64-byte vectors and Cout > 1 (at Cout 1 the dw product is a
+matrix-vector call, whose threads split columns at other places). Any other
+shape uses the single GEMM in (Cin, k, k) order, with the same tap loop.
+
 Caches hold inputs, not copies: conv and batchnorm keep their input, and
 backward recomputes the patches and ``xhat`` with the forward's expressions;
 relu is ``maximum(x, 0)`` and keeps its output. Max pooling folds each tap
-into its output with an in-place maximum; only training also records the
-argmax that backward masks its taps with.
+into its output with an in-place maximum in both modes; its cache is its
+input, its output and its geometry, and backward routes each window's
+gradient to the first tap in row-major order that equals the window's max.
 """
 
 import numpy as np
@@ -16,13 +32,19 @@ import numpy as np
 from .netspec import conv_out_dim, pool_out_dim
 
 
-def _patches(x, k, stride, dilation, pad, ho, wo):
-    """(N*Ho*Wo, Cin*k*k) patch matrix of x, filled in (N, Ho, Wo, Cin, k, k)
-    order by k*k strided slice copies of an NHWC copy of the padded input."""
+def _nhwc_padded(x, pad):
+    """Zero-padded NHWC copy of x (N, Cin, H, W)."""
     n, cin, h, w = x.shape
     xh = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
     xh[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-    patches = np.empty((n, ho, wo, cin, k, k), dtype=x.dtype)
+    return xh
+
+
+def _patches(xh, k, stride, dilation, ho, wo):
+    """(N*Ho*Wo, Cin*k*k) patch matrix of a padded NHWC input, filled in
+    (N, Ho, Wo, Cin, k, k) order by k*k strided slice copies."""
+    n, cin = xh.shape[0], xh.shape[3]
+    patches = np.empty((n, ho, wo, cin, k, k), dtype=xh.dtype)
     he, we = (ho - 1) * stride + 1, (wo - 1) * stride + 1
     for a, b in np.ndindex(k, k):
         ra, cb = a * dilation, b * dilation
@@ -49,35 +71,44 @@ def conv2d_forward(x, w, stride=1, dilation=1, pad=0):
     if k == 1 and stride == 1 and pad == 0:
         y = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1])).transpose(1, 0, 2, 3)
         return np.ascontiguousarray(y), cache
-    y = _patches(x, k, stride, dilation, pad, ho, wo) @ w.reshape(cout, -1).T
+    y = _patches(_nhwc_padded(x, pad), k, stride, dilation, ho, wo) @ w.reshape(cout, -1).T
     y = y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
     return np.ascontiguousarray(y), cache
 
 
 def conv2d_backward(dy, w, cache):
-    """Gradients (dx, dw) for conv2d_forward; dw rebuilds the forward's patches."""
+    """Gradients (dx, dw) for conv2d_forward; see the module docstring."""
     x, stride, dilation, pad = cache
     n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
     if k == 1 and stride == 1 and pad == 0:
-        w2 = w[:, :, 0, 0]
-        dx = np.tensordot(w2.T, dy, axes=([1], [1])).transpose(1, 0, 2, 3)
-        dw = np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3])).reshape(w.shape)
+        dyt = dy.transpose(1, 0, 2, 3).reshape(cout, -1)
+        dx = np.dot(w[:, :, 0, 0].T, dyt).reshape(cin, n, h, wd).transpose(1, 0, 2, 3)
+        dw = np.dot(dyt, x.transpose(0, 2, 3, 1).reshape(-1, cin)).reshape(w.shape)
         return np.ascontiguousarray(dx), dw
     ho, wo = dy.shape[2:]
-    dyf = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-    dw = (dyf.T @ _patches(x, k, stride, dilation, pad, ho, wo)).reshape(w.shape)
-    dpatch = dyf @ w.reshape(cout, -1)
-    dpatch = dpatch.reshape(n, ho, wo, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
-    dxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=dy.dtype)
+    m = n * ho * wo
+    dyf = dy.transpose(0, 2, 3, 1).reshape(m, cout)
+    xh = _nhwc_padded(x, pad)
+    tap_major = cout > 1 and cin * x.itemsize % 64 == 0
+    if tap_major:
+        s0, s1, s2, s3 = xh.strides
+        windows = np.lib.stride_tricks.as_strided(
+            xh, (n, ho, wo, k, k, cin),
+            (s0, s1 * stride, s2 * stride, s1 * dilation, s2 * dilation, s3), writeable=False)
+        dw = (dyf.T @ windows.reshape(m, -1)).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
+        wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
+    else:
+        dw = dyf.T @ _patches(xh, k, stride, dilation, ho, wo)
+        dpatch = (dyf @ w.reshape(cout, -1)).reshape(m, cin, k * k)
+    xh.fill(0)
     hs, ws = ho * stride, wo * stride
-    for a in range(k):
-        ra = a * dilation
-        for b in range(k):
-            cb = b * dilation
-            dxp[:, :, ra:ra + hs:stride, cb:cb + ws:stride] += dpatch[:, :, :, :, a, b]
-    dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
-    return dx, dw
+    for t in range(k * k):
+        ra, cb = (i * dilation for i in divmod(t, k))
+        block = dyf @ wt[t] if tap_major else dpatch[:, :, t]
+        xh[:, ra:ra + hs:stride, cb:cb + ws:stride] += block.reshape(n, ho, wo, cin)
+    dx = xh[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(dx), np.ascontiguousarray(dw).reshape(w.shape)
 
 
 def _pool_geometry(x_shape, k, stride, pad, ceil_mode):
@@ -101,36 +132,38 @@ def _padded(x, pad, need_h, need_w, fill):
     return xp
 
 
-def maxpool2d_forward(x, k, stride, pad=0, ceil_mode=False, training=True):
+def maxpool2d_forward(x, k, stride, pad=0, ceil_mode=False):
     """Max over k*k windows; ceil_mode rounds output dims up, padding with -inf.
 
-    Returns (y, cache); cache is None unless ``training``. The output is the
-    same in both modes. The training argmax breaks ties at the first index in
-    row-major window order, so backward routes gradient to one winner only.
+    Returns (y, cache); the cache is (x, y, geometry), from which backward
+    finds each window's winner again.
     """
     (ho, wo), (need_h, need_w) = _pool_geometry(x.shape, k, stride, pad, ceil_mode)
     xp = _padded(x, pad, need_h, need_w, -np.inf)
     hs, ws = ho * stride, wo * stride
     y = xp[:, :, 0:hs:stride, 0:ws:stride].copy()
-    arg = np.zeros(y.shape, dtype=np.int16) if training else None
     for t in range(1, k * k):
         a, b = divmod(t, k)
-        tap = xp[:, :, a:a + hs:stride, b:b + ws:stride]
-        if training:
-            np.copyto(arg, t, where=tap > y)
-        np.maximum(y, tap, out=y)
-    return y, (arg, x.shape, k, stride, pad, (ho, wo), xp.shape[2:]) if training else None
+        np.maximum(y, xp[:, :, a:a + hs:stride, b:b + ws:stride], out=y)
+    return y, (x, y, (k, stride, pad, ceil_mode))
 
 
 def maxpool2d_backward(dy, cache):
-    """Route gradient to the argmax cell of each window only."""
-    arg, x_shape, k, stride, pad, (ho, wo), (ph, pw) = cache
-    n, c, h, w = x_shape
-    dxp = np.zeros((n, c, ph, pw), dtype=dy.dtype)
+    """Route each window's gradient to its first max in row-major window
+    order; a window whose max is NaN routes none."""
+    x, y, (k, stride, pad, ceil_mode) = cache
+    n, c, h, w = x.shape
+    (ho, wo), (need_h, need_w) = _pool_geometry(x.shape, k, stride, pad, ceil_mode)
+    xp = _padded(x, pad, need_h, need_w, -np.inf)
+    dxp = np.zeros(xp.shape, dtype=dy.dtype)
     hs, ws = ho * stride, wo * stride
+    free = np.ones(y.shape, dtype=bool)  # windows whose max is not yet found
     for t in range(k * k):
         a, b = divmod(t, k)
-        dxp[:, :, a:a + hs:stride, b:b + ws:stride] += dy * (arg == t)
+        hit = xp[:, :, a:a + hs:stride, b:b + ws:stride] == y
+        hit &= free
+        free ^= hit
+        dxp[:, :, a:a + hs:stride, b:b + ws:stride] += dy * hit
     return dxp[:, :, pad:pad + h, pad:pad + w]
 
 
@@ -233,12 +266,15 @@ def batchnorm2d_backward(dy, cache):
     """Gradients (dx, dgamma, dbeta) of a training-mode forward, through the
     batch statistics; ``xhat`` is recomputed from the cached input."""
     x, mean, inv_std, gamma = cache
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-    dbeta = dy.sum(axis=(0, 2, 3))
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    xhat = x - mean[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    dx = dy * xhat
+    dgamma = dx.sum(axis=(0, 2, 3))
+    dbeta = dy.sum(axis=(0, 2, 3))
     xhat *= dgamma[None, :, None, None] / m
-    dx = dy - dy.mean(axis=(0, 2, 3))[None, :, None, None]
+    # dbeta / m is dy.mean: the same sum over the same count
+    np.subtract(dy, (dbeta / m)[None, :, None, None], out=dx)
     dx -= xhat
     dx *= (gamma * inv_std)[None, :, None, None]
     return dx, dgamma, dbeta

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .blocks import SABlockSpec, SAResidualSpec, build_sa_residual, check_scales
+from .checkpoint import atomic_open
 from .netspec import NetworkSpec, SpecBuilder, SpecError, propagate_shapes
 
 RESNET_STAGE_BLOCKS = {50: (3, 4, 6, 3), 101: (3, 4, 23, 3), 152: (3, 8, 36, 3)}
@@ -118,7 +119,7 @@ def load_plan(path) -> AllocationPlan:
 
 
 def save_plan(plan, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write(serialize_plan(plan))
 
 

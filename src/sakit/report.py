@@ -112,6 +112,7 @@ def emit_report(plan, out_dir, rf_rows=None, rf_reference=None):
     Returns the written paths."""
     import os
 
+    from .checkpoint import atomic_open
     from .rf import rf_report_csv
 
     os.makedirs(out_dir, exist_ok=True)
@@ -119,7 +120,7 @@ def emit_report(plan, out_dir, rf_rows=None, rf_reference=None):
 
     def put(name, text):
         p = os.path.join(out_dir, name)
-        with open(p, "w", encoding="utf-8") as f:
+        with atomic_open(p) as f:
             f.write(text)
         paths[name] = p
 

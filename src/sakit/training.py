@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data as data_mod
 from .autograd import Graph
-from .checkpoint import save_checkpoint, load_checkpoint
+from .checkpoint import atomic_open, save_checkpoint, load_checkpoint
 from .netspec import NetworkSpec
 from .optim import SgdState, sgd_step
 from .presets import build_scalenet, even_allocation
@@ -142,7 +142,7 @@ def train(spec: NetworkSpec, train_ds, val_ds, cfg: TrainConfig,
 
 
 def write_metrics_csv(metrics, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write(",".join(METRIC_COLUMNS) + "\n")
         for row in metrics:
             f.write(",".join(_fmt_metric(row[c]) for c in METRIC_COLUMNS) + "\n")
@@ -232,7 +232,7 @@ def downsample_sweep(base: NetworkSpec, scales, train_ds, val_ds,
         if log:
             log(f"downsample={mode}: val top1 {last['val_top1']:.3f}")
     if out_csv:
-        with open(out_csv, "w", encoding="utf-8") as f:
+        with atomic_open(out_csv) as f:
             f.write("mode,train_loss,val_top1,val_top5\n")
             for r in rows:
                 f.write(f"{r['mode']},{r['train_loss']!r},{r['val_top1']!r},{r['val_top5']!r}\n")

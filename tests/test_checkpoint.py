@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sakit.checkpoint import (VERSION, CheckpointError, load_checkpoint,
+from sakit.checkpoint import (VERSION, CheckpointError, atomic_open, load_checkpoint,
                               save_checkpoint)
 from sakit.rng import stream
+from sakit.training import write_metrics_csv
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -103,6 +105,19 @@ def test_rejected_save_leaves_existing_file_unchanged(tmp_path, bad):
         save_checkpoint(path, "network toy\n", {**good, **bad})
     assert path.read_bytes() == before
     assert load_checkpoint(path)[1]["a"].tobytes() == good["a"].tobytes()
+
+
+def test_write_that_raises_partway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("old\n")
+    with pytest.raises(KeyError):
+        write_metrics_csv([{}], path)  # the header is written, then the row fails
+    assert path.read_text() == "old\n"
+    with pytest.raises(RuntimeError):
+        with atomic_open(tmp_path / "ck.sanc", "wb") as f:
+            f.write(b"SANC")
+            raise RuntimeError("interrupted")
+    assert os.listdir(tmp_path) == ["m.csv"]
 
 
 def _sample_checkpoint(tmp_path):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sakit import autograd
@@ -67,6 +68,36 @@ def test_parse_errors_carry_line_numbers():
 def test_unknown_attrs_rejected_with_line(line, attr):
     with pytest.raises(SpecError, match=f"line 3: .*unknown attr '{attr}'"):
         parse_node(line, 3)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("c = conv(in=1,out=2,k=abc) <- x", "attr 'k' must be an integer, got 'abc'"),
+    ("c = conv(in=1,out=2,k=3.0) <- x", "attr 'k' must be an integer, got '3.0'"),
+    ("c = conv(in=1,out=2,k=-1) <- x", "attr 'k' must be >= 1, got -1"),
+    ("c = conv(in=1,out=2,k=3,stride=0) <- x", "attr 'stride' must be >= 1, got 0"),
+    ("c = conv(in=1,out=2,k=3,dilation=0) <- x", "attr 'dilation' must be >= 1"),
+    ("c = conv(in=0,out=2,k=3) <- x", "attr 'in' must be >= 1"),
+    ("c = conv(in=1,out=2,k=3,pad=-1) <- x", "attr 'pad' must be >= 0, got -1"),
+    ("c = conv(in=1,out=2,k=3,bias=2) <- x", "attr 'bias' must be 0 or 1, got 2"),
+    ("c = maxpool(k=2,stride=2,ceil=2) <- x", "attr 'ceil' must be 0 or 1, got 2"),
+    ("c = input(c=1,h=0,w=8)", "attr 'h' must be >= 1"),
+    ("c = relu(block=a) <- x", "attr 'block' must be an integer, got 'a'")])
+def test_attr_types_and_ranges_rejected_with_line(line, message):
+    with pytest.raises(SpecError, match=f"line 3: node 'c': {message}"):
+        parse_node(line, 3)
+
+
+def test_builder_attr_types_and_ranges_checked():
+    for attrs, message in [({"k": 3.0}, "attr 'k' must be an integer, got 3.0"),
+                           ({"k": 3, "bias": True}, "attr 'bias' must be an integer"),
+                           ({"k": 3, "stride": 0}, "attr 'stride' must be >= 1")]:
+        b = _tiny_builder()
+        b.add("c", "conv", ["x"], **{"in": 1, "out": 2}, **attrs)
+        with pytest.raises(SpecError, match=f"node 'c': {message}"):
+            b.build()
+    b = _tiny_builder()
+    b.add("c", "conv", ["x"], **{"in": np.int64(1), "out": 2, "k": 3, "pad": np.int64(1)})
+    assert b.build().to_text().splitlines()[-1] == "c = conv(in=1,out=2,k=3,pad=1) <- x"
 
 
 def test_optional_attrs_and_tags_accepted():

@@ -9,8 +9,8 @@ from sakit.rng import stream
 
 
 # Reference kernels: the fancy-index im2col conv, two-pass batchnorm, where-relu
-# and where-maxpool-backward that the current kernels replaced. The current
-# kernels must give the same bytes.
+# and the argmax-and-where maxpool backward that the current kernels replaced.
+# The current kernels must give the same bytes.
 
 def _conv_oracle(x, w, stride, dilation, pad):
     n, cin, h, wd = x.shape
@@ -42,6 +42,12 @@ def _conv_backward_oracle(dy, w, patches, x_shape, stride, dilation, pad):
     return dxp[:, :, pad:pad + h, pad:pad + wd], dw
 
 
+def _conv1x1_backward_oracle(dy, w, x):
+    # the patch-free channel mix of 1x1 stride-1 pad-0 convs, as tensordots
+    dx = np.tensordot(w[:, :, 0, 0].T, dy, axes=([1], [1])).transpose(1, 0, 2, 3)
+    return dx, np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3])).reshape(w.shape)
+
+
 def _batchnorm_oracle(x, gamma, beta, eps, training, running_mean, running_var):
     if training:
         mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
@@ -61,8 +67,20 @@ def _batchnorm_backward_oracle(dy, xhat, inv_std, gamma):
     return dx, (dy * xhat).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
 
 
-def _maxpool_backward_oracle(dy, cache):
-    arg, (n, c, h, w), k, stride, pad, (ho, wo), (ph, pw) = cache
+def _maxpool_backward_oracle(dy, x, k, stride, pad, ceil):
+    # the argmax by a strict ">" scan from tap 0 over the -inf padded input
+    (ho, wo), (need_h, need_w) = ops._pool_geometry(x.shape, k, stride, pad, ceil)
+    n, c, h, w = x.shape
+    ph, pw = max(need_h, h + 2 * pad), max(need_w, w + 2 * pad)
+    xp = np.full((n, c, ph, pw), -np.inf, dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    y = xp[:, :, 0:ho * stride:stride, 0:wo * stride:stride].copy()
+    arg = np.zeros(y.shape, dtype=np.int16)
+    for t in range(1, k * k):
+        a, b = divmod(t, k)
+        tap = xp[:, :, a:a + ho * stride:stride, b:b + wo * stride:stride]
+        arg[tap > y] = t
+        y = np.maximum(y, tap)
     dxp = np.zeros((n, c, ph, pw), dtype=dy.dtype)
     for t in range(k * k):
         a, b = divmod(t, k)
@@ -315,19 +333,27 @@ def test_conv_bytes_match_im2col_oracle(dtype):
     rng = stream(7, "conv-oracle")
     # (cin, h, w, cout, k, stride, dilation, pad): 3x3 grid, the k7 s2 p3
     # stem, dilated, strided 1x1 and an even-sized kernel
-    cases = [(c, 9, 11, 5, 3, s, d, p) for c in (1, 6) for s in (1, 2)
+    cases = [(2, c, 9, 11, 5, 3, s, d, p) for c in (1, 6) for s in (1, 2)
              for d in (1, 2) for p in (0, 1, 2)]
-    cases += [(3, 23, 23, 8, 7, 2, 1, 3), (4, 15, 15, 4, 3, 1, 3, 3),
-              (8, 8, 8, 6, 1, 2, 1, 0), (5, 10, 9, 3, 4, 2, 1, 1)]
-    for cin, h, w, cout, k, stride, dil, pad in cases:
-        x = rng.normal(size=(2, cin, h, w)).astype(dtype)
+    cases += [(2, 3, 23, 23, 8, 7, 2, 1, 3), (2, 4, 15, 15, 4, 3, 1, 3, 3),
+              (2, 8, 8, 8, 6, 1, 2, 1, 0), (2, 5, 10, 9, 3, 4, 2, 1, 1)]
+    # the 1x1 stride-1 path; per-tap GEMMs (Cin a whole number of 64-byte
+    # tiles in both dtypes); the single GEMM at Cin 17, at Cout 1 and at Cin 1
+    cases += [(4, 8, 8, 8, 6, 1, 1, 1, 0), (4, 16, 9, 9, 16, 3, 1, 1, 1),
+              (4, 32, 8, 8, 8, 3, 2, 1, 1), (4, 17, 9, 9, 16, 3, 1, 1, 1),
+              (8, 48, 16, 16, 1, 3, 1, 1, 1), (4, 1, 15, 15, 4, 3, 2, 1, 1)]
+    for n, cin, h, w, cout, k, stride, dil, pad in cases:
+        x = rng.normal(size=(n, cin, h, w)).astype(dtype)
         wt = rng.normal(size=(cout, cin, k, k)).astype(dtype)
         y, cache = ops.conv2d_forward(x, wt, stride, dil, pad)
         y_ref, patches = _conv_oracle(x, wt, stride, dil, pad)
         assert _same_bytes(y, y_ref), (k, stride, dil, pad)
         dy = rng.normal(size=y.shape).astype(dtype)
         got = ops.conv2d_backward(dy, wt, cache)
-        ref = _conv_backward_oracle(dy, wt, patches, x.shape, stride, dil, pad)
+        if (k, stride, pad) == (1, 1, 0):
+            ref = _conv1x1_backward_oracle(dy, wt, x)
+        else:
+            ref = _conv_backward_oracle(dy, wt, patches, x.shape, stride, dil, pad)
         for g, r in zip(got, ref):
             assert _same_bytes(g, r), (k, stride, dil, pad)
 
@@ -365,7 +391,18 @@ def test_maxpool_backward_bytes_match_where_oracle(shape, k, stride, pad, ceil):
     x[:, :, :2, :2] = 1.0  # ties route to the first index
     y, cache = ops.maxpool2d_forward(x, k, stride, pad, ceil)
     dy = rng.normal(size=y.shape).astype(np.float32)
-    assert _same_bytes(ops.maxpool2d_backward(dy, cache), _maxpool_backward_oracle(dy, cache))
+    assert _same_bytes(ops.maxpool2d_backward(dy, cache),
+                       _maxpool_backward_oracle(dy, x, k, stride, pad, ceil))
+
+
+def test_maxpool_nan_window_routes_no_gradient():
+    x = np.array([[1.0, np.nan, 5.0, 2.0],
+                  [3.0, 2.0, 5.0, 4.0]]).reshape(1, 1, 2, 4)
+    y, cache = ops.maxpool2d_forward(x, k=2, stride=2)
+    dx = ops.maxpool2d_backward(np.array([[[[7.0, 9.0]]]]), cache)
+    assert np.isnan(y[0, 0, 0, 0]) and y[0, 0, 0, 1] == 5.0
+    # the NaN window drops its gradient; the other routes to its first max only
+    assert dx[0, 0].tolist() == [[0.0, 0.0, 9.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
 
 
 def test_relu_matches_where_oracle_and_clears_negative_zero():

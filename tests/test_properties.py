@@ -107,9 +107,8 @@ def test_maxpool_inference_equals_training_bitwise(case):
         y_train, cache = ops.maxpool2d_forward(x, k, stride, pad, ceil)
     except ValueError:  # a window that holds only padding
         assume(False)
-    y_infer, none = ops.maxpool2d_forward(x, k, stride, pad, ceil, training=False)
-    assert none is None and cache is not None
-    assert y_infer.tobytes() == y_train.tobytes()
+    # one forward serves both modes; its cache is the input and output themselves
+    assert cache[0] is x and cache[1] is y_train
     # value check against a per-window reference over the -inf padded input
     n, c, h, w = x.shape
     ho, wo = y_train.shape[2:]
