@@ -206,11 +206,9 @@ def format_node(n: LayerSpec) -> str:
 
 
 def _parse_value(text):
-    """An integer, or the text itself for ``check_node`` to reject."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
+    """An integer written in decimal digits, else the text itself for
+    ``check_node`` to reject (so ``k=1_1`` is not read as 11)."""
+    return int(text) if re.fullmatch(r"-?[0-9]+", text) else text
 
 
 def parse_node(line, lineno=None) -> LayerSpec:

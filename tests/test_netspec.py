@@ -73,6 +73,7 @@ def test_unknown_attrs_rejected_with_line(line, attr):
 @pytest.mark.parametrize("line, message", [
     ("c = conv(in=1,out=2,k=abc) <- x", "attr 'k' must be an integer, got 'abc'"),
     ("c = conv(in=1,out=2,k=3.0) <- x", "attr 'k' must be an integer, got '3.0'"),
+    ("c = conv(in=1,out=2,k=1_1) <- x", "attr 'k' must be an integer, got '1_1'"),
     ("c = conv(in=1,out=2,k=-1) <- x", "attr 'k' must be >= 1, got -1"),
     ("c = conv(in=1,out=2,k=3,stride=0) <- x", "attr 'stride' must be >= 1, got 0"),
     ("c = conv(in=1,out=2,k=3,dilation=0) <- x", "attr 'dilation' must be >= 1"),

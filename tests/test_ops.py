@@ -331,7 +331,7 @@ def test_dense_and_gap():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_bytes_match_im2col_oracle(dtype):
     rng = stream(7, "conv-oracle")
-    # (cin, h, w, cout, k, stride, dilation, pad): 3x3 grid, the k7 s2 p3
+    # (n, cin, h, w, cout, k, stride, dilation, pad): 3x3 grid, the k7 s2 p3
     # stem, dilated, strided 1x1 and an even-sized kernel
     cases = [(2, c, 9, 11, 5, 3, s, d, p) for c in (1, 6) for s in (1, 2)
              for d in (1, 2) for p in (0, 1, 2)]
