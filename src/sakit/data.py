@@ -69,6 +69,8 @@ def load_cifar(path, variant="cifar100", split="train") -> Dataset:
         if not os.path.exists(fpath):
             raise DataError(f"missing file '{fpath}'")
         raw = np.fromfile(fpath, dtype=np.uint8)
+        if raw.size == 0:
+            raise DataError(f"'{fpath}' holds no records")
         if raw.size % record != 0:
             raise DataError(
                 f"'{fpath}': {raw.size} bytes is not a multiple of record size {record}")

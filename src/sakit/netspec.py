@@ -252,6 +252,10 @@ def check_node(layer: LayerSpec, lineno=None):
         if name not in _TAGS and not (lo <= value and (hi is None or value <= hi)):
             allowed = f"{lo} or {hi}" if hi is not None else f">= {lo}"
             raise SpecError(f"{where}: attr '{name}' must be {allowed}, got {value}", lineno)
+    if layer.op in ("maxpool", "avgpool") and layer.get("pad") > layer.attrs["k"] // 2:
+        # a wider pad leaves windows that hold only padding
+        raise SpecError(f"{where}: attr 'pad' must be <= k // 2 = {layer.attrs['k'] // 2}, "
+                        f"got {layer.get('pad')}", lineno)
 
 
 def conv_out_dim(size, k, stride, dilation, pad):
@@ -261,11 +265,12 @@ def conv_out_dim(size, k, stride, dilation, pad):
 
 def pool_out_dim(size, k, stride, pad, ceil_mode):
     """Pooled size, or 0 when no valid window exists. In ceil mode a window
-    may extend past the input but must still start inside the padded input."""
+    may extend past the input but must start inside the input or the left
+    padding; a last window that would start further right is dropped."""
     span = size + 2 * pad - k
     if ceil_mode:
         out = max(-(-span // stride), 0) + 1
-        return out if (out - 1) * stride < size + 2 * pad else 0
+        return out - 1 if (out - 1) * stride >= size + pad else out
     return span // stride + 1 if span >= 0 else 0
 
 

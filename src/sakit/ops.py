@@ -1,9 +1,17 @@
 """Layer kernels in NCHW layout, each a forward/backward pair over ndarrays.
 
-Convolution is cross-correlation via one GEMM over patches gathered by k*k
-strided slice copies from an NHWC copy of the padded input; the patch
+Convolution is cross-correlation via one GEMM over a patch matrix whose
 columns run in (Cin, k, k) order, which is the GEMM's K order and so fixes
-the forward's rounding. 1x1 stride-1 convs mix channels without patches.
+the forward's rounding. The patches come from an NHWC copy of the padded
+input by k*k strided slice copies, or, where a slice copy's contiguous run
+(Cin elements, or Wo*Cin at stride 1) is shorter than k, as in a 3-channel
+strided stem, by one copy of an as_strided window view, whose run is k.
+The NCHW -> NHWC input copy, the tap copies and the output's NHWC -> NCHW
+copy each go one block of (image, row) indices at a time, about 1 MiB of
+destination with every tap of a block written before the next block, so a
+block's source is still in cache when it is read again. Copies move bytes
+unchanged, so no output depends on the block size or the gather chosen.
+1x1 stride-1 convs mix channels without patches.
 
 Backward keeps the bytes of the forward-ordered formulation (dw = dyf.T @ P,
 dP = dyf @ W, dP's taps added into dx tap by tap in row-major order) while
@@ -33,23 +41,55 @@ import numpy as np
 from .netspec import conv_out_dim, pool_out_dim
 
 
+_BLOCK_BYTES = 1 << 20
+
+
+def _copy_blocks(pairs):
+    """dst[...] = src for each (dst, src) view pair, one block of leading
+    (image, row) indices at a time: about _BLOCK_BYTES of destination, all
+    pairs of a block written before the next, so each block's reads and
+    writes stay in cache."""
+    n, rows = pairs[0][0].shape[:2]
+    row_bytes = sum(dst[:1, :1].nbytes for dst, _ in pairs)
+    per = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    images, step = max(1, per // rows), min(per, rows)
+    for i in range(0, n, images):
+        for r in range(0, rows, step):
+            for dst, src in pairs:
+                dst[i:i + images, r:r + step] = src[i:i + images, r:r + step]
+
+
 def _nhwc_padded(x, pad):
     """Zero-padded NHWC copy of x (N, Cin, H, W)."""
     n, cin, h, w = x.shape
     xh = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
-    xh[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    _copy_blocks([(xh[:, pad:pad + h, pad:pad + w], x.transpose(0, 2, 3, 1))])
     return xh
 
 
+def _windows(xh, k, stride, dilation, ho, wo):
+    """Read-only (N, Ho, Wo, k, k, Cin) window view of a padded NHWC input."""
+    s0, s1, s2, s3 = xh.strides
+    return np.lib.stride_tricks.as_strided(
+        xh, (xh.shape[0], ho, wo, k, k, xh.shape[3]),
+        (s0, s1 * stride, s2 * stride, s1 * dilation, s2 * dilation, s3), writeable=False)
+
+
 def _patches(xh, k, stride, dilation, ho, wo):
-    """(N*Ho*Wo, Cin*k*k) patch matrix of a padded NHWC input, filled in
-    (N, Ho, Wo, Cin, k, k) order by k*k strided slice copies."""
+    """(N*Ho*Wo, Cin*k*k) patch matrix of a padded NHWC input in
+    (N, Ho, Wo, Cin, k, k) order: k*k strided slice copies per block, or one
+    copy of the window view when a slice copy's contiguous run (Cin, or
+    Wo*Cin at stride 1) is shorter than k."""
     n, cin = xh.shape[0], xh.shape[3]
     patches = np.empty((n, ho, wo, cin, k, k), dtype=xh.dtype)
-    he, we = (ho - 1) * stride + 1, (wo - 1) * stride + 1
-    for a, b in np.ndindex(k, k):
-        ra, cb = a * dilation, b * dilation
-        patches[..., a, b] = xh[:, ra:ra + he:stride, cb:cb + we:stride]
+    if (wo * cin if stride == 1 else cin) < k:
+        pairs = [(patches, _windows(xh, k, stride, dilation, ho, wo).transpose(0, 1, 2, 5, 3, 4))]
+    else:
+        he, we = (ho - 1) * stride + 1, (wo - 1) * stride + 1
+        pairs = [(patches[..., a, b], xh[:, a * dilation:a * dilation + he:stride,
+                                          b * dilation:b * dilation + we:stride])
+                 for a, b in np.ndindex(k, k)]
+    _copy_blocks(pairs)
     return patches.reshape(n * ho * wo, cin * k * k)
 
 
@@ -72,9 +112,10 @@ def conv2d_forward(x, w, stride=1, dilation=1, pad=0):
     if k == 1 and stride == 1 and pad == 0:
         y = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1])).transpose(1, 0, 2, 3)
         return np.ascontiguousarray(y), cache
-    y = _patches(_nhwc_padded(x, pad), k, stride, dilation, ho, wo) @ w.reshape(cout, -1).T
-    y = y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(y), cache
+    yf = _patches(_nhwc_padded(x, pad), k, stride, dilation, ho, wo) @ w.reshape(cout, -1).T
+    y = np.empty((n, cout, ho, wo), dtype=yf.dtype)
+    _copy_blocks([(y.transpose(0, 2, 3, 1), yf.reshape(n, ho, wo, cout))])
+    return y, cache
 
 
 def conv2d_backward(dy, w, cache):
@@ -93,10 +134,7 @@ def conv2d_backward(dy, w, cache):
     xh = _nhwc_padded(x, pad)
     tap_major = cout > 1 and cin * x.itemsize % 64 == 0
     if tap_major:
-        s0, s1, s2, s3 = xh.strides
-        windows = np.lib.stride_tricks.as_strided(
-            xh, (n, ho, wo, k, k, cin),
-            (s0, s1 * stride, s2 * stride, s1 * dilation, s2 * dilation, s3), writeable=False)
+        windows = _windows(xh, k, stride, dilation, ho, wo)
         dw = (dyf.T @ windows.reshape(m, -1)).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
         wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
     else:
@@ -113,6 +151,9 @@ def conv2d_backward(dy, w, cache):
 
 
 def _pool_geometry(x_shape, k, stride, pad, ceil_mode):
+    if pad > k // 2:
+        # a wider pad leaves windows that hold only padding
+        raise ValueError(f"pool pad {pad} exceeds half the window {k}")
     h, w = x_shape[2], x_shape[3]
     ho = pool_out_dim(h, k, stride, pad, ceil_mode)
     wo = pool_out_dim(w, k, stride, pad, ceil_mode)
@@ -184,8 +225,6 @@ def avgpool2d_forward(x, k, stride, pad=0, ceil_mode=False):
         for b in range(k):
             total += xp[:, :, a:a + hs:stride, b:b + ws:stride]
             counts += valid[:, :, a:a + hs:stride, b:b + ws:stride]
-    if np.any(counts == 0):
-        raise ValueError("average pool window with no valid cells")
     y = total / counts
     cache = (counts[0, 0], x.shape, k, stride, pad, (ho, wo), (buf_h, buf_w))
     return y, cache

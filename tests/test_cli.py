@@ -223,6 +223,19 @@ def test_train_checks_spec_input_before_writing(capsys, tmp_path):
     assert not (out_dir / "config.resolved.txt").exists()
 
 
+def test_train_rejects_empty_cifar_before_writing(capsys, tmp_path):
+    data_dir = tmp_path / "cifar"
+    data_dir.mkdir()
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+        (data_dir / name).write_bytes(b"")
+    out_dir = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--preset", "cifar-n1", "--dataset", "cifar10",
+                       "--data-dir", str(data_dir), "--epochs", "1", "--out-dir", str(out_dir))
+    assert code == 2
+    assert "data_batch_1.bin' holds no records" in err
+    assert not (out_dir / "config.resolved.txt").exists()
+
+
 def test_runtime_failure_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "missing.sanc"),
                        "--dataset", "synthetic")

@@ -82,6 +82,12 @@ def test_load_cifar_truncated_file(tmp_path):
         load_cifar(tmp_path, "cifar100", "train")
 
 
+def test_load_cifar_empty_file(tmp_path):
+    (tmp_path / "train.bin").write_bytes(b"")
+    with pytest.raises(DataError, match="train.bin' holds no records"):
+        load_cifar(tmp_path, "cifar100", "train")
+
+
 def test_load_cifar_missing_and_bad_args(tmp_path):
     with pytest.raises(DataError, match="missing"):
         load_cifar(tmp_path, "cifar100", "train")

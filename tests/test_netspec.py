@@ -81,11 +81,23 @@ def test_unknown_attrs_rejected_with_line(line, attr):
     ("c = conv(in=1,out=2,k=3,pad=-1) <- x", "attr 'pad' must be >= 0, got -1"),
     ("c = conv(in=1,out=2,k=3,bias=2) <- x", "attr 'bias' must be 0 or 1, got 2"),
     ("c = maxpool(k=2,stride=2,ceil=2) <- x", "attr 'ceil' must be 0 or 1, got 2"),
+    ("c = maxpool(k=2,stride=2,pad=2) <- x", "attr 'pad' must be <= k // 2 = 1, got 2"),
+    ("c = avgpool(k=3,stride=1,pad=2,ceil=1) <- x", "attr 'pad' must be <= k // 2 = 1"),
     ("c = input(c=1,h=0,w=8)", "attr 'h' must be >= 1"),
     ("c = relu(block=a) <- x", "attr 'block' must be an integer, got 'a'")])
 def test_attr_types_and_ranges_rejected_with_line(line, message):
     with pytest.raises(SpecError, match=f"line 3: node 'c': {message}"):
         parse_node(line, 3)
+
+
+def test_ceil_pool_spec_shape_matches_forward():
+    # the last window would start in the right padding, so it is dropped
+    spec = NetworkSpec.from_text("network t\nx = input(c=1,h=5,w=5)\n"
+                                 "p = avgpool(k=2,stride=2,pad=1,ceil=1) <- x\n")
+    assert propagate_shapes(spec)["p"] == (1, 3, 3)
+    g = autograd.Graph(spec)
+    out = g.forward(np.ones((1, 1, 5, 5), dtype=np.float32), mode="infer", keep=["p"])
+    assert out["p"].shape == (1, 1, 3, 3)
 
 
 def test_builder_attr_types_and_ranges_checked():

@@ -155,6 +155,26 @@ def test_ceil_mode_output_dims():
         for s in (1, 2, 4, 7):
             (ho, _), _ = ops._pool_geometry((1, 1, h, h), s, s, 0, True)
             assert ho == math.ceil(h / s)
+    # a last window that would start in the right padding is dropped, so
+    # every window of a pool with pad <= k // 2 holds an input cell
+    x = np.arange(25, dtype=float).reshape(1, 1, 5, 5)
+    y, _ = ops.maxpool2d_forward(x, k=2, stride=2, pad=1, ceil_mode=True)
+    assert y[0, 0].tolist() == [[0, 2, 4], [10, 12, 14], [20, 22, 24]]
+    y, _ = ops.avgpool2d_forward(x, k=2, stride=2, pad=1, ceil_mode=True)
+    assert y.shape == (1, 1, 3, 3)
+    with pytest.raises(ValueError, match="pad 2 exceeds half the window 2"):
+        ops.avgpool2d_forward(x, k=2, stride=2, pad=2)
+    for h in range(1, 12):
+        for k in range(1, 5):
+            for s in range(1, 5):
+                for p in range(k // 2 + 1):
+                    x = np.ones((1, 1, h, h))
+                    y, _ = ops.maxpool2d_forward(x, k, s, p, ceil_mode=True)
+                    assert np.all(y == 1), (h, k, s, p)
+                    ho = math.ceil((h + 2 * p - k) / s) + 1 if h + 2 * p >= k else 1
+                    if (ho - 1) * s >= h + p:
+                        ho -= 1
+                    assert y.shape[2] == ho, (h, k, s, p)
 
 
 def test_maxpool_backward_routes_to_argmax_only():
@@ -342,6 +362,8 @@ def test_conv_bytes_match_im2col_oracle(dtype):
     cases += [(4, 8, 8, 8, 6, 1, 1, 1, 0), (4, 16, 9, 9, 16, 3, 1, 1, 1),
               (4, 32, 8, 8, 8, 3, 2, 1, 1), (4, 17, 9, 9, 16, 3, 1, 1, 1),
               (8, 48, 16, 16, 1, 3, 1, 1, 1), (4, 1, 15, 15, 4, 3, 2, 1, 1)]
+    # the window-view gather: at stride 1 (Wo*Cin < k) and the 3-channel stem
+    cases += [(3, 1, 9, 3, 3, 5, 1, 1, 2), (3, 3, 37, 29, 4, 7, 2, 1, 3)]
     for n, cin, h, w, cout, k, stride, dil, pad in cases:
         x = rng.normal(size=(n, cin, h, w)).astype(dtype)
         wt = rng.normal(size=(cout, cin, k, k)).astype(dtype)
@@ -356,6 +378,15 @@ def test_conv_bytes_match_im2col_oracle(dtype):
             ref = _conv_backward_oracle(dy, wt, patches, x.shape, stride, dil, pad)
         for g, r in zip(got, ref):
             assert _same_bytes(g, r), (k, stride, dil, pad)
+
+
+@pytest.mark.parametrize("block", [640, 3072])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_bytes_match_oracle_in_small_blocks(dtype, block, monkeypatch):
+    # every case that copies meets a partial last row block or image group
+    # at one of these block sizes
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", block)
+    test_conv_bytes_match_im2col_oracle(dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
