@@ -128,6 +128,10 @@ def load_checkpoint(path):
         dims = unpack(f"<{rank}I", f"tensor '{name}' dims")
         dtype = _CODE_DTYPES[code]
         payload = take(math.prod(dims) * dtype.itemsize, f"tensor '{name}' data")
+        # a zero dim empties the payload, but numpy still bounds the other dims
+        if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+            raise CheckpointError(f"tensor '{name}' dims {dims} at offset "
+                                  f"{off - len(payload) - 4 * rank} exceed the addressable size")
         tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).astype(
             dtype.newbyteorder("="))
     if off != len(data):

@@ -1,5 +1,5 @@
 """Command-line surface: build / flops / train / allocate / pipeline / rf /
-eval / report / bench / gradcheck.
+eval / report / gradcheck.
 
 Option values resolve with precedence env > flag > config file > default;
 env overrides use the SAKIT_ prefix (SAKIT_SEED=7). A boolean value is one
@@ -13,8 +13,6 @@ import argparse
 import os
 import re
 import sys
-import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # key -> (type tag, default, help); shared across subcommands that list them.
-# A "count" is an int of at least 1 (--warmup: at least 0).
+# A "count" is an int of at least 1.
 _OPTIONS = {
     "preset": ("str", None,
                "resnet50|resnet101|resnet152|cifar-n<k>; scalenetNN selects "
@@ -67,8 +65,6 @@ _OPTIONS = {
     "in_channels": ("count", None, "input channel override"),
     "checkpoint": ("str", None, "checkpoint file"),
     "spec": ("str", None, "network spec text file"),
-    "repeats": ("count", 5, "timed forward passes"),
-    "warmup": ("count", 2, "untimed warmup passes"),
     "tolerance": ("float", 1e-5, "gradcheck relative-error bound"),
     "max_entries": ("count", 40, "finite-difference probes per parameter"),
     "config": ("str", None, "key=value overlay file"),
@@ -93,7 +89,6 @@ _COMMAND_KEYS = {
     "rf": _NETWORK + _SHAPE + _WRITES,
     "eval": ["checkpoint"] + _DATA + ["batch", "seed", "config"],
     "report": ["plan", "preset", "scales"] + _SHAPE + ["downsample", "out_dir", "config"],
-    "bench": _NETWORK + _SHAPE + ["batch", "repeats", "warmup", "seed", "config"],
     "gradcheck": ["spec", "tolerance", "max_entries", "seed", "config"],
 }
 
@@ -131,9 +126,9 @@ def _coerce(key, tag, raw):
         if tag == "int":
             return int(text)
         if tag == "count":
-            value, least = int(text), 0 if key == "warmup" else 1
-            if value < least:
-                raise UsageError(f"{_flag(key)} must be at least {least}, got {value}")
+            value = int(text)
+            if value < 1:
+                raise UsageError(f"{_flag(key)} must be at least 1, got {value}")
             return value
         if tag == "float":
             return float(text)
@@ -467,36 +462,6 @@ def cmd_report(cfg, out):
     return 0
 
 
-def cmd_bench(cfg, out):
-    from .autograd import Graph
-    from .flops import network_flops
-
-    repeats = cfg["repeats"]
-    spec = _build_network(cfg)
-    graph = Graph(spec, seed=cfg["seed"])
-    c, h, w = spec.input_shape
-    x = np.random.default_rng(cfg["seed"]).standard_normal(
-        (cfg["batch"], c, h, w)).astype(np.float32)
-    times = []
-    for _ in range(cfg["warmup"] + repeats):
-        t0 = time.perf_counter()
-        graph.forward(x, mode="infer")
-        times.append(time.perf_counter() - t0)
-    times = sorted(times[cfg["warmup"]:])
-    tracemalloc.start()  # one more, untimed pass: what it allocates beyond the weights
-    graph.forward(x, mode="infer")
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    macs = network_flops(spec).total_macs
-    out(f"{spec.name}: batch {cfg['batch']}, {repeats} repeats "
-        f"(warmup {cfg['warmup']} discarded)")
-    out(f"mean {np.mean(times) * 1e3:.1f} ms  p50 {times[len(times) // 2] * 1e3:.1f} ms  "
-        f"max {times[-1] * 1e3:.1f} ms")
-    out(f"model cost {macs / 1e9:.3f} GMACs per sample")
-    out(f"peak traced memory of one inference pass {peak / 2 ** 20:.1f} MiB")
-    return 0
-
-
 def cmd_gradcheck(cfg, out):
     from .autograd import Graph, gradcheck
     from .rng import stream
@@ -547,7 +512,6 @@ _COMMANDS = {
     "rf": cmd_rf,
     "eval": cmd_eval,
     "report": cmd_report,
-    "bench": cmd_bench,
     "gradcheck": cmd_gradcheck,
 }
 

@@ -31,9 +31,9 @@ class Dataset:
     def __post_init__(self):
         if len(self.images) != len(self.labels):
             raise DataError("images/labels length mismatch")
-        if len(self.labels) and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise DataError("label out of range")
+        bad = self.labels[(self.labels < 0) | (self.labels >= self.num_classes)]
+        if bad.size:
+            raise DataError(f"label {bad[0]} out of range [0, {self.num_classes})")
 
     def __len__(self):
         return len(self.labels)
@@ -63,6 +63,7 @@ def load_cifar(path, variant="cifar100", split="train") -> Dataset:
         raise DataError(f"unknown split '{split}'")
     label_bytes = 2 if variant == "cifar100" else 1
     record = label_bytes + 3072
+    classes = 100 if variant == "cifar100" else 10
     images, labels = [], []
     for fname in _CIFAR_FILES[variant][split]:
         fpath = os.path.join(path, fname)
@@ -75,11 +76,15 @@ def load_cifar(path, variant="cifar100", split="train") -> Dataset:
             raise DataError(
                 f"'{fpath}': {raw.size} bytes is not a multiple of record size {record}")
         recs = raw.reshape(-1, record)
-        labels.append(recs[:, label_bytes - 1].astype(np.int64))
+        file_labels = recs[:, label_bytes - 1].astype(np.int64)
+        bad = np.flatnonzero(file_labels >= classes)
+        if bad.size:
+            raise DataError(f"'{fpath}' record {bad[0]} has label {file_labels[bad[0]]}, "
+                            f"not in [0, {classes})")
+        labels.append(file_labels)
         images.append(recs[:, label_bytes:].reshape(-1, 3, 32, 32))
     images = np.concatenate(images).astype(np.float32) / 255.0
     labels = np.concatenate(labels)
-    classes = 100 if variant == "cifar100" else 10
     return Dataset(images, labels, classes, split=split)
 
 

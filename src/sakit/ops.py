@@ -13,20 +13,14 @@ block's source is still in cache when it is read again. Copies move bytes
 unchanged, so no output depends on the block size or the gather chosen.
 1x1 stride-1 convs mix channels without patches.
 
-Backward keeps the bytes of the forward-ordered formulation (dw = dyf.T @ P,
-dP = dyf @ W, dP's taps added into dx tap by tap in row-major order) while
-laying out the work differently. Each output element of a GEMM is one dot
-product whose K order (the batch-position rows for dw, Cout for dP) is never
-changed: only output columns are permuted or split. dw gathers the patches
-tap-major, (k, k, Cin) columns, in one copy of a window view and moves its
-columns back after the GEMM; dP is one (M, Cin) GEMM per tap, added into the
-zeroed gather buffer, which is transposed to NCHW once. OpenBLAS still
-rounds a column by where it falls in its register blocking (edge columns
-take other kernels), so the bytes hold only where no column moves across an
-edge: over 6,800 shapes they were equal exactly when Cin fills whole 64-byte
-vectors and Cout > 1 (at Cout 1 the dw product is a matrix-vector call whose
-threads split the columns). Any other shape takes the single GEMM in
-(Cin, k, k) order, into the same tap loop.
+Backward has one formulation for every shape but the 1x1 stride-1 channel
+mix. dw = dyf.T @ P with P gathered tap-major, (k, k, Cin) columns, in one
+copy of a window view; its columns move back to (Cin, k, k) after the GEMM.
+dx is one (M, Cin) GEMM per tap, dyf @ W[:, :, a, b], added in row-major tap
+order into the zeroed NHWC gather buffer, which is transposed to NCHW once.
+A GEMM's bits depend on the BLAS kernel set and on where an output column
+falls in its register blocking, so tests pin these bytes with an oracle that
+makes the same BLAS calls on operands laid out the same way.
 
 Caches hold inputs, not copies: conv and batchnorm keep their input, and
 backward recomputes the patches and ``xhat`` with the forward's expressions;
@@ -132,22 +126,16 @@ def conv2d_backward(dy, w, cache):
     m = n * ho * wo
     dyf = dy.transpose(0, 2, 3, 1).reshape(m, cout)
     xh = _nhwc_padded(x, pad)
-    tap_major = cout > 1 and cin * x.itemsize % 64 == 0
-    if tap_major:
-        windows = _windows(xh, k, stride, dilation, ho, wo)
-        dw = (dyf.T @ windows.reshape(m, -1)).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
-        wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
-    else:
-        dw = dyf.T @ _patches(xh, k, stride, dilation, ho, wo)
-        dpatch = (dyf @ w.reshape(cout, -1)).reshape(m, cin, k * k)
+    dw = dyf.T @ _windows(xh, k, stride, dilation, ho, wo).reshape(m, -1)
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
     xh.fill(0)
     hs, ws = ho * stride, wo * stride
     for t, (a, b) in enumerate(np.ndindex(k, k)):
         ra, cb = a * dilation, b * dilation
-        block = dyf @ wt[t] if tap_major else dpatch[:, :, t]
-        xh[:, ra:ra + hs:stride, cb:cb + ws:stride] += block.reshape(n, ho, wo, cin)
+        xh[:, ra:ra + hs:stride, cb:cb + ws:stride] += (dyf @ wt[t]).reshape(n, ho, wo, cin)
     dx = xh[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(dx), np.ascontiguousarray(dw).reshape(w.shape)
+    dw = dw.reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(dx), np.ascontiguousarray(dw)
 
 
 def _pool_geometry(x_shape, k, stride, pad, ceil_mode):

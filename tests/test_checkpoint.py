@@ -148,6 +148,12 @@ def test_huge_dims_are_a_checkpoint_error(tmp_path):
     path.write_bytes(b"SANC" + struct.pack("<IQ", VERSION, 2 ** 64 - 1))
     with pytest.raises(CheckpointError, match="spec text"):
         load_checkpoint(path)
+    # an empty tensor whose other dims overflow numpy's addressable size
+    dims = (0, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
+    path.write_bytes(raw[:27] + struct.pack("<BB", 1, 4) + struct.pack("<4I", *dims))
+    with pytest.raises(CheckpointError, match=r"tensor 't' dims \(0, 4294967295, "
+                       r"4294967295, 4294967295\) at offset 29 exceed"):
+        load_checkpoint(path)
 
 
 @given(st.data())

@@ -18,8 +18,8 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "flops")  # missing --preset
     assert code == 1 and "preset" in err
-    code, _, err = run(capsys, "bench", "--preset", "cifar-n1", "--repeats", "0")
-    assert code == 1 and "repeats" in err
+    code, _, err = run(capsys, "flops", "--preset", "cifar-n1", "--repeats", "3")
+    assert code == 1 and "--repeats" in err  # went with the removed bench command
     code, _, _ = run(capsys)
     assert code == 1
 
@@ -29,8 +29,8 @@ def test_usage_errors_exit_1(capsys):
     (["flops", "--preset", "cifar-n1", "--classes", "-3"], "--classes"),
     (["flops", "--preset", "resnet50", "--input", "0"], "--input"),
     (["flops", "--preset", "resnet50", "--in-channels", "0"], "--in-channels"),
-    (["bench", "--preset", "cifar-n1", "--warmup", "-2", "--repeats", "3"], "--warmup"),
-    (["bench", "--preset", "cifar-n1", "--batch", "0"], "--batch"),
+    (["pipeline", "--preset", "cifar-n1", "--epochs", "0"], "--epochs"),
+    (["eval", "--checkpoint", "missing.sanc", "--batch", "0"], "--batch"),
     (["gradcheck", "--max-entries", "0"], "--max-entries"),
     (["train", "--preset", "cifar-n1", "--epochs", "0"], "--epochs"),
     (["train", "--preset", "cifar-n1", "--per-class", "0"], "--per-class"),
@@ -38,7 +38,7 @@ def test_usage_errors_exit_1(capsys):
     (["train", "--preset", "cifar-n1", "--batch", "0"], "--batch"),
 ])
 def test_counts_below_their_least_value_are_usage_errors(capsys, tmp_path, argv, flag):
-    if argv[0] in ("flops", "train"):
+    if argv[0] in ("flops", "train", "pipeline"):
         argv += ["--out-dir", str(tmp_path / "run")]
     code, out, err = run(capsys, *argv)
     assert code == 1 and f"{flag} must be at least" in err, (out, err)
@@ -168,14 +168,6 @@ def test_gradcheck_command(capsys):
     code, out, _ = run(capsys, "gradcheck", "--max-entries", "10")
     assert code == 0
     assert "max relative error" in out
-
-
-def test_bench_command(capsys):
-    code, out, _ = run(capsys, "bench", "--preset", "cifar-n1", "--batch", "2",
-                       "--repeats", "2", "--warmup", "1")
-    assert code == 0
-    assert "mean" in out and "GMACs" in out
-    assert "peak traced memory of one inference pass" in out
 
 
 def test_train_and_eval_commands(capsys, tmp_path):

@@ -88,6 +88,22 @@ def test_load_cifar_empty_file(tmp_path):
         load_cifar(tmp_path, "cifar100", "train")
 
 
+def test_load_cifar_label_out_of_range(tmp_path):
+    record = bytes(3072)
+    for i in range(1, 6):
+        labels = [3, 9, 10, 12] if i == 3 else [0]
+        (tmp_path / f"data_batch_{i}.bin").write_bytes(
+            b"".join(bytes([c]) + record for c in labels))
+    with pytest.raises(DataError, match=r"data_batch_3.bin' record 2 has label 10, "
+                       r"not in \[0, 10\)"):
+        load_cifar(tmp_path, "cifar10", "train")
+    # cifar100 checks the fine label, the second byte
+    (tmp_path / "test.bin").write_bytes(bytes([19, 99]) + record + bytes([0, 100]) + record)
+    with pytest.raises(DataError, match=r"test.bin' record 1 has label 100, "
+                       r"not in \[0, 100\)"):
+        load_cifar(tmp_path, "cifar100", "test")
+
+
 def test_load_cifar_missing_and_bad_args(tmp_path):
     with pytest.raises(DataError, match="missing"):
         load_cifar(tmp_path, "cifar100", "train")
@@ -146,9 +162,12 @@ def test_normalization_stats_and_apply():
 def test_dataset_validation():
     with pytest.raises(DataError, match="length"):
         Dataset(np.zeros((3, 1, 2, 2), dtype=np.float32), np.zeros(2, dtype=np.int64), 2)
-    with pytest.raises(DataError, match="range"):
+    with pytest.raises(DataError, match=r"label 5 out of range \[0, 2\)"):
         Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32),
                 np.array([0, 5], dtype=np.int64), 2)
+    with pytest.raises(DataError, match=r"label -1 out of range \[0, 2\)"):
+        Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32),
+                np.array([1, -1], dtype=np.int64), 2)
 
 
 def test_linear_probe_below_conv_net_on_held_out_split():

@@ -9,43 +9,56 @@ from sakit.rng import stream
 
 
 # Reference kernels: the fancy-index im2col conv, two-pass batchnorm, where-relu
-# and the argmax-and-where maxpool backward that the current kernels replaced.
-# The current kernels must give the same bytes.
+# and the argmax-and-where maxpool backward that the current kernels replaced,
+# and a fancy-index conv backward with the kernel's GEMMs. The current kernels
+# must give the same bytes.
 
-def _conv_oracle(x, w, stride, dilation, pad):
+def _windows_by_index(x, k, stride, dilation, pad):
+    # (N, Ho, Wo, Cin, k, k) windows of the zero-padded input, by fancy indexing
     n, cin, h, wd = x.shape
-    cout, _, k, _ = w.shape
     ho = conv_out_dim(h, k, stride, dilation, pad)
     wo = conv_out_dim(wd, k, stride, dilation, pad)
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     rows = np.arange(ho)[:, None] * stride + np.arange(k)[None, :] * dilation
     cols = np.arange(wo)[:, None] * stride + np.arange(k)[None, :] * dilation
-    patches = xp[:, :, rows[:, :, None, None], cols[None, None, :, :]]
-    patches = patches.transpose(0, 2, 4, 1, 3, 5).reshape(n * ho * wo, cin * k * k)
-    y = (patches @ w.reshape(cout, -1).T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(y), patches
+    return xp[:, :, rows[:, :, None, None], cols[None, None, :, :]].transpose(0, 2, 4, 1, 3, 5)
 
 
-def _conv_backward_oracle(dy, w, patches, x_shape, stride, dilation, pad):
-    n, cin, h, wd = x_shape
+def _conv_oracle(x, w, stride, dilation, pad):
+    cout, cin, k, _ = w.shape
+    win = _windows_by_index(x, k, stride, dilation, pad)
+    n, ho, wo = win.shape[:3]
+    y = win.reshape(n * ho * wo, cin * k * k) @ w.reshape(cout, -1).T
+    return y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+
+
+def _conv_backward_oracle(dy, x, w, stride, dilation, pad):
+    # tap-major (k, k, Cin) patches, dw = dyf.T @ patches and one
+    # dyf @ w[:, :, a, b] per tap scattered into NCHW in row-major tap order:
+    # the kernel's BLAS calls on operands laid out as the kernel lays them
+    # out, so the bytes match on any BLAS kernel set
+    n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
     ho, wo = dy.shape[2:]
+    win = _windows_by_index(x, k, stride, dilation, pad)
+    patches = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * cin)
     dyf = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-    dw = (dyf.T @ patches).reshape(w.shape)
-    dpatch = (dyf @ w.reshape(cout, -1)).reshape(n, ho, wo, cin, k, k)
-    dpatch = dpatch.transpose(0, 3, 1, 2, 4, 5)
+    dw = (dyf.T @ patches).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
     dxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=dy.dtype)
     for a in range(k):
         for b in range(k):
+            tap = (dyf @ np.ascontiguousarray(w[:, :, a, b])).reshape(n, ho, wo, cin)
             dxp[:, :, a * dilation:a * dilation + ho * stride:stride,
-                b * dilation:b * dilation + wo * stride:stride] += dpatch[..., a, b]
+                b * dilation:b * dilation + wo * stride:stride] += tap.transpose(0, 3, 1, 2)
     return dxp[:, :, pad:pad + h, pad:pad + wd], dw
 
 
-def _conv1x1_backward_oracle(dy, w, x):
+def _conv1x1_oracle(dy, w, x):
     # the patch-free channel mix of 1x1 stride-1 pad-0 convs, as tensordots
+    y = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1])).transpose(1, 0, 2, 3)
     dx = np.tensordot(w[:, :, 0, 0].T, dy, axes=([1], [1])).transpose(1, 0, 2, 3)
-    return dx, np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3])).reshape(w.shape)
+    dw = np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3])).reshape(w.shape)
+    return y, (dx, dw)
 
 
 def _batchnorm_oracle(x, gamma, beta, eps, training, running_mean, running_var):
@@ -357,8 +370,8 @@ def test_conv_bytes_match_im2col_oracle(dtype):
              for d in (1, 2) for p in (0, 1, 2)]
     cases += [(2, 3, 23, 23, 8, 7, 2, 1, 3), (2, 4, 15, 15, 4, 3, 1, 3, 3),
               (2, 8, 8, 8, 6, 1, 2, 1, 0), (2, 5, 10, 9, 3, 4, 2, 1, 1)]
-    # the 1x1 stride-1 path; per-tap GEMMs (Cin a whole number of 64-byte
-    # tiles in both dtypes); the single GEMM at Cin 17, at Cout 1 and at Cin 1
+    # the 1x1 stride-1 path; Cin 16 and 32 (whole 64-byte vectors), Cin 17,
+    # Cout 1 (a matrix-vector dw) and Cin 1 at stride 2
     cases += [(4, 8, 8, 8, 6, 1, 1, 1, 0), (4, 16, 9, 9, 16, 3, 1, 1, 1),
               (4, 32, 8, 8, 8, 3, 2, 1, 1), (4, 17, 9, 9, 16, 3, 1, 1, 1),
               (8, 48, 16, 16, 1, 3, 1, 1, 1), (4, 1, 15, 15, 4, 3, 2, 1, 1)]
@@ -368,14 +381,14 @@ def test_conv_bytes_match_im2col_oracle(dtype):
         x = rng.normal(size=(n, cin, h, w)).astype(dtype)
         wt = rng.normal(size=(cout, cin, k, k)).astype(dtype)
         y, cache = ops.conv2d_forward(x, wt, stride, dil, pad)
-        y_ref, patches = _conv_oracle(x, wt, stride, dil, pad)
-        assert _same_bytes(y, y_ref), (k, stride, dil, pad)
         dy = rng.normal(size=y.shape).astype(dtype)
-        got = ops.conv2d_backward(dy, wt, cache)
         if (k, stride, pad) == (1, 1, 0):
-            ref = _conv1x1_backward_oracle(dy, wt, x)
+            y_ref, ref = _conv1x1_oracle(dy, wt, x)
         else:
-            ref = _conv_backward_oracle(dy, wt, patches, x.shape, stride, dil, pad)
+            y_ref = _conv_oracle(x, wt, stride, dil, pad)
+            ref = _conv_backward_oracle(dy, x, wt, stride, dil, pad)
+        assert _same_bytes(y, y_ref), (k, stride, dil, pad)
+        got = ops.conv2d_backward(dy, wt, cache)
         for g, r in zip(got, ref):
             assert _same_bytes(g, r), (k, stride, dil, pad)
 

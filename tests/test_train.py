@@ -63,8 +63,10 @@ def test_zero_lr_leaves_parameters_bitwise_unchanged():
 def test_training_beats_chance(tmp_path):
     spec = micro_sa_net()
     train_ds, val_ds = small_data(per_class=30, seed=7)
-    cfg = TrainConfig(epochs=6, batch_size=32, lr=0.1, weight_decay=1e-4,
-                      seed=7, deterministic=True)
+    # the last epoch at lr 0.01, as criterion 7 decays for its last quarter:
+    # at a constant 0.1 the final accuracy is one noisy SGD sample
+    cfg = TrainConfig(epochs=6, batch_size=32, lr=0.1, milestones=(5,),
+                      weight_decay=1e-4, seed=7, deterministic=True)
     result = train(spec, train_ds, val_ds, cfg, out_dir=tmp_path)
     assert result.metrics[-1]["val_top1"] >= 0.3  # 3x chance on 10 classes
     assert (tmp_path / "metrics.csv").exists()
