@@ -19,7 +19,7 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = run(capsys, "flops")  # missing --preset
     assert code == 1 and "preset" in err
     code, _, err = run(capsys, "flops", "--preset", "cifar-n1", "--repeats", "3")
-    assert code == 1 and "--repeats" in err  # went with the removed bench command
+    assert code == 1 and "--repeats" in err
     code, _, _ = run(capsys)
     assert code == 1
 
