@@ -19,6 +19,6 @@ from .presets import (AllocationPlan, build_cifar_resnet, build_resnet,
                       build_scalenet, build_seed, even_allocation, parse_plan,
                       reference_plan, serialize_plan)
 from .rf import RFInterval, RFState, rf_empirical_oracle, rf_network_report, rf_propagate
-from .training import TrainConfig, downsample_sweep, evaluate_checkpoint, train
+from .training import TrainConfig, downsample_sweep, train
 
 __version__ = "0.1.0"

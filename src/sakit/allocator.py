@@ -169,11 +169,15 @@ def _knapsack_optimum(records, budget):
 
 def project_network(records, budgets, config: ProjectionConfig = None):
     """Run the per-block selection for every block; returns
-    {block: ProjectionResult}."""
+    {block: ProjectionResult}. Blocks with records but no budget raise
+    SpecError naming them."""
     config = config or ProjectionConfig()
     by_block = {}
     for rec in records:
         by_block.setdefault(rec.block, []).append(rec)
+    missing = sorted(set(by_block) - set(budgets))
+    if missing:
+        raise SpecError(f"no budget for blocks {missing}")
     results = {}
     for k in sorted(by_block):
         results[k] = greedy_project(by_block[k], budgets[k], config)
@@ -254,10 +258,14 @@ def budgets_csv(budgets: dict) -> str:
 
 
 def parse_budgets_csv(text):
+    """{k: budget} from ``budgets_csv`` text; a repeated block or a budget
+    below 1 raises SpecError naming its line."""
     out = {}
     for lineno, (k, budget) in _csv_rows(text, _BUDGETS_HEADER, (int, int)):
         if k in out:
             raise SpecError(f"duplicate block {k}", lineno)
+        if budget < 1:
+            raise SpecError(f"budget of block {k} must be at least 1, got {budget}", lineno)
         out[k] = budget
     return out
 

@@ -81,7 +81,7 @@ _WRITES = ["out", "out_dir", "config"]
 
 _COMMAND_KEYS = {
     "build": _NETWORK + _SHAPE + _WRITES,
-    "flops": _NETWORK + _SHAPE + _WRITES,
+    "flops": _NETWORK + _SHAPE + ["out", "config"],
     "train": ["preset", "spec"] + _NETWORK[1:] + _DATA + _TRAINING + ["out_dir", "config"],
     "allocate": ["scales", "b"] + _WRITES + ["importances", "budgets"],
     "pipeline": ["preset", "scales", "b", "downsample"] + _DATA + _TRAINING
@@ -257,17 +257,17 @@ def _resolve_plan(cfg, base, scales):
     plan_arg = cfg.get("plan")
     if allocation is None:
         allocation = "plan" if plan_arg else "baseline"
-    if allocation == "baseline":
-        return None
-    if allocation == "even":
-        return even_allocation(base, scales)
-    if allocation == "seed":
-        return seed_plan(base, scales)
     if allocation == "plan":
         if not plan_arg:
             raise UsageError("--plan required for allocation=plan")
         return _plan(plan_arg)
-    raise UsageError(f"unknown allocation '{allocation}'")
+    if allocation not in ("baseline", "even", "seed"):
+        raise UsageError(f"unknown allocation '{allocation}'")
+    if plan_arg:
+        raise UsageError(f"--plan is not read with --allocation {allocation}")
+    if allocation == "baseline":
+        return None
+    return (even_allocation if allocation == "even" else seed_plan)(base, scales)
 
 
 def _build_network(cfg):

@@ -7,8 +7,9 @@ specs diff cleanly and can be embedded verbatim in checkpoints.
 ``KNOWN_OPS`` is the one node schema: each op's required attributes, then its
 optional ones with their defaults (read through ``LayerSpec.get``), in print
 order. Every attribute and tag is an integer; every attribute is >= 1, except
-``pad`` (>= 0) and the ``bias``/``ceil`` flags (0 or 1). Every ``NetworkSpec``
-checks each node against these rules, however it was made.
+``pad`` (>= 0) and the ``bias``/``ceil`` flags (0 or 1). ``_ARITY`` is each
+op's input count. Every ``NetworkSpec`` checks each node against these rules,
+however it was made.
 
 The block and preset builders tag block nodes with ``block`` (and the
 per-scale convs and batchnorms also with ``scale``); this is the only module
@@ -54,6 +55,8 @@ KNOWN_OPS = {
     "dense": (("in", "out"), {}),
     "softmax_xent": ((), {}),
 }
+# op name -> (least, greatest) input count, None for no bound; any other op takes one
+_ARITY = {"input": (0, 0), "add": (2, 2), "concat": (1, None)}
 _TAGS = ("block", "scale", "base")  # allowed on any op, default None
 # (least, greatest) value of an attribute; any other attribute is >= 1
 _RANGES = {"pad": (0, None), "bias": (0, 1), "ceil": (0, 1)}
@@ -90,16 +93,17 @@ class NetworkSpec:
 
     def __post_init__(self):
         """Check every node against its op's schema and the wiring: a DAG in
-        topological order, one name per node, inputs only where not ``input``."""
+        topological order, one name per node, each op's input count (``_ARITY``)."""
         self._index = {}
         for i, n in enumerate(self.nodes):
             check_node(n)
             if n.name in self._index:
                 raise SpecError(f"duplicate node name '{n.name}' in '{self.name}'")
-            if n.op == "input" and n.inputs:
-                raise SpecError(f"input node '{n.name}' must not have inputs")
-            if n.op != "input" and not n.inputs:
-                raise SpecError(f"node '{n.name}' has no inputs")
+            lo, hi = _ARITY.get(n.op, (1, 1))
+            if len(n.inputs) < lo or (hi is not None and len(n.inputs) > hi):
+                want = lo if lo == hi else f"at least {lo}"
+                raise SpecError(f"node '{n.name}': op '{n.op}' takes {want} input(s), "
+                                f"got {len(n.inputs)}")
             for name in n.inputs:
                 if name not in self._index:
                     raise SpecError(f"node '{n.name}' uses '{name}' before definition")
@@ -309,8 +313,6 @@ def _node_shape(n: LayerSpec, ins):
         return (c, ho, wo)
     if n.op == "resize":
         c, h, w = _want3(n, ins[0])
-        if a["h"] < 1 or a["w"] < 1:
-            raise ShapeError(n.name, "target dims must be >= 1")
         return (c, a["h"], a["w"])
     if n.op == "batchnorm":
         c, h, w = _want3(n, ins[0])
@@ -320,8 +322,6 @@ def _node_shape(n: LayerSpec, ins):
     if n.op == "relu":
         return ins[0]
     if n.op == "concat":
-        if not ins:
-            raise ShapeError(n.name, "concat of nothing")
         c0, h0, w0 = _want3(n, ins[0])
         total = c0
         for s3 in ins[1:]:

@@ -22,6 +22,10 @@ A GEMM's bits depend on the BLAS kernel set and on where an output column
 falls in its register blocking, so tests pin these bytes with an oracle that
 makes the same BLAS calls on operands laid out the same way.
 
+Nearest resize works on per-axis run lengths: how many output rows (columns)
+read each source row (column). Forward repeats rows by their run lengths,
+then columns; backward sums each run with one reduceat per axis, rows first.
+
 Caches hold inputs, not copies: conv and batchnorm keep their input, and
 backward recomputes the patches and ``xhat`` with the forward's expressions;
 relu is ``maximum(x, 0)`` and keeps its output. Max pooling folds each tap
@@ -230,35 +234,37 @@ def avgpool2d_backward(dy, cache):
     return dxp[:, :, pad:pad + h, pad:pad + w]
 
 
+def _runs(size, out_size):
+    """How many of ``out_size`` nearest-resized positions read each of
+    ``size`` source positions: output i reads source floor(i * size / out_size)."""
+    return np.bincount((np.arange(out_size) * size) // out_size, minlength=size)
+
+
 def resize_nearest_forward(x, out_h, out_w):
     """Nearest-neighbor resize: output[i,j] = input[floor(i*H/out_h), floor(j*W/out_w)].
 
-    Exact identity when target dims equal input dims.
+    Exact identity when target dims equal input dims. The cache is the
+    per-source run lengths (rows, cols).
     """
     n, c, h, w = x.shape
     if out_h < 1 or out_w < 1:
         raise ValueError("resize target dims must be >= 1")
-    src_r = (np.arange(out_h) * h) // out_h
-    src_c = (np.arange(out_w) * w) // out_w
-    y = x[:, :, src_r[:, None], src_c[None, :]]
-    return np.ascontiguousarray(y), (x.shape, src_r, src_c)
+    rows, cols = _runs(h, out_h), _runs(w, out_w)
+    return np.repeat(np.repeat(x, rows, axis=2), cols, axis=3), (rows, cols)
 
 
 def resize_nearest_backward(dy, cache):
-    """Scatter-add each output cell's gradient back onto its source pixel."""
-    (n, c, h, w), src_r, src_c = cache
-    out_h, out_w = dy.shape[2], dy.shape[3]
-    if h <= out_h and w <= out_w:
-        # upsampling: every source row/col owns a contiguous output segment
-        row_starts = np.searchsorted(src_r, np.arange(h), side="left")
-        col_starts = np.searchsorted(src_c, np.arange(w), side="left")
-        tmp = np.add.reduceat(dy, row_starts, axis=2)
-        return np.add.reduceat(tmp, col_starts, axis=3)
-    dx = np.zeros((n, c, h, w), dtype=dy.dtype)
-    rr = np.broadcast_to(src_r[:, None], (out_h, out_w))
-    cc = np.broadcast_to(src_c[None, :], (out_h, out_w))
-    np.add.at(dx, (slice(None), slice(None), rr, cc), dy)
-    return dx
+    """Sum each source's run of output rows, then of output columns; a
+    source that no output reads gets 0."""
+    rows, cols = cache
+    read_r, read_c = rows > 0, cols > 0
+    dx = np.add.reduceat(dy, (np.cumsum(rows) - rows)[read_r], axis=2)
+    dx = np.add.reduceat(dx, (np.cumsum(cols) - cols)[read_c], axis=3)
+    if read_r.all() and read_c.all():
+        return dx
+    full = np.zeros(dy.shape[:2] + (rows.size, cols.size), dtype=dy.dtype)
+    full[:, :, read_r[:, None] & read_c] = dx.reshape(dx.shape[:2] + (-1,))
+    return full
 
 
 def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,

@@ -139,15 +139,15 @@ def reference_plan(name) -> AllocationPlan:
 # ---------------------------------------------------------------------------
 # baseline builders
 
-def _imagenet_stem(b, in_channels):
+def _imagenet_stem(b, in_channels, width):
     cur = b.add("stem.conv", "conv", ["x"],
-                **{"in": in_channels, "out": 64, "k": 7, "stride": 2, "pad": 3})
-    cur = b.add("stem.bn", "batchnorm", [cur], c=64)
+                **{"in": in_channels, "out": width, "k": 7, "stride": 2, "pad": 3})
+    cur = b.add("stem.bn", "batchnorm", [cur], c=width)
     cur = b.add("stem.relu", "relu", [cur])
     return b.add("stem.pool", "maxpool", [cur], k=3, stride=2, pad=1)
 
 
-def _cifar_stem(b, in_channels, width=16):
+def _cifar_stem(b, in_channels, width):
     cur = b.add("stem.conv", "conv", ["x"],
                 **{"in": in_channels, "out": width, "k": 3, "stride": 1, "pad": 1})
     cur = b.add("stem.bn", "batchnorm", [cur], c=width)
@@ -181,24 +181,30 @@ def _bottleneck(b, prefix, cur, in_ch, mid, out_ch, stride, k):
     return b.add(f"{prefix}.relu3", "relu", [y])
 
 
+def _bottleneck_net(name, stem, width, stage_blocks, num_classes, input_size, in_channels):
+    """Stem of ``width`` channels, then bottleneck stages: stage s has mid
+    width ``width * 2**(s-1)``, expands it 4x and strides 2 in its first
+    block after stage 1; blocks are numbered from 1 across stages."""
+    b = SpecBuilder(name)
+    b.add("x", "input", c=in_channels, h=input_size, w=input_size)
+    cur, c_in, k = stem(b, in_channels, width), width, 0
+    for si, nblocks in enumerate(stage_blocks, start=1):
+        mid = width * 2 ** (si - 1)
+        for j in range(1, nblocks + 1):
+            k += 1
+            stride = 2 if (si > 1 and j == 1) else 1
+            cur = _bottleneck(b, f"s{si}.b{j}", cur, c_in, mid, mid * 4, stride, k)
+            c_in = mid * 4
+    _head(b, cur, c_in, num_classes)
+    return b.build()
+
+
 def build_resnet(depth, num_classes=1000, input_size=224, in_channels=3) -> NetworkSpec:
     """Bottleneck network with stage block counts keyed by depth preset."""
     if depth not in RESNET_STAGE_BLOCKS:
         raise ValueError(f"unknown depth preset {depth}; choose from {sorted(RESNET_STAGE_BLOCKS)}")
-    b = SpecBuilder(f"resnet{depth}")
-    b.add("x", "input", c=in_channels, h=input_size, w=input_size)
-    cur = _imagenet_stem(b, in_channels)
-    c_in, k = 64, 0
-    for si, nblocks in enumerate(RESNET_STAGE_BLOCKS[depth], start=1):
-        mid = 64 * 2 ** (si - 1)
-        out = mid * 4
-        for j in range(1, nblocks + 1):
-            k += 1
-            stride = 2 if (si > 1 and j == 1) else 1
-            cur = _bottleneck(b, f"s{si}.b{j}", cur, c_in, mid, out, stride, k)
-            c_in = out
-    _head(b, cur, c_in, num_classes)
-    return b.build()
+    return _bottleneck_net(f"resnet{depth}", _imagenet_stem, 64, RESNET_STAGE_BLOCKS[depth],
+                           num_classes, input_size, in_channels)
 
 
 def build_cifar_resnet(n, num_classes=100, in_channels=3) -> NetworkSpec:
@@ -209,20 +215,8 @@ def build_cifar_resnet(n, num_classes=100, in_channels=3) -> NetworkSpec:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    b = SpecBuilder(f"cifar-n{n}")
-    b.add("x", "input", c=in_channels, h=32, w=32)
-    cur = _cifar_stem(b, in_channels)
-    c_in, k = 16, 0
-    for si in range(1, 4):
-        mid = 16 * 2 ** (si - 1)
-        out = mid * 4
-        for j in range(1, n + 1):
-            k += 1
-            stride = 2 if (si > 1 and j == 1) else 1
-            cur = _bottleneck(b, f"s{si}.b{j}", cur, c_in, mid, out, stride, k)
-            c_in = out
-    _head(b, cur, c_in, num_classes)
-    return b.build()
+    return _bottleneck_net(f"cifar-n{n}", _cifar_stem, 16, (n, n, n),
+                           num_classes, 32, in_channels)
 
 
 def weighted_layer_count(spec: NetworkSpec) -> int:

@@ -123,9 +123,10 @@ def _fmt(x: Fraction):
 def rf_empirical_oracle(spec: NetworkSpec, node_name):
     """Influence extent (rows, cols) at the centermost unit of a node.
 
-    All conv/dense weights are replaced by a positive constant, biases by
-    zero and batchnorm runs in inference mode with fresh running stats, so
-    the network is monotone and any influencing pixel registers. Influence
+    All conv/dense weights are replaced by a positive constant; biases keep
+    their initial zero, and batchnorm runs in inference mode with fresh
+    running stats and its initial unit scale and zero shift, so the network
+    is monotone and any influencing pixel registers. Influence
     is probed in float32 by forward-differencing one bumped pixel per batch
     element, 128 pixels per pass; a pixel counts as influencing when its
     response exceeds 3e-6 of the strongest response. Corner pixels of the
@@ -133,14 +134,10 @@ def rf_empirical_oracle(spec: NetworkSpec, node_name):
     roughly the product of kernel areas, so the threshold assumes that
     product stays below ~1e5 (float32 headroom).
     """
-    graph = Graph(spec, seed=0, init=True)
+    graph = Graph(spec)
     for pname, p in graph.params.items():
         if pname.endswith(".weight"):
             p[...] = 0.1
-        elif pname.endswith(".bias") or pname.endswith(".beta"):
-            p[...] = 0.0
-        elif pname.endswith(".gamma"):
-            p[...] = 1.0
     c, h, w = spec.input_shape
     base = np.ones((1, c, h, w), dtype=np.float32)
     acts = graph.forward(base, mode="infer", keep=[node_name])

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data as data_mod
 from .autograd import Graph
-from .checkpoint import atomic_open, save_checkpoint, load_checkpoint
+from .checkpoint import atomic_open, save_checkpoint
 from .netspec import NetworkSpec
 from .optim import SgdState, sgd_step
 from .presets import build_scalenet, even_allocation
@@ -194,12 +194,6 @@ def evaluate_tensors(spec: NetworkSpec, tensors: dict, ds, batch=256) -> EvalRes
             data_mod.normalization_stats(ds)
         mean, std = ds.mean, ds.std
     return evaluate_graph(graph, ds, mean, std, batch)
-
-
-def evaluate_checkpoint(path, ds, batch=256):
-    spec_text, tensors = load_checkpoint(path)
-    spec = NetworkSpec.from_text(spec_text)
-    return evaluate_tensors(spec, tensors, ds, batch)
 
 
 def load_tensors_into(graph: Graph, tensors: dict):

@@ -240,6 +240,17 @@ def test_csv_round_trips():
         parse_budgets_csv("k,budget\n1,1e3\n")
     with pytest.raises(SpecError, match="line 3: duplicate block 1"):
         parse_budgets_csv("k,budget\n1,10\n1,20\n")
+    with pytest.raises(SpecError, match="line 3: budget of block 2 must be at least 1, got 0"):
+        parse_budgets_csv("k,budget\n1,10\n2,0\n")
+    with pytest.raises(SpecError, match="line 2: budget of block 1 must be at least 1, got -5"):
+        parse_budgets_csv("k,budget\n1,-5\n")
+
+
+def test_blocks_without_a_budget_are_named():
+    records = [rec(0.5, 10, 1, 0), rec(0.4, 10, 1, 0, block=2), rec(0.3, 10, 1, 0, block=5)]
+    with pytest.raises(SpecError, match=r"no budget for blocks \[2, 5\]"):
+        project_network(records, {1: 100})
+    assert set(project_network(records, {1: 100, 2: 100, 5: 100, 9: 1})) == {1, 2, 5}
 
 
 def test_slack_budget_keeps_all_seed_channels():

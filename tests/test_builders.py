@@ -1,4 +1,8 @@
+import hashlib
+
 import pytest
+
+from sakit.blocks import DOWNSAMPLE_MODES
 
 from sakit.flops import network_flops
 from sakit.netspec import NetworkSpec, SpecError, propagate_shapes
@@ -170,3 +174,45 @@ def test_spec_round_trip_through_text_resnet_scalenet():
     back = NetworkSpec.from_text(spec.to_text())
     assert back.to_text() == spec.to_text()
     assert back.sa_blocks().keys() == spec.sa_blocks().keys()
+
+
+# sha256 of to_text(); a change to these bytes changes every checkpoint's spec
+_PINNED_SPECS = {
+    "resnet50": "887b4de2279d07447bf0243233a2834beffa92434291dcfd8d558e38fe9333ad",
+    "resnet101": "09de3e8c98c57ccbe71b76d652f0b871dd833337c52b5eeccf8cc6a0a47908c6",
+    "resnet152": "34747b5f62ab9bbe3eb395e7c7776adc6bf35e729af2fd0a90759e6aab77c89a",
+    "cifar-n1-c1": "c1d0f6a38956b0d18ff421c9b52f8474c445f21d4540ff6eedf4fff41bdfcad4",
+    "cifar-n1-c3": "68778593851e45fb6812d43b3d83f4d40872dfc280723f78934a2e217585586c",
+    "cifar-n4-c1": "f8f53bce52938f2a7ca77baa8514c8c0bce4fee60aee336d9a84088b355ffd5b",
+    "cifar-n4-c3": "1b98659cd33625381c45f28745bd620081c665f55e77e68a2dedea981f0f2cad",
+    "cifar-n6-c1": "042592bc63c484ccd1a2ed5a7e8737dba8f96d4864af87f3cc8f459da02528ea",
+    "cifar-n6-c3": "5d6583c53f67a010a2a50fc2b85af25193b5f0ddf1e86c548af885650cbfb057",
+    "cifar-n11-c1": "aa4b32c08788820dad7e7d09b39ff5edf11724687d6a0d44173d158b7f3a18a9",
+    "cifar-n11-c3": "27a5c389411382321806f285cf0c5e93bd00e7b5289ffd16c53a2d69a1e8b443",
+    "scalenet50": "3fcf0e5ef7c6c9bd85ef02050d48febcc46a0b2257c4034095bc5664c104a0a9",
+    "scalenet101": "939a51e1cb9a4aeac53f02485ebfd4c68ef4de29b0f75d9f6e667f8283837b56",
+    "scalenet152": "7aedea36c1e8ef6996b9a69c9d6cfd6623f5540768db0d1a6d1dad20142a1548",
+    "scalenet50-light": "5beed906f6881a9b6349bac33d8b720f80cec6677b87b36cdf90f4f14422cc51",
+    "desk-seed": "bcda68bfa31644f5def3eab90820be2590ae85c387e7fd691a94d37c4474ea43",
+    "desk-even": "a25596caedf79213f5f10d4f63bd847c2324b84076f34c48b1dc0883b9f895bd",
+    "desk-seed-avg": "50e6cb24d558c162c696dfa4dcd0a129f4dfdc3133f0304b73347aa4359d45d2",
+    "desk-seed-conv": "ac22cb874484f067db841b3bd126efe8b6360c20625e3173b6b914594b7da1fc",
+    "desk-seed-dilated": "dcd77043e90b9174e12708c0fb3c582944b6a06607b10aa5f7474f9f391743bc",
+}
+
+
+def test_builder_output_is_pinned():
+    desk = build_cifar_resnet(1, num_classes=10, in_channels=1)
+    specs = {f"resnet{d}": build_resnet(d) for d in (50, 101, 152)}
+    specs.update({f"cifar-n{n}-c{c}": build_cifar_resnet(n, in_channels=c)
+                  for n in (1, 4, 6, 11) for c in (1, 3)})
+    for depth, name in ((50, "scalenet50"), (101, "scalenet101"), (152, "scalenet152"),
+                        (50, "scalenet50-light")):
+        specs[name] = build_scalenet(build_resnet(depth), reference_plan(name))
+    specs["desk-seed"] = build_seed(desk, [1, 2, 4])  # downsample "max"
+    specs["desk-even"] = build_scalenet(desk, even_allocation(desk, [1, 2, 4]))
+    for mode in DOWNSAMPLE_MODES[1:]:
+        specs[f"desk-seed-{mode}"] = build_seed(desk, [1, 2, 4], downsample=mode)
+    got = {name: hashlib.sha256(spec.to_text().encode()).hexdigest()
+           for name, spec in specs.items()}
+    assert got == _PINNED_SPECS

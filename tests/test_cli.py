@@ -38,8 +38,10 @@ def test_usage_errors_exit_1(capsys):
     (["train", "--preset", "cifar-n1", "--batch", "0"], "--batch"),
 ])
 def test_counts_below_their_least_value_are_usage_errors(capsys, tmp_path, argv, flag):
-    if argv[0] in ("flops", "train", "pipeline"):
+    if argv[0] in ("train", "pipeline"):
         argv += ["--out-dir", str(tmp_path / "run")]
+    elif argv[0] == "flops":
+        argv += ["--out", str(tmp_path / "run" / "blocks.csv")]
     code, out, err = run(capsys, *argv)
     assert code == 1 and f"{flag} must be at least" in err, (out, err)
     assert not (tmp_path / "run").exists()
@@ -58,12 +60,28 @@ _ALLOCATE = ["allocate", "--importances", "{tmp}/imp.csv", "--budgets", "{tmp}/b
     (["build", "--preset", "cifar-n1", "--scales", "2,1", "--allocation", "even"], "--scales"),
     ([*_ALLOCATE, "--scales", "2,1"], "--scales"),
     ([*_ALLOCATE, "--scales", "1,4"], "scales [2]"),  # the kept scale-2 channel
+    (["allocate", "--importances", "{tmp}/imp2.csv", "--budgets", "{tmp}/bud.csv",
+      "--scales", "1,2"], "no budget for blocks [2]"),
+    (["allocate", "--importances", "{tmp}/imp2.csv", "--budgets", "{tmp}/bud0.csv",
+      "--scales", "1,2"], "line 3: budget of block 2 must be at least 1"),
+    (["build", "--preset", "cifar-n1", "--allocation", "even", "--plan", "nosuchplan"],
+     "--plan is not read with --allocation even"),
+    (["rf", "--preset", "cifar-n1", "--allocation", "baseline", "--plan", "cifar-n4"],
+     "--plan is not read with --allocation baseline"),
+    (["train", *_SMALL, "--allocation", "seed", "--plan", "cifar-n4"],
+     "--plan is not read with --allocation seed"),
+    (["flops", "--preset", "cifar-n1"], "unrecognized arguments: --out-dir"),
 ], ids=["milestones", "augment", "lr", "downsample", "pipeline-scales", "build-scales",
-        "allocate-scales", "allocate-lost-scale"])
+        "allocate-scales", "allocate-lost-scale", "allocate-budget-hole",
+        "allocate-zero-budget", "build-plan-with-even", "rf-plan-with-baseline",
+        "train-plan-with-seed", "flops-out-dir"])
 def test_bad_options_fail_before_anything_is_written(capsys, tmp_path, argv, says):
     (tmp_path / "imp.csv").write_text("k,scale,channel,gamma,abs_gamma,unit_cost\n"
                                       "1,1,0,0.9,0.9,4\n1,2,0,0.7,0.7,1\n")
+    (tmp_path / "imp2.csv").write_text("k,scale,channel,gamma,abs_gamma,unit_cost\n"
+                                       "1,1,0,0.9,0.9,4\n2,2,0,0.7,0.7,1\n")
     (tmp_path / "bud.csv").write_text("k,budget\n1,99\n")
+    (tmp_path / "bud0.csv").write_text("k,budget\n1,99\n2,0\n")
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path / "run"))
     assert code != 0 and says in err, err

@@ -137,6 +137,29 @@ def test_builder_specs_are_checked_like_text():
         b.build()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("a = add() <- x", "op 'add' takes 2 input\\(s\\), got 1"),
+    ("a = add() <- x,x,x", "op 'add' takes 2 input\\(s\\), got 3"),
+    ("a = relu() <- x,x", "op 'relu' takes 1 input\\(s\\), got 2"),
+    ("a = concat()", "op 'concat' takes at least 1 input\\(s\\), got 0"),
+    ("a = input(c=1,h=8,w=8) <- x", "op 'input' takes 0 input\\(s\\), got 1")])
+def test_op_arity_checked_in_text(line, message):
+    with pytest.raises(SpecError, match=f"node 'a': {message}"):
+        NetworkSpec.from_text(f"network t\nx = input(c=1,h=8,w=8)\n{line}\n")
+
+
+def test_op_arity_checked_in_builder_specs():
+    for op, inputs in (("add", ["x"]), ("relu", ["x", "x"]), ("add", ["x"] * 3)):
+        b = _tiny_builder()
+        b.add("a", op, inputs)
+        with pytest.raises(SpecError, match=f"node 'a': op '{op}' takes"):
+            b.build()
+    b = _tiny_builder()
+    b.add("a", "add", ["x", "x"])
+    b.add("c", "concat", ["a"])
+    assert [n.inputs for n in b.build().nodes[1:]] == [["x", "x"], ["a"]]
+
+
 def test_get_falls_back_on_the_declared_default():
     b = _tiny_builder()
     b.add("c", "conv", ["x"], **{"in": 1, "out": 2, "k": 3, "pad": 1, "block": 4})

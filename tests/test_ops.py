@@ -257,6 +257,76 @@ def test_resize_backward_is_exact_adjoint():
         assert np.isclose((y * dy).sum(), (x * dx).sum())
 
 
+def _resize_forward_oracle(x, out_h, out_w):
+    """Nearest resize as a fancy-index gather of each output's source pixel."""
+    h, w = x.shape[2:]
+    src_r = (np.arange(out_h) * h) // out_h
+    src_c = (np.arange(out_w) * w) // out_w
+    return np.ascontiguousarray(x[:, :, src_r[:, None], src_c[None, :]])
+
+
+def _resize_backward_oracle(dy, h, w):
+    """Upsampling: reduceat from searchsorted run starts, rows then columns;
+    otherwise np.add.at of every output cell onto its source, row-major."""
+    out_h, out_w = dy.shape[2:]
+    src_r = (np.arange(out_h) * h) // out_h
+    src_c = (np.arange(out_w) * w) // out_w
+    if h <= out_h and w <= out_w:
+        tmp = np.add.reduceat(dy, np.searchsorted(src_r, np.arange(h)), axis=2)
+        return np.add.reduceat(tmp, np.searchsorted(src_c, np.arange(w)), axis=3)
+    dx = np.zeros(dy.shape[:2] + (h, w), dtype=dy.dtype)
+    rr = np.broadcast_to(src_r[:, None], (out_h, out_w))
+    cc = np.broadcast_to(src_c[None, :], (out_h, out_w))
+    np.add.at(dx, (slice(None), slice(None), rr, cc), dy)
+    return dx
+
+
+# (h, w) -> (out_h, out_w) of every resize in the builders' seed nets (resnet50
+# with scales 1,2,4,7 at 224; cifar-n1 with 1,2,4 in each downsample mode), then
+# an identity and a non-square upsampling
+_BUILDER_RESIZES = [
+    (1, 1, 7, 7), (2, 2, 7, 7), (2, 2, 8, 8), (2, 2, 14, 14), (4, 4, 7, 7), (4, 4, 8, 8),
+    (4, 4, 14, 14), (4, 4, 16, 16), (4, 4, 28, 28), (7, 7, 14, 14), (7, 7, 28, 28),
+    (8, 8, 16, 16), (8, 8, 32, 32), (8, 8, 56, 56), (14, 14, 28, 28), (14, 14, 56, 56),
+    (16, 16, 32, 32), (28, 28, 56, 56), (3, 3, 3, 3), (3, 5, 10, 11)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_resize_upsampling_bytes_match_gather_and_reduceat_oracle(dtype):
+    rng = stream(4, "resize-bytes")
+    for h, w, oh, ow in _BUILDER_RESIZES:
+        x = rng.normal(size=(2, 3, h, w)).astype(dtype)
+        y, cache = ops.resize_nearest_forward(x, oh, ow)
+        want = _resize_forward_oracle(x, oh, ow)
+        assert y.dtype == dtype and y.shape == want.shape
+        assert y.tobytes() == want.tobytes(), (h, w, oh, ow)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        dx = ops.resize_nearest_backward(dy, cache)
+        want = _resize_backward_oracle(dy, h, w)
+        assert dx.dtype == dtype and dx.shape == x.shape
+        assert dx.tobytes() == want.tobytes(), (h, w, oh, ow)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_resize_downsampling_and_mixed_match_scatter_oracle(dtype):
+    # np.add.at sums each source's cells in output row-major order, the kernel
+    # rows first, so sums of several cells may differ in the last bit
+    rng = stream(5, "resize-down")
+    for h, w, oh, ow in [(7, 7, 3, 3), (6, 6, 1, 1), (8, 8, 4, 4), (5, 9, 3, 12),
+                         (9, 4, 4, 9), (4, 6, 4, 3), (10, 3, 7, 3), (3, 3, 2, 5)]:
+        x = rng.normal(size=(2, 3, h, w)).astype(dtype)
+        y, cache = ops.resize_nearest_forward(x, oh, ow)
+        assert y.tobytes() == _resize_forward_oracle(x, oh, ow).tobytes(), (h, w, oh, ow)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        dx = ops.resize_nearest_backward(dy, cache)
+        assert dx.dtype == dtype and dx.shape == x.shape
+        assert np.allclose(dx, _resize_backward_oracle(dy, h, w)), (h, w, oh, ow)
+        assert np.isclose((y * dy).sum(dtype=np.float64), (x * dx).sum(dtype=np.float64))
+        unread_r = np.setdiff1d(np.arange(h), (np.arange(oh) * h) // oh)
+        unread_c = np.setdiff1d(np.arange(w), (np.arange(ow) * w) // ow)
+        assert not dx[:, :, unread_r].any() and not dx[:, :, :, unread_c].any()
+
+
 def test_pool_then_resize_restores_dims():
     for h in range(1, 65, 7):
         for w in range(1, 65, 9):

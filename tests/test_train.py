@@ -6,8 +6,8 @@ from sakit.blocks import SABlockSpec, SAResidualSpec, build_sa_residual
 from sakit.checkpoint import load_checkpoint, save_checkpoint
 from sakit.data import Dataset, synthetic_dataset
 from sakit.netspec import NetworkSpec, SpecBuilder
-from sakit.training import (TrainConfig, evaluate_checkpoint, evaluate_tensors,
-                            lr_at, train, write_metrics_csv)
+from sakit.training import (TrainConfig, evaluate_tensors, lr_at, train,
+                            write_metrics_csv)
 
 
 def micro_sa_net(classes=10, size=16, width=8):
@@ -101,11 +101,12 @@ def test_checkpoint_save_load_evaluate_bitwise(tmp_path):
     direct = evaluate_tensors(spec, result.tensors(), val_ds)
     path = tmp_path / "ck.sanc"
     save_checkpoint(path, spec.to_text(), result.tensors())
-    reloaded = evaluate_checkpoint(path, val_ds)
+    spec_text, tensors = load_checkpoint(path)
+    loaded = NetworkSpec.from_text(spec_text)
+    assert loaded.to_text() == spec.to_text()
+    reloaded = evaluate_tensors(loaded, tensors, val_ds)
     assert direct.top1_err == reloaded.top1_err
     assert direct.loss == reloaded.loss
-    spec_text, _ = load_checkpoint(path)
-    assert NetworkSpec.from_text(spec_text).to_text() == spec.to_text()
 
 
 def test_random_network_sits_at_chance_on_many_classes():
