@@ -231,8 +231,9 @@ def importance_csv(records) -> str:
 
 def parse_importance_csv(text):
     """Records from ``importance_csv`` text. A repeated (k, scale, channel),
-    an abs_gamma that is not |gamma| or a unit_cost that differs from an
-    earlier row of the same (k, scale) raises SpecError naming its line."""
+    an abs_gamma that is not |gamma|, a unit_cost below 1 or one that differs
+    from an earlier row of the same (k, scale) raises SpecError naming its
+    line."""
     records, seen, costs = [], set(), {}
     for lineno, (k, scale, channel, gamma, abs_gamma, cost) in _csv_rows(
             text, _IMPORTANCE_HEADER, (int, int, int, float, float, int)):
@@ -242,6 +243,9 @@ def parse_importance_csv(text):
         if abs_gamma != abs(gamma):
             raise SpecError(f"abs_gamma {abs_gamma!r} is not |gamma| {abs(gamma)!r}",
                             lineno)
+        if cost < 1:
+            raise SpecError(f"unit_cost of block {k} at scale {scale} must be at "
+                            f"least 1, got {cost}", lineno)
         if costs.setdefault((k, scale), cost) != cost:
             raise SpecError(f"unit_cost {cost} differs from {costs[k, scale]} of an "
                             f"earlier row of block {k} at scale {scale}", lineno)

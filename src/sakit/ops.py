@@ -1,26 +1,22 @@
 """Layer kernels in NCHW layout, each a forward/backward pair over ndarrays.
 
-Convolution is cross-correlation via one GEMM over a patch matrix whose
-columns run in (Cin, k, k) order, which is the GEMM's K order and so fixes
-the forward's rounding. The patches come from an NHWC copy of the padded
-input by k*k strided slice copies, or, where a slice copy's contiguous run
-(Cin elements, or Wo*Cin at stride 1) is shorter than k, as in a 3-channel
-strided stem, by one copy of an as_strided window view, whose run is k.
-The NCHW -> NHWC input copy, the tap copies and the output's NHWC -> NCHW
-copy each go one block of (image, row) indices at a time, about 1 MiB of
-destination with every tap of a block written before the next block, so a
-block's source is still in cache when it is read again. Copies move bytes
-unchanged, so no output depends on the block size or the gather chosen.
-1x1 stride-1 convs mix channels without patches.
+Convolution is cross-correlation by one GEMM per image, y[i] = W @ P_i, with
+W (Cout, Cin*k*k) and P_i (Cin*k*k, Ho*Wo) in (Cin, k, k) row order, written
+straight into the NCHW output. A 1x1 stride-1 pad-0 conv's P_i is x[i]
+itself. Any other conv copies, per image and tap, the rectangle of outputs
+whose input cell is in bounds from x[i] into one zero-filled buffer, so
+padding cells are never written and no padded input is built.
 
 Backward has one formulation for every shape but the 1x1 stride-1 channel
 mix. dw = dyf.T @ P with P gathered tap-major, (k, k, Cin) columns, in one
-copy of a window view; its columns move back to (Cin, k, k) after the GEMM.
-dx is one (M, Cin) GEMM per tap, dyf @ W[:, :, a, b], added in row-major tap
-order into the zeroed NHWC gather buffer, which is transposed to NCHW once.
-A GEMM's bits depend on the BLAS kernel set and on where an output column
-falls in its register blocking, so tests pin these bytes with an oracle that
-makes the same BLAS calls on operands laid out the same way.
+copy of a window view of a zero-padded NHWC copy of x, which is made about
+1 MiB of (image, row) indices at a time so each block stays in cache; its
+columns move back to (Cin, k, k) after the GEMM. dx is one (M, Cin) GEMM per
+tap, dyf @ W[:, :, a, b], added in row-major tap order into the zeroed NHWC
+buffer, which is transposed to NCHW once. A GEMM's bits depend on the BLAS
+kernel set, its shape (one GEMM over the batch rounds unlike one per image)
+and where an output column falls in its register blocking, so tests pin the
+bytes with an oracle making the same BLAS calls on operands laid out alike.
 
 Nearest resize works on per-axis run lengths: how many output rows (columns)
 read each source row (column). Forward repeats rows by their run lengths,
@@ -28,10 +24,11 @@ then columns; backward sums each run with one reduceat per axis, rows first.
 
 Caches hold inputs, not copies: conv and batchnorm keep their input, and
 backward recomputes the patches and ``xhat`` with the forward's expressions;
-relu is ``maximum(x, 0)`` and keeps its output. Max pooling folds each tap
-into its output with an in-place maximum in both modes; its cache is its
-input, its output and its geometry, and backward routes each window's
-gradient to the first tap in row-major order that equals the window's max.
+relu is ``maximum(x, 0)`` and keeps its output. Max pooling takes the max
+along each window row, then across the rows, which picks the same element
+as a row-major scan of the taps; its cache is its input, its output and its
+geometry, and backward routes each window's gradient to the first tap in
+row-major order that equals the window's max.
 """
 
 import numpy as np
@@ -42,26 +39,23 @@ from .netspec import conv_out_dim, pool_out_dim
 _BLOCK_BYTES = 1 << 20
 
 
-def _copy_blocks(pairs):
-    """dst[...] = src for each (dst, src) view pair, one block of leading
-    (image, row) indices at a time: about _BLOCK_BYTES of destination, all
-    pairs of a block written before the next, so each block's reads and
-    writes stay in cache."""
-    n, rows = pairs[0][0].shape[:2]
-    row_bytes = sum(dst[:1, :1].nbytes for dst, _ in pairs)
-    per = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+def _copy_blocks(dst, src):
+    """dst[...] = src one block of leading (image, row) indices at a time,
+    about _BLOCK_BYTES of destination, so each block's reads and writes
+    stay in cache."""
+    n, rows = dst.shape[:2]
+    per = max(1, _BLOCK_BYTES // max(dst[:1, :1].nbytes, 1))
     images, step = max(1, per // rows), min(per, rows)
     for i in range(0, n, images):
         for r in range(0, rows, step):
-            for dst, src in pairs:
-                dst[i:i + images, r:r + step] = src[i:i + images, r:r + step]
+            dst[i:i + images, r:r + step] = src[i:i + images, r:r + step]
 
 
 def _nhwc_padded(x, pad):
     """Zero-padded NHWC copy of x (N, Cin, H, W)."""
     n, cin, h, w = x.shape
     xh = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
-    _copy_blocks([(xh[:, pad:pad + h, pad:pad + w], x.transpose(0, 2, 3, 1))])
+    _copy_blocks(xh[:, pad:pad + h, pad:pad + w], x.transpose(0, 2, 3, 1))
     return xh
 
 
@@ -73,30 +67,23 @@ def _windows(xh, k, stride, dilation, ho, wo):
         (s0, s1 * stride, s2 * stride, s1 * dilation, s2 * dilation, s3), writeable=False)
 
 
-def _patches(xh, k, stride, dilation, ho, wo):
-    """(N*Ho*Wo, Cin*k*k) patch matrix of a padded NHWC input in
-    (N, Ho, Wo, Cin, k, k) order: k*k strided slice copies per block, or one
-    copy of the window view when a slice copy's contiguous run (Cin, or
-    Wo*Cin at stride 1) is shorter than k."""
-    n, cin = xh.shape[0], xh.shape[3]
-    patches = np.empty((n, ho, wo, cin, k, k), dtype=xh.dtype)
-    if (wo * cin if stride == 1 else cin) < k:
-        pairs = [(patches, _windows(xh, k, stride, dilation, ho, wo).transpose(0, 1, 2, 5, 3, 4))]
-    else:
-        he, we = (ho - 1) * stride + 1, (wo - 1) * stride + 1
-        pairs = [(patches[..., a, b], xh[:, a * dilation:a * dilation + he:stride,
-                                          b * dilation:b * dilation + we:stride])
-                 for a, b in np.ndindex(k, k)]
-    _copy_blocks(pairs)
-    return patches.reshape(n * ho * wo, cin * k * k)
+def _in_bounds(size, out, offset, stride):
+    """(output slice, input slice) of the outputs o < out whose input index
+    o * stride + offset lies in [0, size), or None when there are none."""
+    lo = max(0, -(offset // stride))
+    hi = min(out, (size - 1 - offset) // stride + 1)
+    if lo >= hi:
+        return None
+    start = lo * stride + offset
+    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
 def conv2d_forward(x, w, stride=1, dilation=1, pad=0):
     """Cross-correlate x (N,Cin,H,W) with w (Cout,Cin,k,k).
 
     Output dims follow ``netspec.conv_out_dim``. Returns (y, cache); the
-    cache holds x itself, not its patches. 1x1 stride-1 convs take a
-    patch-free channel-mix path.
+    cache holds x itself, not its patches. Each image is one GEMM,
+    W (Cout, Cin*k*k) @ P_i (Cin*k*k, Ho*Wo), written into y[i].
     """
     n, cin, h, wd = x.shape
     cout, cin_w, k, _ = w.shape
@@ -107,12 +94,21 @@ def conv2d_forward(x, w, stride=1, dilation=1, pad=0):
     if ho < 1 or wo < 1:
         raise ValueError(f"non-positive conv output dims {ho}x{wo}")
     cache = (x, stride, dilation, pad)
+    wf = w.reshape(cout, -1)
+    y = np.empty((n, cout, ho, wo), dtype=np.result_type(x, w))
     if k == 1 and stride == 1 and pad == 0:
-        y = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1])).transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(y), cache
-    yf = _patches(_nhwc_padded(x, pad), k, stride, dilation, ho, wo) @ w.reshape(cout, -1).T
-    y = np.empty((n, cout, ho, wo), dtype=yf.dtype)
-    _copy_blocks([(y.transpose(0, 2, 3, 1), yf.reshape(n, ho, wo, cout))])
+        for i in range(n):
+            np.matmul(wf, x[i].reshape(cin, -1), out=y[i].reshape(cout, -1))
+        return y, cache
+    # cells a tap reads from padding stay zero: no image writes them
+    p = np.zeros((cin, k, k, ho, wo), dtype=x.dtype)
+    taps = [(a, b, rows, cols) for a, b in np.ndindex(k, k)
+            if (rows := _in_bounds(h, ho, a * dilation - pad, stride))
+            and (cols := _in_bounds(wd, wo, b * dilation - pad, stride))]
+    for i in range(n):
+        for a, b, (yr, xr), (yc, xc) in taps:
+            p[:, a, b, yr, yc] = x[i, :, xr, xc]
+        np.matmul(wf, p.reshape(cin * k * k, -1), out=y[i].reshape(cout, -1))
     return y, cache
 
 
@@ -175,10 +171,13 @@ def maxpool2d_forward(x, k, stride, pad=0, ceil_mode=False):
     (ho, wo), (need_h, need_w) = _pool_geometry(x.shape, k, stride, pad, ceil_mode)
     xp = _padded(x, pad, need_h, need_w, -np.inf)
     hs, ws = ho * stride, wo * stride
-    y = xp[:, :, 0:hs:stride, 0:ws:stride].copy()
-    for t in range(1, k * k):
-        a, b = divmod(t, k)
-        np.maximum(y, xp[:, :, a:a + hs:stride, b:b + ws:stride], out=y)
+    # row maxima first, so ties (-0.0 against +0.0) resolve as a row-major tap scan
+    r = xp[:, :, :need_h, 0:ws:stride].copy()
+    for b in range(1, k):
+        np.maximum(r, xp[:, :, :need_h, b:b + ws:stride], out=r)
+    y = r[:, :, 0:hs:stride].copy()
+    for a in range(1, k):
+        np.maximum(y, r[:, :, a:a + hs:stride], out=y)
     return y, (x, y, (k, stride, pad, ceil_mode))
 
 

@@ -236,6 +236,12 @@ def test_csv_round_trips():
         parse_importance_csv(f"{header}\n1,1,0,-0.7,0.1,9\n")
     with pytest.raises(SpecError, match="line 4: unit_cost 8 differs from 9"):
         parse_importance_csv(f"{header}\n1,1,0,0.5,0.5,9\n1,2,0,0.5,0.5,8\n1,1,1,0.5,0.5,8\n")
+    with pytest.raises(SpecError, match="line 2: unit_cost of block 1 at scale 1 must be "
+                                        "at least 1, got 0"):
+        parse_importance_csv(f"{header}\n1,1,0,0.9,0.9,0\n")
+    with pytest.raises(SpecError, match="line 3: unit_cost of block 1 at scale 2 must be "
+                                        "at least 1, got -3"):
+        parse_importance_csv(f"{header}\n1,1,0,0.9,0.9,5\n1,2,0,0.7,0.7,-3\n")
     with pytest.raises(SpecError, match="line 2: budget '1e3' is not a number"):
         parse_budgets_csv("k,budget\n1,1e3\n")
     with pytest.raises(SpecError, match="line 3: duplicate block 1"):

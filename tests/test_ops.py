@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ from sakit.netspec import conv_out_dim
 from sakit.rng import stream
 
 
-# Reference kernels: the fancy-index im2col conv, two-pass batchnorm, where-relu
-# and the argmax-and-where maxpool backward that the current kernels replaced,
-# and a fancy-index conv backward with the kernel's GEMMs. The current kernels
-# must give the same bytes.
+# Reference kernels: two-pass batchnorm, where-relu, the tap-loop maxpool
+# forward and the argmax-and-where maxpool backward that the current kernels
+# replaced, and a fancy-index conv forward and backward with the kernel's
+# GEMMs. The current kernels must give the same bytes.
 
 def _windows_by_index(x, k, stride, dilation, pad):
     # (N, Ho, Wo, Cin, k, k) windows of the zero-padded input, by fancy indexing
@@ -25,11 +26,15 @@ def _windows_by_index(x, k, stride, dilation, pad):
 
 
 def _conv_oracle(x, w, stride, dilation, pad):
+    # one W @ P_i per image with (Cin, k, k) patch rows, the kernel's BLAS
+    # call on identically laid-out operands, so the bytes match on any BLAS
+    # kernel set; one GEMM over the whole batch rounds differently
     cout, cin, k, _ = w.shape
     win = _windows_by_index(x, k, stride, dilation, pad)
     n, ho, wo = win.shape[:3]
-    y = win.reshape(n * ho * wo, cin * k * k) @ w.reshape(cout, -1).T
-    return y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    patches = win.transpose(0, 3, 4, 5, 1, 2).reshape(n, cin * k * k, ho * wo)
+    y = np.stack([w.reshape(cout, -1) @ np.ascontiguousarray(p) for p in patches])
+    return y.reshape(n, cout, ho, wo)
 
 
 def _conv_backward_oracle(dy, x, w, stride, dilation, pad):
@@ -53,12 +58,11 @@ def _conv_backward_oracle(dy, x, w, stride, dilation, pad):
     return dxp[:, :, pad:pad + h, pad:pad + wd], dw
 
 
-def _conv1x1_oracle(dy, w, x):
+def _conv1x1_backward_oracle(dy, w, x):
     # the patch-free channel mix of 1x1 stride-1 pad-0 convs, as tensordots
-    y = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1])).transpose(1, 0, 2, 3)
     dx = np.tensordot(w[:, :, 0, 0].T, dy, axes=([1], [1])).transpose(1, 0, 2, 3)
     dw = np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3])).reshape(w.shape)
-    return y, (dx, dw)
+    return dx, dw
 
 
 def _batchnorm_oracle(x, gamma, beta, eps, training, running_mean, running_var):
@@ -78,6 +82,21 @@ def _batchnorm_backward_oracle(dy, xhat, inv_std, gamma):
     mean_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3))[None, :, None, None] / m
     dx = scale * (dy - mean_dy - xhat * mean_dy_xhat)
     return dx, (dy * xhat).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
+
+
+def _maxpool_forward_oracle(x, k, stride, pad, ceil):
+    # an in-place maximum per tap, taps in row-major order, over the -inf
+    # padded input
+    (ho, wo), (need_h, need_w) = ops._pool_geometry(x.shape, k, stride, pad, ceil)
+    n, c, h, w = x.shape
+    xp = np.full((n, c, max(need_h, h + 2 * pad), max(need_w, w + 2 * pad)), -np.inf,
+                 dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    y = xp[:, :, 0:ho * stride:stride, 0:wo * stride:stride].copy()
+    for t in range(1, k * k):
+        a, b = divmod(t, k)
+        np.maximum(y, xp[:, :, a:a + ho * stride:stride, b:b + wo * stride:stride], out=y)
+    return y
 
 
 def _maxpool_backward_oracle(dy, x, k, stride, pad, ceil):
@@ -445,19 +464,23 @@ def test_conv_bytes_match_im2col_oracle(dtype):
     cases += [(4, 8, 8, 8, 6, 1, 1, 1, 0), (4, 16, 9, 9, 16, 3, 1, 1, 1),
               (4, 32, 8, 8, 8, 3, 2, 1, 1), (4, 17, 9, 9, 16, 3, 1, 1, 1),
               (8, 48, 16, 16, 1, 3, 1, 1, 1), (4, 1, 15, 15, 4, 3, 2, 1, 1)]
-    # the window-view gather: at stride 1 (Wo*Cin < k) and the 3-channel stem
+    # short rows: Wo*Cin < k at stride 1, and the 3-channel stem
     cases += [(3, 1, 9, 3, 3, 5, 1, 1, 2), (3, 3, 37, 29, 4, 7, 2, 1, 3)]
+    # taps of the first and last kernel rows that read only padding; and 4x4
+    # outputs at batch 5, 3x3 and 1x1, where one GEMM over the whole batch
+    # rounds differently from one per image
+    cases += [(2, 3, 1, 5, 4, 3, 1, 2, 2), (5, 64, 4, 4, 24, 3, 1, 1, 1),
+              (5, 576, 4, 4, 24, 1, 1, 1, 0)]
     for n, cin, h, w, cout, k, stride, dil, pad in cases:
         x = rng.normal(size=(n, cin, h, w)).astype(dtype)
         wt = rng.normal(size=(cout, cin, k, k)).astype(dtype)
         y, cache = ops.conv2d_forward(x, wt, stride, dil, pad)
         dy = rng.normal(size=y.shape).astype(dtype)
         if (k, stride, pad) == (1, 1, 0):
-            y_ref, ref = _conv1x1_oracle(dy, wt, x)
+            ref = _conv1x1_backward_oracle(dy, wt, x)
         else:
-            y_ref = _conv_oracle(x, wt, stride, dil, pad)
             ref = _conv_backward_oracle(dy, x, wt, stride, dil, pad)
-        assert _same_bytes(y, y_ref), (k, stride, dil, pad)
+        assert _same_bytes(y, _conv_oracle(x, wt, stride, dil, pad)), (k, stride, dil, pad)
         got = ops.conv2d_backward(dy, wt, cache)
         for g, r in zip(got, ref):
             assert _same_bytes(g, r), (k, stride, dil, pad)
@@ -466,8 +489,9 @@ def test_conv_bytes_match_im2col_oracle(dtype):
 @pytest.mark.parametrize("block", [640, 3072])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_bytes_match_oracle_in_small_blocks(dtype, block, monkeypatch):
-    # every case that copies meets a partial last row block or image group
-    # at one of these block sizes
+    # only the backward's zero-padded NHWC input copy goes by blocks; at each
+    # of these block sizes, in both dtypes, 14 or more of the 37 cases that
+    # copy end in a partial last row block or image group
     monkeypatch.setattr(ops, "_BLOCK_BYTES", block)
     test_conv_bytes_match_im2col_oracle(dtype)
 
@@ -507,6 +531,23 @@ def test_maxpool_backward_bytes_match_where_oracle(shape, k, stride, pad, ceil):
     dy = rng.normal(size=y.shape).astype(np.float32)
     assert _same_bytes(ops.maxpool2d_backward(dy, cache),
                        _maxpool_backward_oracle(dy, x, k, stride, pad, ceil))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_forward_bytes_match_tap_loop_oracle(dtype):
+    rng = stream(11, "pool-forward-oracle")
+    # every arrangement of -0.0, +0.0, -1 and NaN in a 2x2 window
+    ties = np.array(list(itertools.product([-0.0, 0.0, -1.0, np.nan], repeat=4)), dtype=dtype)
+    assert _same_bytes(ops.maxpool2d_forward(ties.reshape(1, -1, 2, 2), 2, 2)[0],
+                       _maxpool_forward_oracle(ties.reshape(1, -1, 2, 2), 2, 2, 0, False))
+    values = np.array([-0.0, 0.0, -1.0, 1.0, np.nan, -np.inf], dtype=dtype)
+    for x in [values[rng.integers(0, values.size, size=(2, 5, 17, 19))],
+              rng.normal(size=(2, 8, 28, 28)).astype(dtype)]:
+        for k, stride, pad, ceil in [(2, 2, 0, True), (3, 2, 1, False), (3, 1, 1, False),
+                                     (4, 4, 0, True), (3, 3, 0, False), (1, 2, 0, False),
+                                     (2, 1, 0, False), (5, 2, 2, True)]:
+            assert _same_bytes(ops.maxpool2d_forward(x, k, stride, pad, ceil)[0],
+                               _maxpool_forward_oracle(x, k, stride, pad, ceil)), (k, stride, pad)
 
 
 def test_maxpool_nan_window_routes_no_gradient():
