@@ -8,6 +8,7 @@ policy with independent bookkeeping and can also report the exact knapsack
 optimum for diagnostics.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -36,6 +37,10 @@ class NeuronRecord:
 @dataclass
 class ProjectionConfig:
     exponent: float = 0.0  # cost-balance power b in importance / cost**b
+
+    def __post_init__(self):
+        if not math.isfinite(self.exponent):
+            raise ValueError(f"cost exponent b must be finite, got {self.exponent}")
 
     def priority(self, rec: NeuronRecord) -> float:
         return rec.importance / rec.cost ** self.exponent

@@ -398,9 +398,9 @@ def cmd_pipeline(cfg, out):
     val_ds = _load_dataset(cfg, "val")
     base, default_scales = _preset_base(cfg)
     scales = cfg.get("scales") or default_scales
+    proj = ProjectionConfig(exponent=cfg["b"])
     write_snapshot("pipeline", cfg, cfg["out_dir"])
-    result = run_pipeline(base, scales, train_ds, val_ds, train_cfg,
-                          ProjectionConfig(exponent=cfg["b"]),
+    result = run_pipeline(base, scales, train_ds, val_ds, train_cfg, proj,
                           out_dir=cfg["out_dir"],
                           downsample=cfg.get("downsample") or "max")
     rf_rows = rf_network_report(result.final_spec)

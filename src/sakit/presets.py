@@ -7,6 +7,7 @@ is line oriented: a ``scales:`` header then one ``k: C1,...,CL`` row per
 block, ``#`` comments allowed.
 """
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -69,7 +70,10 @@ def parse_plan(text: str) -> AllocationPlan:
         key, _, value = line.partition(":")
         key, value = key.strip(), value.strip()
         if key.startswith("budget "):
-            key = f"budget {_int(key.split()[1], lineno)}"
+            parts = key.split()
+            if len(parts) != 2:
+                raise SpecError(f"expected 'budget <block>: <MACs>', got '{key}:'", lineno)
+            key = f"budget {_int(parts[1], lineno)}"
         elif key not in ("scales", "source", "b"):
             key = str(_int(key, lineno))
         if key in seen:
@@ -88,8 +92,13 @@ def parse_plan(text: str) -> AllocationPlan:
                 exponent = float(value)
             except ValueError:
                 raise SpecError(f"bad exponent '{value}'", lineno) from None
+            if not math.isfinite(exponent):
+                raise SpecError(f"exponent b must be finite, got '{value}'", lineno)
         elif key.startswith("budget "):
-            budgets[int(key.split()[1])] = _int(value, lineno)
+            k, budget = int(key.split()[1]), _int(value, lineno)
+            if budget < 1:
+                raise SpecError(f"budget of block {k} must be at least 1, got {budget}", lineno)
+            budgets[k] = budget
         else:
             rows[int(key)] = _int_list(value, lineno)
     if scales is None:

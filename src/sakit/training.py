@@ -41,8 +41,10 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         ms = list(self.milestones)
-        if ms != sorted(ms):
-            raise ValueError("milestones must be ascending")
+        if any(m < 1 for m in ms):
+            raise ValueError(f"milestones must be at least 1, got {ms}")
+        if any(a >= b for a, b in zip(ms, ms[1:])):
+            raise ValueError(f"milestones must be strictly ascending, got {ms}")
         if any(m >= self.epochs for m in ms):
             raise ValueError("milestones must be smaller than the epoch count")
         unknown = sorted(set(self.augment_flags) - set(data_mod.AUGMENT_FLAGS))

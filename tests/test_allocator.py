@@ -55,6 +55,11 @@ def test_greedy_validation():
         greedy_project([], 10)
     with pytest.raises(ValueError, match="budget"):
         greedy_project(FIVE, 0)
+    # a NaN exponent makes every priority NaN, and the scan falls back to
+    # record order
+    for b in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="exponent b must be finite"):
+            ProjectionConfig(b)
 
 
 def test_tie_break_is_scale_then_channel():

@@ -132,7 +132,12 @@ def test_plan_parse_errors_carry_line_numbers():
     ("scales: 2,1\n1: 3,4\n", 1, "ascending"),
     ("scales: 1,1\n1: 3,4\n", 1, "ascending"),
     ("scales: 0,2\n1: 3,4\n", 1, "positive"),
-    ("scales:\n1: 3,4\n", 1, "positive")])
+    ("scales:\n1: 3,4\n", 1, "positive"),
+    ("scales: 1,2\nbudget 1: -5\n1: 3,4\n", 2, "budget of block 1 must be at least 1, got -5"),
+    ("scales: 1,2\nbudget 1: 0\n1: 3,4\n", 2, "at least 1, got 0"),
+    ("scales: 1,2\nbudget 1 2: 5\n1: 3,4\n", 2, "expected 'budget <block>: <MACs>'"),
+    ("scales: 1,2\nb: nan\n1: 3,4\n", 2, "exponent b must be finite, got 'nan'"),
+    ("scales: 1,2\nb: -inf\n1: 3,4\n", 2, "exponent b must be finite")])
 def test_plan_rejects_repeated_keys_and_bad_scales(text, line, match):
     with pytest.raises(SpecError, match=f"line {line}: .*{match}"):
         parse_plan(text)

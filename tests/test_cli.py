@@ -53,6 +53,8 @@ _ALLOCATE = ["allocate", "--importances", "{tmp}/imp.csv", "--budgets", "{tmp}/b
 
 @pytest.mark.parametrize("argv, says", [
     (["train", *_SMALL, "--epochs", "2", "--milestones", "3"], "milestones"),
+    (["train", *_SMALL, "--epochs", "3", "--milestones", "0"], "milestones must be at least 1"),
+    (["train", *_SMALL, "--epochs", "3", "--milestones", "2,2"], "strictly ascending"),
     (["train", *_SMALL, "--augment", "flipp"], "flipp"),
     (["train", *_SMALL, "--lr", "-1"], "learning rate"),
     (["pipeline", *_SMALL, "--downsample", "bogus"], "--downsample"),
@@ -71,10 +73,12 @@ _ALLOCATE = ["allocate", "--importances", "{tmp}/imp.csv", "--budgets", "{tmp}/b
     (["train", *_SMALL, "--allocation", "seed", "--plan", "cifar-n4"],
      "--plan is not read with --allocation seed"),
     (["flops", "--preset", "cifar-n1"], "unrecognized arguments: --out-dir"),
-], ids=["milestones", "augment", "lr", "downsample", "pipeline-scales", "build-scales",
+    (["pipeline", *_SMALL, "--b", "nan"], "exponent b must be finite"),
+    ([*_ALLOCATE, "--scales", "1,2", "--b", "inf"], "exponent b must be finite"),
+], ids=["milestones", "milestones-zero", "milestones-repeated", "augment", "lr", "downsample", "pipeline-scales", "build-scales",
         "allocate-scales", "allocate-lost-scale", "allocate-budget-hole",
         "allocate-zero-budget", "build-plan-with-even", "rf-plan-with-baseline",
-        "train-plan-with-seed", "flops-out-dir"])
+        "train-plan-with-seed", "flops-out-dir", "pipeline-b-nan", "allocate-b-inf"])
 def test_bad_options_fail_before_anything_is_written(capsys, tmp_path, argv, says):
     (tmp_path / "imp.csv").write_text("k,scale,channel,gamma,abs_gamma,unit_cost\n"
                                       "1,1,0,0.9,0.9,4\n1,2,0,0.7,0.7,1\n")

@@ -53,6 +53,15 @@ def test_kernel_errors_are_shape_errors_in_both_modes(seed_net):
     for mode in ("train", "infer"):
         with pytest.raises(ShapeError, match="'loss'.*label out of range"):
             g.forward(x, labels=np.array([0, 1, 2, 99]), mode=mode)
+        # a batch of 4 images: labels that would broadcast, index past the
+        # batch, are not integers or are missing
+        for labels, got in [([1], r"int64 of shape \(1,\)"),
+                            ([[0], [1], [2], [3]], r"shape \(4, 1\)"),
+                            ([0, 1, 2], r"shape \(3,\)"),
+                            ([0.0, 1.0, 2.0, 3.0], "float64"),
+                            ([], r"shape \(0,\)")]:
+            with pytest.raises(ShapeError, match=r"'loss'.*shape \(4,\), got .*" + got):
+                g.forward(x, labels=labels, mode=mode)
 
 
 def test_backward_needs_a_fresh_training_forward(seed_net):

@@ -14,55 +14,51 @@ from sakit.rng import stream
 # replaced, and a fancy-index conv forward and backward with the kernel's
 # GEMMs. The current kernels must give the same bytes.
 
-def _windows_by_index(x, k, stride, dilation, pad):
-    # (N, Ho, Wo, Cin, k, k) windows of the zero-padded input, by fancy indexing
+def _patches_by_index(x, k, stride, dilation, pad):
+    # (N, Cin*k*k, Ho*Wo) patch matrices of the zero-padded input, rows in
+    # (Cin, k, k) order, by fancy indexing; each image's is contiguous
     n, cin, h, wd = x.shape
     ho = conv_out_dim(h, k, stride, dilation, pad)
     wo = conv_out_dim(wd, k, stride, dilation, pad)
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    rows = np.arange(ho)[:, None] * stride + np.arange(k)[None, :] * dilation
-    cols = np.arange(wo)[:, None] * stride + np.arange(k)[None, :] * dilation
-    return xp[:, :, rows[:, :, None, None], cols[None, None, :, :]].transpose(0, 2, 4, 1, 3, 5)
+    rows = np.arange(k)[:, None] * dilation + np.arange(ho)[None, :] * stride
+    cols = np.arange(k)[:, None] * dilation + np.arange(wo)[None, :] * stride
+    p = xp[:, :, rows[:, None, :, None], cols[None, :, None, :]]
+    # fancy indexing may lay the index axes out first
+    return np.ascontiguousarray(p.reshape(n, cin * k * k, ho * wo))
 
 
 def _conv_oracle(x, w, stride, dilation, pad):
-    # one W @ P_i per image with (Cin, k, k) patch rows, the kernel's BLAS
-    # call on identically laid-out operands, so the bytes match on any BLAS
-    # kernel set; one GEMM over the whole batch rounds differently
-    cout, cin, k, _ = w.shape
-    win = _windows_by_index(x, k, stride, dilation, pad)
-    n, ho, wo = win.shape[:3]
-    patches = win.transpose(0, 3, 4, 5, 1, 2).reshape(n, cin * k * k, ho * wo)
-    y = np.stack([w.reshape(cout, -1) @ np.ascontiguousarray(p) for p in patches])
-    return y.reshape(n, cout, ho, wo)
+    # one W @ P_i per image, the kernel's BLAS call on identically laid-out
+    # operands, so the bytes match on any BLAS kernel set; one GEMM over the
+    # whole batch rounds differently
+    n, _, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    ho = conv_out_dim(h, k, stride, dilation, pad)
+    wo = conv_out_dim(wd, k, stride, dilation, pad)
+    patches = _patches_by_index(x, k, stride, dilation, pad)
+    return np.stack([w.reshape(cout, -1) @ p for p in patches]).reshape(n, cout, ho, wo)
 
 
 def _conv_backward_oracle(dy, x, w, stride, dilation, pad):
-    # tap-major (k, k, Cin) patches, dw = dyf.T @ patches and one
-    # dyf @ w[:, :, a, b] per tap scattered into NCHW in row-major tap order:
-    # the kernel's BLAS calls on operands laid out as the kernel lays them
-    # out, so the bytes match on any BLAS kernel set
+    # dw.T = sum of P_i @ dy_i.T in image order; dP = W.T @ dy_i per image
+    # by one stacked matmul, each tap's rows added into a zero-padded NCHW
+    # buffer in row-major tap order, then cropped: the kernel's BLAS calls
+    # on identically laid-out operands, so the bytes match on any kernel set
     n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
     ho, wo = dy.shape[2:]
-    win = _windows_by_index(x, k, stride, dilation, pad)
-    patches = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * cin)
-    dyf = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-    dw = (dyf.T @ patches).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
+    dyf = dy.reshape(n, cout, -1)
+    dwt = np.zeros((cin * k * k, cout), dtype=dy.dtype)
+    for dyi, p in zip(dyf, _patches_by_index(x, k, stride, dilation, pad)):
+        dwt += p @ dyi.T
+    dp = np.matmul(w.reshape(cout, -1).T, dyf).reshape(n, cin, k, k, ho, wo)
     dxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=dy.dtype)
     for a in range(k):
         for b in range(k):
-            tap = (dyf @ np.ascontiguousarray(w[:, :, a, b])).reshape(n, ho, wo, cin)
             dxp[:, :, a * dilation:a * dilation + ho * stride:stride,
-                b * dilation:b * dilation + wo * stride:stride] += tap.transpose(0, 3, 1, 2)
-    return dxp[:, :, pad:pad + h, pad:pad + wd], dw
-
-
-def _conv1x1_backward_oracle(dy, w, x):
-    # the patch-free channel mix of 1x1 stride-1 pad-0 convs, as tensordots
-    dx = np.tensordot(w[:, :, 0, 0].T, dy, axes=([1], [1])).transpose(1, 0, 2, 3)
-    dw = np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3])).reshape(w.shape)
-    return dx, dw
+                b * dilation:b * dilation + wo * stride:stride] += dp[:, :, a, b]
+    return dxp[:, :, pad:pad + h, pad:pad + wd], dwt.T.reshape(w.shape)
 
 
 def _batchnorm_oracle(x, gamma, beta, eps, training, running_mean, running_var):
@@ -471,29 +467,20 @@ def test_conv_bytes_match_im2col_oracle(dtype):
     # rounds differently from one per image
     cases += [(2, 3, 1, 5, 4, 3, 1, 2, 2), (5, 64, 4, 4, 24, 3, 1, 1, 1),
               (5, 576, 4, 4, 24, 1, 1, 1, 0)]
+    # pad beyond the kernel's reach, pad > dilation * (k - 1): output rows and
+    # columns whose taps all read padding
+    cases += [(2, 3, 6, 6, 4, 1, 1, 1, 1), (2, 3, 6, 6, 4, 3, 1, 1, 3),
+              (2, 3, 6, 7, 4, 1, 2, 1, 2)]
     for n, cin, h, w, cout, k, stride, dil, pad in cases:
         x = rng.normal(size=(n, cin, h, w)).astype(dtype)
         wt = rng.normal(size=(cout, cin, k, k)).astype(dtype)
         y, cache = ops.conv2d_forward(x, wt, stride, dil, pad)
         dy = rng.normal(size=y.shape).astype(dtype)
-        if (k, stride, pad) == (1, 1, 0):
-            ref = _conv1x1_backward_oracle(dy, wt, x)
-        else:
-            ref = _conv_backward_oracle(dy, x, wt, stride, dil, pad)
+        ref = _conv_backward_oracle(dy, x, wt, stride, dil, pad)
         assert _same_bytes(y, _conv_oracle(x, wt, stride, dil, pad)), (k, stride, dil, pad)
         got = ops.conv2d_backward(dy, wt, cache)
         for g, r in zip(got, ref):
             assert _same_bytes(g, r), (k, stride, dil, pad)
-
-
-@pytest.mark.parametrize("block", [640, 3072])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv_bytes_match_oracle_in_small_blocks(dtype, block, monkeypatch):
-    # only the backward's zero-padded NHWC input copy goes by blocks; at each
-    # of these block sizes, in both dtypes, 14 or more of the 37 cases that
-    # copy end in a partial last row block or image group
-    monkeypatch.setattr(ops, "_BLOCK_BYTES", block)
-    test_conv_bytes_match_im2col_oracle(dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
