@@ -1,5 +1,10 @@
 """Reverse-mode autodiff over a static graph built from a NetworkSpec.
 
+One ``Node`` class runs every op: its ``params``, ``forward`` and
+``backward`` each branch once per op, as ``netspec._node_shape`` does, and
+call the op's kernels in ``ops``. Batchnorm nodes own the running
+statistics, which start at mean 0 and var 1.
+
 The graph owns named parameter and state arrays. One forward loop serves
 both modes and frees each output after its last reader (found once from the
 spec), so it returns only the logits, the loss and the names asked for in
@@ -16,222 +21,113 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .netspec import NetworkSpec, ShapeError, propagate_shapes
+from .netspec import KNOWN_OPS, NetworkSpec, ShapeError, propagate_shapes
 from .rng import stream
 
 
 class Node:
-    """Runtime half of one LayerSpec: kernels plus the last training pass's cache."""
+    """Runtime half of one LayerSpec: its op's kernels and the last training
+    pass's cache. Each method branches once per op."""
 
     def __init__(self, layer):
         self.layer = layer
         self.name = layer.name
         self.cache = None
 
-    def param_shapes(self):
-        return {}
+    def params(self):
+        """{name: (shape, (mean, std))}: a weight starts as a seeded He-normal
+        draw, any other parameter as ``mean`` (its ``std`` is 0)."""
+        op, a, n = self.layer.op, self.layer.attrs, self.name
+        zero, one = (0.0, 0.0), (1.0, 0.0)
+        if op == "conv":
+            k, fan_in = a["k"], a["in"] * a["k"] * a["k"]
+            p = {f"{n}.weight": ((a["out"], a["in"], k, k), (0.0, np.sqrt(2.0 / fan_in)))}
+            if self.layer.get("bias"):
+                p[f"{n}.bias"] = ((a["out"],), zero)
+            return p
+        if op == "batchnorm":
+            return {f"{n}.gamma": ((a["c"],), one), f"{n}.beta": ((a["c"],), zero)}
+        if op == "dense":
+            return {f"{n}.weight": ((a["in"], a["out"]), (0.0, np.sqrt(2.0 / a["in"]))),
+                    f"{n}.bias": ((a["out"],), zero)}
+        if op in KNOWN_OPS:
+            return {}
+        raise ShapeError(n, f"unhandled op '{op}'")
 
-    def state_shapes(self):
-        return {}
-
-    def init_params(self, params, rng_for):
-        pass
-
-    def forward(self, xs, params, state, training):
-        """Return (output, backward cache)."""
-        raise NotImplementedError
+    def forward(self, xs, params, state, training, labels=None):
+        """Return (output, backward cache); only the loss reads ``labels``."""
+        layer, op, a, n, x = self.layer, self.layer.op, self.layer.attrs, self.name, xs[0]
+        if op == "input":
+            return x, None
+        if op == "conv":
+            y, cache = ops.conv2d_forward(x, params[f"{n}.weight"], layer.get("stride"),
+                                          layer.get("dilation"), layer.get("pad"))
+            if layer.get("bias"):
+                y += params[f"{n}.bias"][None, :, None, None]
+            return y, cache
+        if op in ("maxpool", "avgpool"):
+            pool = ops.maxpool2d_forward if op == "maxpool" else ops.avgpool2d_forward
+            return pool(x, a["k"], a["stride"], layer.get("pad"), bool(layer.get("ceil")))
+        if op == "resize":
+            return ops.resize_nearest_forward(x, a["h"], a["w"])
+        if op == "batchnorm":
+            mean, var = f"{n}.running_mean", f"{n}.running_var"
+            # inference returns the running stats themselves, so this keeps them
+            y, cache, state[mean], state[var] = ops.batchnorm2d_forward(
+                x, params[f"{n}.gamma"], params[f"{n}.beta"], state[mean], state[var],
+                training=training)
+            return y, cache
+        if op == "relu":
+            return ops.relu_forward(x)
+        if op == "add":
+            return ops.add_forward(x, xs[1]), None
+        if op == "concat":
+            return ops.concat_channels_forward(xs)
+        if op == "gap":
+            return ops.global_avg_pool_forward(x)
+        if op == "dense":
+            return ops.dense_forward(x, params[f"{n}.weight"], params[f"{n}.bias"])
+        if op == "softmax_xent":
+            return ops.softmax_cross_entropy_forward(x, labels)
+        raise ValueError(f"unhandled op '{op}'")
 
     def backward(self, dy, params):
         """Return (grads w.r.t. inputs, grads w.r.t. own params)."""
-        raise NotImplementedError
+        op, n, cache = self.layer.op, self.name, self.cache
+        if op == "input":
+            return [dy], {}
+        if op == "conv":
+            dx, dw = ops.conv2d_backward(dy, params[f"{n}.weight"], cache)
+            grads = {f"{n}.weight": dw}
+            if self.layer.get("bias"):
+                grads[f"{n}.bias"] = dy.sum(axis=(0, 2, 3))
+            return [dx], grads
+        if op in ("maxpool", "avgpool"):
+            pool = ops.maxpool2d_backward if op == "maxpool" else ops.avgpool2d_backward
+            return [pool(dy, cache)], {}
+        if op == "resize":
+            return [ops.resize_nearest_backward(dy, cache)], {}
+        if op == "batchnorm":
+            dx, dgamma, dbeta = ops.batchnorm2d_backward(dy, cache)
+            return [dx], {f"{n}.gamma": dgamma, f"{n}.beta": dbeta}
+        if op == "relu":
+            return [ops.relu_backward(dy, cache)], {}
+        if op == "add":
+            return [dy, dy], {}
+        if op == "concat":
+            return ops.concat_channels_backward(dy, cache), {}
+        if op == "gap":
+            return [ops.global_avg_pool_backward(dy, cache)], {}
+        if op == "dense":
+            dx, dw, db = ops.dense_backward(dy, params[f"{n}.weight"], cache)
+            return [dx], {f"{n}.weight": dw, f"{n}.bias": db}
+        if op == "softmax_xent":
+            return [ops.softmax_cross_entropy_backward(dy, cache)], {}
+        raise ShapeError(n, f"unhandled op '{op}'")
 
 
-class InputNode(Node):
-    def forward(self, xs, params, state, training):
-        return xs[0], None
-
-    def backward(self, dy, params):
-        return [dy], {}
-
-
-class ConvNode(Node):
-    def __init__(self, layer):
-        super().__init__(layer)
-        a = layer.attrs
-        self.k = a["k"]
-        self.stride, self.dilation = layer.get("stride"), layer.get("dilation")
-        self.pad = layer.get("pad")
-        self.cin, self.cout = a["in"], a["out"]
-        self.has_bias = bool(layer.get("bias"))
-        self.wname = f"{self.name}.weight"
-        self.bname = f"{self.name}.bias"
-
-    def param_shapes(self):
-        shapes = {self.wname: (self.cout, self.cin, self.k, self.k)}
-        if self.has_bias:
-            shapes[self.bname] = (self.cout,)
-        return shapes
-
-    def init_params(self, params, rng_for):
-        fan_in = self.cin * self.k * self.k
-        std = np.sqrt(2.0 / fan_in)
-        w = params[self.wname]
-        w[...] = rng_for(self.wname).normal(0.0, std, size=w.shape)
-        if self.has_bias:
-            params[self.bname][...] = 0.0
-
-    def forward(self, xs, params, state, training):
-        y, cache = ops.conv2d_forward(
-            xs[0], params[self.wname], self.stride, self.dilation, self.pad)
-        if self.has_bias:
-            y += params[self.bname][None, :, None, None]
-        return y, cache
-
-    def backward(self, dy, params):
-        dx, dw = ops.conv2d_backward(dy, params[self.wname], self.cache)
-        grads = {self.wname: dw}
-        if self.has_bias:
-            grads[self.bname] = dy.sum(axis=(0, 2, 3))
-        return [dx], grads
-
-
-class PoolNode(Node):
-    def __init__(self, layer):
-        super().__init__(layer)
-        self.kind = layer.op
-        self.k, self.stride = layer.attrs["k"], layer.attrs["stride"]
-        self.pad, self.ceil = layer.get("pad"), bool(layer.get("ceil"))
-
-    def forward(self, xs, params, state, training):
-        if self.kind == "maxpool":
-            return ops.maxpool2d_forward(xs[0], self.k, self.stride, self.pad, self.ceil)
-        return ops.avgpool2d_forward(xs[0], self.k, self.stride, self.pad, self.ceil)
-
-    def backward(self, dy, params):
-        fn = ops.maxpool2d_backward if self.kind == "maxpool" else ops.avgpool2d_backward
-        return [fn(dy, self.cache)], {}
-
-
-class ResizeNode(Node):
-    def forward(self, xs, params, state, training):
-        return ops.resize_nearest_forward(xs[0], self.layer.attrs["h"], self.layer.attrs["w"])
-
-    def backward(self, dy, params):
-        return [ops.resize_nearest_backward(dy, self.cache)], {}
-
-
-class BatchNormNode(Node):
-    def __init__(self, layer):
-        super().__init__(layer)
-        self.c = layer.attrs["c"]
-        self.gname = f"{self.name}.gamma"
-        self.bname = f"{self.name}.beta"
-        self.mname = f"{self.name}.running_mean"
-        self.vname = f"{self.name}.running_var"
-
-    def param_shapes(self):
-        return {self.gname: (self.c,), self.bname: (self.c,)}
-
-    def state_shapes(self):
-        return {self.mname: (self.c,), self.vname: (self.c,)}
-
-    def init_params(self, params, rng_for):
-        params[self.gname][...] = 1.0
-        params[self.bname][...] = 0.0
-
-    def forward(self, xs, params, state, training):
-        y, cache, new_mean, new_var = ops.batchnorm2d_forward(
-            xs[0], params[self.gname], params[self.bname],
-            state[self.mname], state[self.vname], training=training)
-        # inference returns the running stats themselves, so this keeps them
-        state[self.mname], state[self.vname] = new_mean, new_var
-        return y, cache
-
-    def backward(self, dy, params):
-        dx, dgamma, dbeta = ops.batchnorm2d_backward(dy, self.cache)
-        return [dx], {self.gname: dgamma, self.bname: dbeta}
-
-
-class ReluNode(Node):
-    def forward(self, xs, params, state, training):
-        return ops.relu_forward(xs[0])
-
-    def backward(self, dy, params):
-        return [ops.relu_backward(dy, self.cache)], {}
-
-
-class AddNode(Node):
-    def forward(self, xs, params, state, training):
-        return ops.add_forward(xs[0], xs[1]), None
-
-    def backward(self, dy, params):
-        return [dy, dy], {}
-
-
-class ConcatNode(Node):
-    def forward(self, xs, params, state, training):
-        return ops.concat_channels_forward(xs)
-
-    def backward(self, dy, params):
-        return ops.concat_channels_backward(dy, self.cache), {}
-
-
-class GapNode(Node):
-    def forward(self, xs, params, state, training):
-        return ops.global_avg_pool_forward(xs[0])
-
-    def backward(self, dy, params):
-        return [ops.global_avg_pool_backward(dy, self.cache)], {}
-
-
-class DenseNode(Node):
-    def __init__(self, layer):
-        super().__init__(layer)
-        self.cin, self.cout = layer.attrs["in"], layer.attrs["out"]
-        self.wname = f"{self.name}.weight"
-        self.bname = f"{self.name}.bias"
-
-    def param_shapes(self):
-        return {self.wname: (self.cin, self.cout), self.bname: (self.cout,)}
-
-    def init_params(self, params, rng_for):
-        std = np.sqrt(2.0 / self.cin)
-        w = params[self.wname]
-        w[...] = rng_for(self.wname).normal(0.0, std, size=w.shape)
-        params[self.bname][...] = 0.0
-
-    def forward(self, xs, params, state, training):
-        return ops.dense_forward(xs[0], params[self.wname], params[self.bname])
-
-    def backward(self, dy, params):
-        dx, dw, db = ops.dense_backward(dy, params[self.wname], self.cache)
-        return [dx], {self.wname: dw, self.bname: db}
-
-
-class SoftmaxXentNode(Node):
-    labels = None  # set by Graph.forward
-
-    def forward(self, xs, params, state, training):
-        return ops.softmax_cross_entropy_forward(xs[0], self.labels)
-
-    def backward(self, dy, params):
-        return [ops.softmax_cross_entropy_backward(dy, self.cache)], {}
-
-
-_NODE_TYPES = {
-    "input": InputNode,
-    "conv": ConvNode,
-    "maxpool": PoolNode,
-    "avgpool": PoolNode,
-    "resize": ResizeNode,
-    "batchnorm": BatchNormNode,
-    "relu": ReluNode,
-    "add": AddNode,
-    "concat": ConcatNode,
-    "gap": GapNode,
-    "dense": DenseNode,
-    "softmax_xent": SoftmaxXentNode,
-}
+# perfbench's tracer wraps forward and backward on every class in this mapping
+_NODE_TYPES = dict.fromkeys(KNOWN_OPS, Node)
 
 
 class Graph:
@@ -241,17 +137,20 @@ class Graph:
         self.spec = spec
         self.dtype = np.dtype(dtype)
         propagate_shapes(spec)
-        self.nodes = [_NODE_TYPES[layer.op](layer) for layer in spec.nodes]
-        self.params = {}
-        self.state = {}
+        self.nodes = [Node(layer) for layer in spec.nodes]
+        self.params, self.state = {}, {}
         for node in self.nodes:
-            for pname, shape in node.param_shapes().items():
-                self.params[pname] = np.zeros(shape, dtype=self.dtype)
-            for sname, shape in node.state_shapes().items():
-                init_val = 1.0 if sname.endswith("running_var") else 0.0
-                self.state[sname] = np.full(shape, init_val, dtype=self.dtype)
-        if init:
-            self.init_params(seed)
+            for pname, (shape, (mean, std)) in node.params().items():
+                p = self.params[pname] = np.zeros(shape, dtype=self.dtype)
+                if init and std:
+                    p[...] = stream(seed, "init", pname).normal(mean, std, size=shape)
+                elif init:
+                    p[...] = mean
+            # running statistics start as the identity: mean 0, var 1
+            if node.layer.op == "batchnorm":
+                c = node.layer.attrs["c"]
+                self.state[f"{node.name}.running_mean"] = np.zeros(c, dtype=self.dtype)
+                self.state[f"{node.name}.running_var"] = np.ones(c, dtype=self.dtype)
         # liveness: an output dies after its last reader (at once if none
         # reads it), except the logits and the loss of a spec that has them
         outputs = {n for layer in spec.nodes if layer.op == "softmax_xent"
@@ -263,12 +162,6 @@ class Graph:
                 self._dead_after[i].append(name)
         self.activations = None
         self._backward_ready = False
-
-    def init_params(self, seed):
-        def rng_for(pname):
-            return stream(seed, "init", pname)
-        for node in self.nodes:
-            node.init_params(self.params, rng_for)
 
     def forward(self, x, labels=None, mode="train", keep=()):
         """Run every node (the loss node only when ``labels`` are given).
@@ -293,18 +186,17 @@ class Graph:
         self._backward_ready = False
         x = np.ascontiguousarray(x, dtype=self.dtype)
         c, h, w = self.spec.input_shape
-        if x.ndim != 4 or x.shape[1:] != (c, h, w):
+        if x.ndim != 4 or x.shape[1:] != (c, h, w) or len(x) < 1:
             raise ShapeError(self.spec.input_name,
-                             f"expects (N,{c},{h},{w}) input, got {x.shape}")
+                             f"expects (N,{c},{h},{w}) input with N >= 1, got {x.shape}")
         acts = self.activations = {}
         for node, dead in zip(self.nodes, self._dead_after):
-            if isinstance(node, SoftmaxXentNode):
-                if labels is None:
-                    continue
-                node.labels = labels
+            if node.layer.op == "softmax_xent" and labels is None:
+                continue
             xs = [acts[i] for i in node.layer.inputs] if node.layer.inputs else [x]
             try:
-                acts[node.name], node.cache = node.forward(xs, self.params, self.state, training)
+                acts[node.name], node.cache = node.forward(
+                    xs, self.params, self.state, training, labels)
             except ValueError as e:
                 raise ShapeError(node.name, str(e)) from e
             if not training:
@@ -329,7 +221,7 @@ class Graph:
             dy = flowing.pop(node.name, None)
             if dy is not None:
                 dxs, dparams = node.backward(dy, self.params)
-                if isinstance(node, InputNode):
+                if node.layer.op == "input":
                     self.input_grad = dxs[0]
                 for pname, g in dparams.items():
                     grads[pname] += g

@@ -155,6 +155,7 @@ def resolve_config(cmd, args):
     cfg = {k: _OPTIONS[k][1] for k in keys}
     cfg_file = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if cfg_file:
+        seen = {}  # key -> line that set it
         for lineno, raw in enumerate(_read(cfg_file).splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -165,6 +166,10 @@ def resolve_config(cmd, args):
             key = key.strip().replace("-", "_")
             if key not in types:
                 raise UsageError(f"{cfg_file}:{lineno}: unknown key '{key}' for {cmd}")
+            if key in seen:
+                raise UsageError(f"{cfg_file}:{lineno}: duplicate key '{key}' "
+                                 f"(first on line {seen[key]})")
+            seen[key] = lineno
             cfg[key] = _coerce(key, types[key], value.strip())
     for key in keys:
         val = getattr(args, key, None)

@@ -191,6 +191,9 @@ class NetworkSpec:
             if not line:
                 continue
             if line.startswith("network "):
+                if name is not None:
+                    raise SpecError(f"second 'network' header (the network is '{name}')",
+                                    lineno)
                 name = line[len("network "):].strip()
                 continue
             nodes.append(parse_node(line, lineno))

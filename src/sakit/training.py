@@ -40,6 +40,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         ms = list(self.milestones)
         if any(m < 1 for m in ms):
             raise ValueError(f"milestones must be at least 1, got {ms}")

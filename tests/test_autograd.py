@@ -180,14 +180,14 @@ def test_gradcheck_zero_parameter_graph():
 
 
 def test_gradcheck_detects_corrupted_backward(monkeypatch):
-    from sakit.autograd import ConvNode
-    orig = ConvNode.backward
+    from sakit import ops
+    orig = ops.conv2d_backward
 
-    def corrupted(self, dy, params):
-        dxs, dparams = orig(self, dy, params)
-        return dxs, {k: v * 1.01 for k, v in dparams.items()}
+    def corrupted(dy, w, cache):
+        dx, dw = orig(dy, w, cache)
+        return dx, dw * 1.01
 
-    monkeypatch.setattr(ConvNode, "backward", corrupted)
+    monkeypatch.setattr(ops, "conv2d_backward", corrupted)
     b = SpecBuilder("bad")
     b.add("x", "input", c=1, h=4, w=4)
     b.add("c", "conv", ["x"], **{"in": 1, "out": 2, "k": 3, "pad": 1})

@@ -2,8 +2,8 @@ import hashlib
 
 import pytest
 
+from sakit.autograd import Graph
 from sakit.blocks import DOWNSAMPLE_MODES
-
 from sakit.flops import network_flops
 from sakit.netspec import NetworkSpec, SpecError, propagate_shapes
 from sakit.presets import (AllocationPlan, build_cifar_resnet, build_resnet,
@@ -221,3 +221,25 @@ def test_builder_output_is_pinned():
     got = {name: hashlib.sha256(spec.to_text().encode()).hexdigest()
            for name, spec in specs.items()}
     assert got == _PINNED_SPECS
+
+
+# sha256 over every param's and state's name, shape and bytes in the graph's
+# order; no BLAS call is involved, so this holds on every kernel set
+_PINNED_INITS = {
+    "desk-seed": "eff1a6042c1cd748f0f8e9e7636df0efeb865d192b2653247c397b344868a2d5",
+    "resnet50": "0e44e790fedecbcb8ca2982347dda5d270f3088c7161b592c847c7033bbb098b",
+}
+
+
+def test_initial_weights_are_pinned():
+    desk = build_cifar_resnet(1, num_classes=10, in_channels=1)
+    got = {}
+    for name, spec in (("desk-seed", build_seed(desk, [1, 2, 4])),
+                       ("resnet50", build_resnet(50))):
+        graph = Graph(spec, seed=7)
+        h = hashlib.sha256()
+        for key, arr in (*graph.params.items(), *graph.state.items()):
+            h.update(f"{key} {arr.shape}\n".encode())
+            h.update(arr.tobytes())
+        got[name] = h.hexdigest()
+    assert got == _PINNED_INITS

@@ -274,6 +274,15 @@ def test_config_precedence_env_flag_file(tmp_path, monkeypatch):
         resolve_config("train", args)
 
 
+def test_repeated_config_file_key_rejected(tmp_path):
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text("seed=1\n# a comment\nseed=2\n")
+    args = build_parser().parse_args(["train", "--config", str(cfg_file)])
+    from sakit.cli import UsageError
+    with pytest.raises(UsageError, match=r"conf.txt:3: duplicate key 'seed' \(first on line 1\)"):
+        resolve_config("train", args)
+
+
 def test_config_file_is_closed(tmp_path):
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text("seed=1\n")

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sakit.autograd import BatchNormNode, ConvNode, Graph, ReluNode
+from sakit.autograd import Graph
 from sakit.netspec import ShapeError
 from sakit.presets import build_cifar_resnet, build_seed
 from sakit.rng import stream
@@ -62,6 +62,10 @@ def test_kernel_errors_are_shape_errors_in_both_modes(seed_net):
                             ([], r"shape \(0,\)")]:
             with pytest.raises(ShapeError, match=r"'loss'.*shape \(4,\), got .*" + got):
                 g.forward(x, labels=labels, mode=mode)
+        # an empty batch fails at the input, with labels or without
+        for labels in (None, []):
+            with pytest.raises(ShapeError, match=r"'x'.*N >= 1, got \(0, 1, 32, 32\)"):
+                g.forward(x[:0], labels=labels, mode=mode)
 
 
 def test_backward_needs_a_fresh_training_forward(seed_net):
@@ -99,12 +103,13 @@ def test_training_caches_hold_activations_not_copies(seed_net):
     training forward retains no patch matrix, xhat or mask beside them."""
     g, x, y = seed_net
     acts = g.forward(x, labels=y, mode="train", keep=[n.name for n in g.spec.nodes])
-    kinds = (ConvNode, BatchNormNode, ReluNode)
-    checked = [n for n in g.nodes if isinstance(n, kinds)]
-    assert {type(n) for n in checked} == set(kinds)
+    kinds = {"conv", "batchnorm", "relu"}
+    checked = [n for n in g.nodes if n.layer.op in kinds]
+    assert {n.layer.op for n in checked} == kinds
     for node in checked:
-        held = node.cache if isinstance(node, ReluNode) else node.cache[0]
-        source = acts[node.name] if isinstance(node, ReluNode) else acts[node.layer.inputs[0]]
+        relu = node.layer.op == "relu"
+        held = node.cache if relu else node.cache[0]
+        source = acts[node.name] if relu else acts[node.layer.inputs[0]]
         assert np.shares_memory(held, source), node.name
     g.backward()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sakit import autograd
-from sakit.netspec import (KNOWN_OPS, NetworkSpec, ShapeError, SpecBuilder, SpecError,
+from sakit.netspec import (NetworkSpec, ShapeError, SpecBuilder, SpecError,
                            conv_out_dim, parse_node, propagate_shapes)
 from sakit.presets import build_resnet, build_scalenet, reference_plan
 
@@ -58,6 +58,8 @@ def test_parse_errors_carry_line_numbers():
         NetworkSpec.from_text("network t\nc = relu() <- nope\n")
     with pytest.raises(SpecError, match="network"):
         NetworkSpec.from_text("x = input(c=1,h=2,w=2)\n")
+    with pytest.raises(SpecError, match="line 3: second 'network' header"):
+        NetworkSpec.from_text("network a\nx = input(c=1,h=2,w=2)\nnetwork b\n")
 
 
 @pytest.mark.parametrize("line, attr", [
@@ -166,10 +168,6 @@ def test_get_falls_back_on_the_declared_default():
     c = b.build().node("c")
     assert (c.get("stride"), c.get("dilation"), c.get("pad"), c.get("bias")) == (1, 1, 1, 0)
     assert c.get("block") == 4 and c.get("scale") is None
-
-
-def test_every_known_op_has_an_executor_node():
-    assert set(KNOWN_OPS) == set(autograd._NODE_TYPES)
 
 
 def test_duplicate_names_rejected():

@@ -49,6 +49,12 @@ def test_milestone_validation():
         TrainConfig(epochs=10, milestones=(10,))
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_batch_size_below_one_rejected(batch_size):
+    with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+        TrainConfig(epochs=1, batch_size=batch_size)
+
+
 def test_zero_lr_leaves_parameters_bitwise_unchanged():
     spec = micro_sa_net()
     train_ds, val_ds = small_data(per_class=4)
