@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from sakit import ops
-from sakit.netspec import conv_out_dim
+from sakit.netspec import conv_out_dim, pool_out_dim
 from sakit.rng import stream
 
 
 # Reference kernels: two-pass batchnorm, where-relu, the tap-loop maxpool
-# forward and the argmax-and-where maxpool backward that the current kernels
-# replaced, and a fancy-index conv forward and backward with the kernel's
+# forward, the argmax-and-where maxpool backward and the padded avgpool that
+# the current kernels replaced, and a fancy-index conv forward and backward with the kernel's
 # GEMMs. The current kernels must give the same bytes.
 
 def _patches_by_index(x, k, stride, dilation, pad):
@@ -80,14 +80,21 @@ def _batchnorm_backward_oracle(dy, xhat, inv_std, gamma):
     return dx, (dy * xhat).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
 
 
+def _pool_padded(x, k, stride, pad, ceil, fill):
+    # (xp, ho, wo): x inside a ``fill`` buffer that holds every window, at
+    # least (ho - 1) * stride + k cells and the padded input along each axis
+    n, c, h, w = x.shape
+    ho, wo = (pool_out_dim(d, k, stride, pad, ceil) for d in (h, w))
+    xp = np.full((n, c, max((ho - 1) * stride + k, h + 2 * pad),
+                  max((wo - 1) * stride + k, w + 2 * pad)), fill, dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp, ho, wo
+
+
 def _maxpool_forward_oracle(x, k, stride, pad, ceil):
     # an in-place maximum per tap, taps in row-major order, over the -inf
     # padded input
-    (ho, wo), (need_h, need_w) = ops._pool_geometry(x.shape, k, stride, pad, ceil)
-    n, c, h, w = x.shape
-    xp = np.full((n, c, max(need_h, h + 2 * pad), max(need_w, w + 2 * pad)), -np.inf,
-                 dtype=x.dtype)
-    xp[:, :, pad:pad + h, pad:pad + w] = x
+    xp, ho, wo = _pool_padded(x, k, stride, pad, ceil, -np.inf)
     y = xp[:, :, 0:ho * stride:stride, 0:wo * stride:stride].copy()
     for t in range(1, k * k):
         a, b = divmod(t, k)
@@ -97,11 +104,8 @@ def _maxpool_forward_oracle(x, k, stride, pad, ceil):
 
 def _maxpool_backward_oracle(dy, x, k, stride, pad, ceil):
     # the argmax by a strict ">" scan from tap 0 over the -inf padded input
-    (ho, wo), (need_h, need_w) = ops._pool_geometry(x.shape, k, stride, pad, ceil)
     n, c, h, w = x.shape
-    ph, pw = max(need_h, h + 2 * pad), max(need_w, w + 2 * pad)
-    xp = np.full((n, c, ph, pw), -np.inf, dtype=x.dtype)
-    xp[:, :, pad:pad + h, pad:pad + w] = x
+    xp, ho, wo = _pool_padded(x, k, stride, pad, ceil, -np.inf)
     y = xp[:, :, 0:ho * stride:stride, 0:wo * stride:stride].copy()
     arg = np.zeros(y.shape, dtype=np.int16)
     for t in range(1, k * k):
@@ -109,11 +113,32 @@ def _maxpool_backward_oracle(dy, x, k, stride, pad, ceil):
         tap = xp[:, :, a:a + ho * stride:stride, b:b + wo * stride:stride]
         arg[tap > y] = t
         y = np.maximum(y, tap)
-    dxp = np.zeros((n, c, ph, pw), dtype=dy.dtype)
+    dxp = np.zeros(xp.shape, dtype=dy.dtype)
     for t in range(k * k):
         a, b = divmod(t, k)
         dxp[:, :, a:a + ho * stride:stride, b:b + wo * stride:stride] += np.where(arg == t, dy, 0)
     return dxp[:, :, pad:pad + h, pad:pad + w]
+
+
+def _avgpool_oracle(x, dy, k, stride, pad, ceil):
+    # (y, dx) by the padded tap loop: every tap adds the zero-padded input
+    # into the sum and a 0/1 mask of input cells into the counts, and adds
+    # its share dy / counts into a zeroed padded dx
+    n, c, h, w = x.shape
+    xp, ho, wo = _pool_padded(x, k, stride, pad, ceil, 0.0)
+    valid = _pool_padded(np.ones((1, 1, h, w), dtype=x.dtype), k, stride, pad, ceil, 0.0)[0]
+    total = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    counts = np.zeros((1, 1, ho, wo), dtype=x.dtype)
+    windows = [(slice(a, a + ho * stride, stride), slice(b, b + wo * stride, stride))
+               for a, b in np.ndindex(k, k)]
+    for rows, cols in windows:
+        total += xp[:, :, rows, cols]
+        counts += valid[:, :, rows, cols]
+    share = dy / counts
+    dxp = np.zeros(xp.shape, dtype=dy.dtype)
+    for rows, cols in windows:
+        dxp[:, :, rows, cols] += share
+    return total / counts, dxp[:, :, pad:pad + h, pad:pad + w]
 
 
 def _same_bytes(a, b):
@@ -535,6 +560,26 @@ def test_maxpool_forward_bytes_match_tap_loop_oracle(dtype):
                                      (2, 1, 0, False), (5, 2, 2, True)]:
             assert _same_bytes(ops.maxpool2d_forward(x, k, stride, pad, ceil)[0],
                                _maxpool_forward_oracle(x, k, stride, pad, ceil)), (k, stride, pad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, k, stride, pad, ceil", [
+    ((2, 3, 9, 9), 2, 2, 0, True),     # k == stride, ceil tail
+    ((2, 3, 15, 15), 3, 2, 1, False),  # overlapping, padded
+    ((2, 4, 13, 17), 3, 2, 1, True),   # overlapping, padded, ceil tail
+    ((2, 2, 10, 11), 3, 1, 1, False),  # stride 1
+    ((1, 2, 12, 9), 5, 3, 2, True),
+    ((1, 2, 8, 8), 1, 2, 0, False),    # windows skip cells
+])
+def test_avgpool_bytes_match_padded_oracle(shape, k, stride, pad, ceil, dtype):
+    rng = stream(12, "avgpool-oracle")
+    x = rng.normal(size=shape).astype(dtype)
+    x[:, :, ::3, ::2] = -0.0  # a sum must not turn +0.0 into -0.0
+    y, cache = ops.avgpool2d_forward(x, k, stride, pad, ceil)
+    dy = rng.normal(size=y.shape).astype(dtype)
+    y_ref, dx_ref = _avgpool_oracle(x, dy, k, stride, pad, ceil)
+    assert _same_bytes(y, y_ref)
+    assert _same_bytes(ops.avgpool2d_backward(dy, cache), dx_ref)
 
 
 def test_maxpool_nan_window_routes_no_gradient():
