@@ -61,7 +61,7 @@ _OPTIONS = {
     "augment": ("str", "none", "comma list of flip,crop-pad-4 or 'none'"),
     "out_dir": ("str", ".", "output directory"),
     "out": ("str", None, "output file path"),
-    "input": ("count", None, "input resolution override"),
+    "input": ("count", None, "input resolution of a resnet or scalenet preset"),
     "in_channels": ("count", None, "input channel override"),
     "checkpoint": ("str", None, "checkpoint file"),
     "spec": ("str", None, "network spec text file"),
@@ -233,6 +233,9 @@ def _preset_base(cfg):
     channels = cfg.get("in_channels") or 3
     m = re.fullmatch(r"cifar-n(\d+)", name)
     if m:
+        if cfg.get("input"):
+            raise UsageError(f"--input is not read with --preset {name}: "
+                             "cifar-n<k> networks take 32x32 inputs")
         return build_cifar_resnet(int(m.group(1)), classes or 100, channels), CIFAR_SCALES
     m = re.fullmatch(r"resnet(50|101|152)", name)
     if m:
@@ -358,6 +361,10 @@ def cmd_flops(cfg, out):
 def cmd_train(cfg, out):
     from .training import train
 
+    if cfg.get("spec"):
+        given = [_flag(k) for k in ("preset", "scales", "plan", "allocation") if cfg.get(k)]
+        if given:
+            raise UsageError(f"--spec gives the network; drop {', '.join(given)}")
     train_cfg = _train_config(cfg)
     train_ds = _load_dataset(cfg, "train")
     val_ds = _load_dataset(cfg, "val")

@@ -1,16 +1,21 @@
 """Layer kernels in NCHW layout, each a forward/backward pair over ndarrays.
 
+Conv and the pools share one window geometry: for each tap of a k x k
+window, the rectangle of outputs whose input cell is in bounds, and that
+cell's rectangle of the input (``_in_bounds`` per axis, ``_taps`` per tap).
+A kernel reads and writes only these rectangles, so taps that fall in
+padding are skipped and no kernel builds a padded input.
+
 Convolution is cross-correlation over one patch layout: image i's patch
 matrix P_i is (Cin*k*k, Ho*Wo), rows in (Cin, k, k) order. A 1x1 stride-1
-pad-0 conv's P_i is x[i] itself. Any other conv copies, per tap, the
-rectangle of outputs whose input cell is in bounds from x[i] into one
-zero-filled buffer, so padding cells are never written and no padded input
-is built. Forward is one GEMM per image, y[i] = W @ P_i, written straight
-into the NCHW output. Backward is its adjoint (Caffe's col2im): dw.T is
-the sum of P_i @ dy_i.T in image order over the same patches, dP = W.T @
-dy_i is one stacked matmul over the batch, and dx adds each tap's in-bounds
-rectangle of dP into a zeroed NCHW buffer in row-major tap order (for the
-1x1 stride-1 conv, dx is dP). A GEMM's bits depend on the BLAS kernel set,
+pad-0 conv's P_i is x[i] itself. Any other conv copies each tap's
+rectangle of x[i] into one zero-filled buffer, so the cells a tap reads
+from padding stay zero. Forward is one GEMM per image, y[i] = W @ P_i,
+written straight into the NCHW output. Backward is its adjoint (Caffe's
+col2im): dw.T is the sum of P_i @ dy_i.T in image order over the same
+patches, dP = W.T @ dy_i is one stacked matmul over the batch, and dx adds
+each tap's rectangle of dP into a zeroed NCHW buffer in row-major tap order
+(for the 1x1 stride-1 conv, dx is dP). A GEMM's bits depend on the BLAS kernel set,
 its shape (one GEMM over the batch rounds unlike one per image) and where
 an output column falls in its register blocking, so tests pin the bytes
 with an oracle making the same BLAS calls on operands laid out alike.
@@ -24,8 +29,9 @@ backward recomputes the patches and ``xhat`` with the forward's expressions;
 relu is ``maximum(x, 0)`` and keeps its output. Max pooling takes the max
 along each window row, then across the rows, which picks the same element
 as a row-major scan of the taps; its cache is its input, its output and its
-geometry, and backward routes each window's gradient to the first tap in
-row-major order that equals the window's max.
+geometry, and backward routes each window's gradient to the first in-bounds
+tap in row-major order that equals the window's max. Average pooling
+divides each window's sum by the count of its in-bounds cells.
 """
 
 import numpy as np
@@ -44,10 +50,11 @@ def _in_bounds(size, out, offset, stride):
     return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
-def _taps(x, ho, wo, k, stride, dilation, pad):
+def _taps(shape, ho, wo, k, stride, dilation, pad):
     """(a, b, (out rows, in rows), (out cols, in cols)) of each tap of a k x k
-    kernel that reads an in-bounds cell of x, in row-major tap order."""
-    h, wd = x.shape[2:]
+    kernel that reads an in-bounds cell of an NCHW input of ``shape``, in
+    row-major tap order."""
+    h, wd = shape[2:]
     return [(a, b, rows, cols) for a, b in np.ndindex(k, k)
             if (rows := _in_bounds(h, ho, a * dilation - pad, stride))
             and (cols := _in_bounds(wd, wo, b * dilation - pad, stride))]
@@ -64,7 +71,7 @@ def _patches(x, ho, wo, k, stride, dilation, pad):
         return
     # cells a tap reads from padding stay zero: no image writes them
     p = np.zeros((cin, k, k, ho, wo), dtype=x.dtype)
-    taps = _taps(x, ho, wo, k, stride, dilation, pad)
+    taps = _taps(x.shape, ho, wo, k, stride, dilation, pad)
     for i in range(n):
         for a, b, (yr, xr), (yc, xc) in taps:
             p[:, a, b, yr, yc] = x[i, :, xr, xc]
@@ -114,7 +121,7 @@ def conv2d_backward(dy, w, cache):
         return dp.reshape(x.shape), dw
     dp = dp.reshape(n, cin, k, k, ho, wo)
     dx = np.zeros(x.shape, dtype=dp.dtype)
-    for a, b, (yr, xr), (yc, xc) in _taps(x, ho, wo, k, stride, dilation, pad):
+    for a, b, (yr, xr), (yc, xc) in _taps(x.shape, ho, wo, k, stride, dilation, pad):
         dx[:, :, xr, xc] += dp[:, :, a, b, yr, yc]
     return dx, dw
 
@@ -129,89 +136,70 @@ def _pool_geometry(x_shape, k, stride, pad, ceil_mode):
     if ho < 1 or wo < 1:
         raise ValueError(f"pool window {k} stride {stride} pad {pad} leaves no "
                          f"valid output on {h}x{w} input")
-    return (ho, wo), ((ho - 1) * stride + k, (wo - 1) * stride + k)
+    return ho, wo
 
 
-def _padded(x, pad, need_h, need_w, fill):
-    n, c, h, w = x.shape
-    if pad == 0 and (need_h, need_w) == (h, w):
-        return x
-    # floor mode can discard a tail, so the buffer must still hold the input
-    ph, pw = max(need_h, h + 2 * pad), max(need_w, w + 2 * pad)
-    xp = np.full((n, c, ph, pw), fill, dtype=x.dtype)
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    return xp
+def _window_max(x, axis, out, k, stride, pad):
+    """Max over each k-cell window along ``axis``, skipping cells in padding.
+    The first tap that reads an input cell seeds the result; outputs it does
+    not reach start at -inf."""
+    lead = (slice(None),) * axis
+    (yo, xi), *rest = [s for t in range(k)
+                       if (s := _in_bounds(x.shape[axis], out, t - pad, stride))]
+    y = np.empty(x.shape[:axis] + (out,) + x.shape[axis + 1:], dtype=x.dtype)
+    y[lead + (yo,)] = x[lead + (xi,)]
+    y[lead + (slice(0, yo.start),)] = -np.inf
+    y[lead + (slice(yo.stop, None),)] = -np.inf
+    for yo, xi in rest:
+        np.maximum(y[lead + (yo,)], x[lead + (xi,)], out=y[lead + (yo,)])
+    return y
 
 
 def maxpool2d_forward(x, k, stride, pad=0, ceil_mode=False):
-    """Max over k*k windows; ceil_mode rounds output dims up, padding with -inf.
+    """Max over k*k windows; ceil_mode rounds output dims up.
 
-    Returns (y, cache); the cache is (x, y, geometry), from which backward
-    finds each window's winner again.
+    Returns (y, cache); the cache is (x, y, (k, stride, pad)), from which
+    backward finds each window's winner again.
     """
-    (ho, wo), (need_h, need_w) = _pool_geometry(x.shape, k, stride, pad, ceil_mode)
-    xp = _padded(x, pad, need_h, need_w, -np.inf)
-    hs, ws = ho * stride, wo * stride
+    ho, wo = _pool_geometry(x.shape, k, stride, pad, ceil_mode)
     # row maxima first, so ties (-0.0 against +0.0) resolve as a row-major tap scan
-    r = xp[:, :, :need_h, 0:ws:stride].copy()
-    for b in range(1, k):
-        np.maximum(r, xp[:, :, :need_h, b:b + ws:stride], out=r)
-    y = r[:, :, 0:hs:stride].copy()
-    for a in range(1, k):
-        np.maximum(y, r[:, :, a:a + hs:stride], out=y)
-    return y, (x, y, (k, stride, pad, ceil_mode))
+    y = _window_max(_window_max(x, 3, wo, k, stride, pad), 2, ho, k, stride, pad)
+    return y, (x, y, (k, stride, pad))
 
 
 def maxpool2d_backward(dy, cache):
-    """Route each window's gradient to its first max in row-major window
-    order; a window whose max is NaN routes none."""
-    x, y, (k, stride, pad, ceil_mode) = cache
-    n, c, h, w = x.shape
-    (ho, wo), (need_h, need_w) = _pool_geometry(x.shape, k, stride, pad, ceil_mode)
-    xp = _padded(x, pad, need_h, need_w, -np.inf)
-    dxp = np.zeros(xp.shape, dtype=dy.dtype)
-    hs, ws = ho * stride, wo * stride
+    """Route each window's gradient to its first in-bounds cell, in row-major
+    window order, that equals its max; a window whose max is NaN routes none."""
+    x, y, (k, stride, pad) = cache
+    dx = np.zeros(x.shape, dtype=dy.dtype)
     free = np.ones(y.shape, dtype=bool)  # windows whose max is not yet found
-    for t in range(k * k):
-        a, b = divmod(t, k)
-        hit = xp[:, :, a:a + hs:stride, b:b + ws:stride] == y
-        hit &= free
-        free ^= hit
-        dxp[:, :, a:a + hs:stride, b:b + ws:stride] += dy * hit
-    return dxp[:, :, pad:pad + h, pad:pad + w]
+    for _, _, (yr, xr), (yc, xc) in _taps(x.shape, *y.shape[2:], k, stride, 1, pad):
+        hit = x[:, :, xr, xc] == y[:, :, yr, yc]
+        hit &= free[:, :, yr, yc]
+        free[:, :, yr, yc] ^= hit
+        dx[:, :, xr, xc] += dy[:, :, yr, yc] * hit
+    return dx
 
 
 def avgpool2d_forward(x, k, stride, pad=0, ceil_mode=False):
     """Mean over k*k windows; partial (ceil-mode or padded) windows average
     only cells that overlap the unpadded input."""
-    (ho, wo), (need_h, need_w) = _pool_geometry(x.shape, k, stride, pad, ceil_mode)
-    n, c, h, w = x.shape
-    xp = _padded(x, pad, need_h, need_w, 0.0)
-    buf_h, buf_w = xp.shape[2:]
-    valid = np.zeros((1, 1, buf_h, buf_w), dtype=x.dtype)
-    valid[:, :, pad:pad + h, pad:pad + w] = 1
-    hs, ws = ho * stride, wo * stride
-    total = np.zeros((n, c, ho, wo), dtype=x.dtype)
-    counts = np.zeros((1, 1, ho, wo), dtype=x.dtype)
-    for a in range(k):
-        for b in range(k):
-            total += xp[:, :, a:a + hs:stride, b:b + ws:stride]
-            counts += valid[:, :, a:a + hs:stride, b:b + ws:stride]
-    y = total / counts
-    cache = (counts[0, 0], x.shape, k, stride, pad, (ho, wo), (buf_h, buf_w))
-    return y, cache
+    ho, wo = _pool_geometry(x.shape, k, stride, pad, ceil_mode)
+    total = np.zeros(x.shape[:2] + (ho, wo), dtype=x.dtype)
+    counts = np.zeros((ho, wo), dtype=x.dtype)
+    for _, _, (yr, xr), (yc, xc) in _taps(x.shape, ho, wo, k, stride, 1, pad):
+        total[:, :, yr, yc] += x[:, :, xr, xc]
+        counts[yr, yc] += 1
+    return total / counts, (counts, x.shape, k, stride, pad)
 
 
 def avgpool2d_backward(dy, cache):
-    counts, x_shape, k, stride, pad, (ho, wo), (ph, pw) = cache
-    n, c, h, w = x_shape
-    dxp = np.zeros((n, c, ph, pw), dtype=dy.dtype)
+    counts, x_shape, k, stride, pad = cache
+    dx = np.zeros(x_shape, dtype=dy.dtype)
     share = dy / counts
-    hs, ws = ho * stride, wo * stride
-    for a in range(k):
-        for b in range(k):
-            dxp[:, :, a:a + hs:stride, b:b + ws:stride] += share
-    return dxp[:, :, pad:pad + h, pad:pad + w]
+    for _, _, (yr, xr), (yc, xc) in _taps(x_shape, *counts.shape, k, stride, 1, pad):
+        dx[:, :, xr, xc] += share[:, :, yr, yc]
+    return dx
 
 
 def _runs(size, out_size):

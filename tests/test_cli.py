@@ -75,10 +75,15 @@ _ALLOCATE = ["allocate", "--importances", "{tmp}/imp.csv", "--budgets", "{tmp}/b
     (["flops", "--preset", "cifar-n1"], "unrecognized arguments: --out-dir"),
     (["pipeline", *_SMALL, "--b", "nan"], "exponent b must be finite"),
     ([*_ALLOCATE, "--scales", "1,2", "--b", "inf"], "exponent b must be finite"),
+    (["train", "--spec", "{tmp}/s.netspec", "--preset", "resnet50", "--scales", "1,2",
+      "--allocation", "even"], "--spec gives the network; drop --preset, --scales, --allocation"),
+    (["train", "--spec", "{tmp}/s.netspec", "--plan", "cifar-n4"], "drop --plan"),
+    (["build", "--preset", "cifar-n1", "--input", "64"], "--input is not read with --preset"),
 ], ids=["milestones", "milestones-zero", "milestones-repeated", "augment", "lr", "downsample", "pipeline-scales", "build-scales",
         "allocate-scales", "allocate-lost-scale", "allocate-budget-hole",
         "allocate-zero-budget", "build-plan-with-even", "rf-plan-with-baseline",
-        "train-plan-with-seed", "flops-out-dir", "pipeline-b-nan", "allocate-b-inf"])
+        "train-plan-with-seed", "flops-out-dir", "pipeline-b-nan", "allocate-b-inf",
+        "train-spec-with-network-options", "train-spec-with-plan", "cifar-input"])
 def test_bad_options_fail_before_anything_is_written(capsys, tmp_path, argv, says):
     (tmp_path / "imp.csv").write_text("k,scale,channel,gamma,abs_gamma,unit_cost\n"
                                       "1,1,0,0.9,0.9,4\n1,2,0,0.7,0.7,1\n")

@@ -11,8 +11,8 @@ from sakit.rng import stream
 
 # Reference kernels: two-pass batchnorm, where-relu, the tap-loop maxpool
 # forward, the argmax-and-where maxpool backward and the padded avgpool that
-# the current kernels replaced, and a fancy-index conv forward and backward with the kernel's
-# GEMMs. The current kernels must give the same bytes.
+# the current kernels replaced, and a fancy-index conv forward and backward
+# with the kernel's GEMMs. The current kernels must give the same bytes.
 
 def _patches_by_index(x, k, stride, dilation, pad):
     # (N, Cin*k*k, Ho*Wo) patch matrices of the zero-padded input, rows in
@@ -103,11 +103,16 @@ def _maxpool_forward_oracle(x, k, stride, pad, ceil):
 
 
 def _maxpool_backward_oracle(dy, x, k, stride, pad, ceil):
-    # the argmax by a strict ">" scan from tap 0 over the -inf padded input
+    # the argmax by a strict ">" scan over the -inf padded input, from each
+    # window's first tap that reads an input cell
     n, c, h, w = x.shape
     xp, ho, wo = _pool_padded(x, k, stride, pad, ceil, -np.inf)
+    inside = _pool_padded(np.ones((1, 1, h, w), dtype=bool), k, stride, pad, ceil, False)[0]
     y = xp[:, :, 0:ho * stride:stride, 0:wo * stride:stride].copy()
     arg = np.zeros(y.shape, dtype=np.int16)
+    for t in reversed(range(k * k)):
+        a, b = divmod(t, k)
+        arg[:, :, inside[0, 0, a:a + ho * stride:stride, b:b + wo * stride:stride]] = t
     for t in range(1, k * k):
         a, b = divmod(t, k)
         tap = xp[:, :, a:a + ho * stride:stride, b:b + wo * stride:stride]
@@ -206,7 +211,7 @@ def test_ceil_mode_output_dims():
     # window-equals-stride ceil pooling gives exactly ceil(H/s)
     for h in range(1, 65):
         for s in (1, 2, 4, 7):
-            (ho, _), _ = ops._pool_geometry((1, 1, h, h), s, s, 0, True)
+            ho, _ = ops._pool_geometry((1, 1, h, h), s, s, 0, True)
             assert ho == math.ceil(h / s)
     # a last window that would start in the right padding is dropped, so
     # every window of a pool with pad <= k // 2 holds an input cell
@@ -530,15 +535,18 @@ def test_batchnorm_bytes_match_two_pass_oracle(dtype):
                     assert _same_bytes(g, r)
 
 
-@pytest.mark.parametrize("shape, k, stride, pad, ceil", [
-    ((2, 3, 9, 9), 2, 2, 0, True),     # k == stride, ceil tail
-    ((2, 4, 13, 17), 4, 4, 0, True),
-    ((2, 3, 15, 15), 3, 2, 1, False),  # the ImageNet stem's overlapping pool
+@pytest.mark.parametrize("shape, k, stride, pad, ceil, corner", [
+    ((2, 3, 9, 9), 2, 2, 0, True, 1.0),      # k == stride, ceil tail
+    ((2, 4, 13, 17), 4, 4, 0, True, 1.0),
+    ((2, 3, 15, 15), 3, 2, 1, False, 1.0),   # the ImageNet stem's overlapping pool
+    ((2, 3, 15, 15), 3, 2, 1, True, -np.inf),  # all--inf windows behind padding
 ])
-def test_maxpool_backward_bytes_match_where_oracle(shape, k, stride, pad, ceil):
+def test_maxpool_backward_bytes_match_where_oracle(shape, k, stride, pad, ceil, corner):
     rng = stream(9, "pool-oracle")
     x = rng.normal(size=shape).astype(np.float32)
-    x[:, :, :2, :2] = 1.0  # ties route to the first index
+    # tied windows, all--inf ones too, route to their first input cell
+    x[:, :, :2, :2] = corner
+    x[:, :, -2:, -2:] = corner
     y, cache = ops.maxpool2d_forward(x, k, stride, pad, ceil)
     dy = rng.normal(size=y.shape).astype(np.float32)
     assert _same_bytes(ops.maxpool2d_backward(dy, cache),
@@ -580,6 +588,15 @@ def test_avgpool_bytes_match_padded_oracle(shape, k, stride, pad, ceil, dtype):
     y_ref, dx_ref = _avgpool_oracle(x, dy, k, stride, pad, ceil)
     assert _same_bytes(y, y_ref)
     assert _same_bytes(ops.avgpool2d_backward(dy, cache), dx_ref)
+
+
+def test_maxpool_all_inf_window_routes_to_an_input_cell():
+    # the window's first tap reads padding; its first input cell takes dy
+    x = np.full((1, 1, 2, 2), -np.inf)
+    y, cache = ops.maxpool2d_forward(x, k=3, stride=2, pad=1)
+    dx = ops.maxpool2d_backward(np.ones_like(y), cache)
+    assert y.tolist() == [[[[-np.inf]]]]
+    assert dx[0, 0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
 
 def test_maxpool_nan_window_routes_no_gradient():
