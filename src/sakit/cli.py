@@ -4,9 +4,9 @@ eval / report / gradcheck.
 Option values resolve with precedence env > flag > config file > default;
 env overrides use the SAKIT_ prefix (SAKIT_SEED=7). A boolean value is one
 of 1/0/true/false/yes/no/on/off in any case. Commands that write
-artifacts drop a ``config.resolved.txt`` snapshot next to them so any run
-can be reproduced from its output directory. Exit codes: 0 success, 1 usage
-error, 2 runtime failure.
+artifacts drop a ``config.resolved.txt`` snapshot of the options that were
+set next to them, so ``sakit <cmd> --config <snapshot>`` reruns the run.
+Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 import argparse
@@ -38,11 +38,11 @@ class _Parser(argparse.ArgumentParser):
 # A "count" is an int of at least 1.
 _OPTIONS = {
     "preset": ("str", None,
-               "resnet50|resnet101|resnet152|cifar-n<k>; scalenetNN selects "
-               "resnetNN with its shipped reference plan"),
+               "resnet50|resnet101|resnet152|cifar-n<k>; scalenetNN[-light] is "
+               "resnetNN with its shipped plan as the default --plan"),
     "scales": ("intlist", None, "downsampling factors, e.g. 1,2,4,7"),
-    "plan": ("str", None, "allocation plan file, or a shipped plan name"),
-    "allocation": ("str", None, "baseline|even|seed|plan"),
+    "plan": ("str", None, "even|seed|<plan file>|<shipped plan name>; "
+             "without it the baseline is built"),
     "downsample": ("str", "max", "in-block downsampling: max|avg|conv|dilated"),
     "b": ("float", 0.0, "cost-balance exponent for projection"),
     "seed": ("int", 0, "run seed"),
@@ -72,7 +72,7 @@ _OPTIONS = {
     "budgets": ("str", None, "per-block budget csv"),
 }
 
-_NETWORK = ["preset", "scales", "plan", "allocation", "downsample"]
+_NETWORK = ["preset", "scales", "plan", "downsample"]
 _SHAPE = ["classes", "input", "in_channels"]
 _DATA = ["dataset", "data_dir", "classes", "per_class", "val_per_class"]
 _TRAINING = ["epochs", "batch", "lr", "milestones", "momentum", "weight_decay",
@@ -190,11 +190,12 @@ def resolve_config(cmd, args):
 
 
 def write_snapshot(cmd, cfg, out_dir):
+    """Write the set options of ``cfg`` as a --config file for ``cmd``."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.resolved.txt")
     with atomic_open(path) as f:
-        f.write(f"command={cmd}\n")
-        for key in sorted(cfg):
+        f.write(f"# sakit {cmd}\n")
+        for key in sorted(k for k in cfg if cfg[k] is not None):
             val = cfg[key]
             if isinstance(val, list):
                 val = ",".join(str(v) for v in val)
@@ -215,40 +216,68 @@ def _write_output(cmd, cfg, default_name, text):
 # ---------------------------------------------------------------------------
 # shared construction helpers
 
-def _preset_base(cfg):
+_ALIAS = r"scalenet(50|101|152)(-light)?"
+
+
+def _preset_base(cfg, ds=None):
+    """The --preset network and its scales, --scales applied. ``ds`` gives
+    the classes and input channels, else --classes and --in-channels do."""
     from .presets import (CIFAR_SCALES, IMAGENET_SCALES, build_cifar_resnet,
                           build_resnet)
 
     name = cfg.get("preset")
     if not name:
         raise UsageError("--preset is required")
-    # scalenetNN[-light] is shorthand for resnetNN plus the shipped plan
-    m = re.fullmatch(r"scalenet(50|101|152)(-light)?", name)
+    m = re.fullmatch(_ALIAS, name)
     if m:
-        if not cfg.get("plan") and cfg.get("allocation") in (None, "plan"):
-            cfg["plan"] = f"scalenet{m.group(1)}{m.group(2) or ''}"
-            cfg["allocation"] = "plan"
         name = f"resnet{m.group(1)}"
-    classes = cfg.get("classes")
-    channels = cfg.get("in_channels") or 3
+    if ds is None:
+        classes, channels = cfg.get("classes"), cfg.get("in_channels") or 3
+    else:
+        classes, channels = ds.num_classes, ds.channels
     m = re.fullmatch(r"cifar-n(\d+)", name)
     if m:
         if cfg.get("input"):
             raise UsageError(f"--input is not read with --preset {name}: "
                              "cifar-n<k> networks take 32x32 inputs")
-        return build_cifar_resnet(int(m.group(1)), classes or 100, channels), CIFAR_SCALES
+        base = build_cifar_resnet(int(m.group(1)), classes or 100, channels)
+        return base, cfg.get("scales") or CIFAR_SCALES
     m = re.fullmatch(r"resnet(50|101|152)", name)
     if m:
-        size = cfg.get("input") or 224
-        return build_resnet(int(m.group(1)), classes or 1000, size, channels), IMAGENET_SCALES
+        base = build_resnet(int(m.group(1)), classes or 1000, cfg.get("input") or 224, channels)
+        return base, cfg.get("scales") or IMAGENET_SCALES
     raise UsageError(f"unknown preset '{name}'")
 
 
-def _plan(arg):
-    """A plan file if one exists at ``arg``, else the shipped plan of that name."""
-    from .presets import load_plan, reference_plan
+def _plan(cfg, base=None, scales=None):
+    """The allocation --plan names, or None for the baseline: a plan file if
+    one exists at the path, else ``even`` or ``seed`` over ``scales`` of
+    ``base``, else the shipped plan of that name. Without --plan, a
+    scalenetNN[-light] preset names its shipped plan."""
+    from .presets import even_allocation, load_plan, reference_plan, seed_plan
 
+    flag, arg = "--plan", cfg.get("plan")
+    if not arg and re.fullmatch(_ALIAS, cfg.get("preset") or ""):
+        flag, arg = "--preset", cfg["preset"]
+    if not arg:
+        return None
+    if arg in ("even", "seed") and not os.path.exists(arg):
+        if base is None:
+            raise UsageError(f"--plan {arg} needs --preset")
+        return (even_allocation if arg == "even" else seed_plan)(base, scales)
+    if cfg.get("scales"):
+        raise UsageError(f"--scales is not read with {flag} {arg}: "
+                         "the plan fixes its scales")
     return load_plan(arg) if os.path.exists(arg) else reference_plan(arg)
+
+
+def _build_network(cfg, ds=None):
+    """The network of --preset, --scales, --plan and --downsample."""
+    from .presets import build_scalenet
+
+    base, scales = _preset_base(cfg, ds)
+    plan = _plan(cfg, base, scales)
+    return base if plan is None else build_scalenet(base, plan, downsample=cfg["downsample"])
 
 
 def _spec_file(cfg):
@@ -258,39 +287,8 @@ def _spec_file(cfg):
     return NetworkSpec.from_text(_read(cfg["spec"])) if cfg.get("spec") else None
 
 
-def _resolve_plan(cfg, base, scales):
-    from .presets import even_allocation, seed_plan
-
-    allocation = cfg.get("allocation")
-    plan_arg = cfg.get("plan")
-    if allocation is None:
-        allocation = "plan" if plan_arg else "baseline"
-    if allocation == "plan":
-        if not plan_arg:
-            raise UsageError("--plan required for allocation=plan")
-        return _plan(plan_arg)
-    if allocation not in ("baseline", "even", "seed"):
-        raise UsageError(f"unknown allocation '{allocation}'")
-    if plan_arg:
-        raise UsageError(f"--plan is not read with --allocation {allocation}")
-    if allocation == "baseline":
-        return None
-    return (even_allocation if allocation == "even" else seed_plan)(base, scales)
-
-
-def _build_network(cfg):
-    from .presets import build_scalenet
-
-    base, default_scales = _preset_base(cfg)
-    scales = cfg.get("scales") or default_scales
-    plan = _resolve_plan(cfg, base, scales)
-    if plan is None:
-        return base
-    return build_scalenet(base, plan, downsample=cfg.get("downsample") or "max")
-
-
 def _load_dataset(cfg, split):
-    """Load one split and set the network's classes and input channels from it."""
+    """Load one split; the network takes its classes and input channels."""
     from .data import load_cifar, synthetic_dataset
 
     kind = cfg["dataset"]
@@ -304,7 +302,6 @@ def _load_dataset(cfg, split):
         ds = load_cifar(cfg["data_dir"], kind, "train" if split == "train" else "test")
     else:
         raise UsageError(f"unknown dataset '{kind}'")
-    cfg["classes"], cfg["in_channels"] = ds.num_classes, ds.channels
     return ds
 
 
@@ -362,13 +359,13 @@ def cmd_train(cfg, out):
     from .training import train
 
     if cfg.get("spec"):
-        given = [_flag(k) for k in ("preset", "scales", "plan", "allocation") if cfg.get(k)]
+        given = [_flag(k) for k in ("preset", "scales", "plan") if cfg.get(k)]
         if given:
             raise UsageError(f"--spec gives the network; drop {', '.join(given)}")
     train_cfg = _train_config(cfg)
     train_ds = _load_dataset(cfg, "train")
     val_ds = _load_dataset(cfg, "val")
-    spec = _spec_file(cfg) or _build_network(cfg)
+    spec = _spec_file(cfg) or _build_network(cfg, train_ds)
     _check_fits(spec, train_ds)
     write_snapshot("train", cfg, cfg["out_dir"])
     result = train(spec, train_ds, val_ds, train_cfg, out_dir=cfg["out_dir"], log=out)
@@ -408,13 +405,12 @@ def cmd_pipeline(cfg, out):
     train_cfg = _train_config(cfg)
     train_ds = _load_dataset(cfg, "train")
     val_ds = _load_dataset(cfg, "val")
-    base, default_scales = _preset_base(cfg)
-    scales = cfg.get("scales") or default_scales
+    base, scales = _preset_base(cfg, train_ds)
     proj = ProjectionConfig(exponent=cfg["b"])
     write_snapshot("pipeline", cfg, cfg["out_dir"])
     result = run_pipeline(base, scales, train_ds, val_ds, train_cfg, proj,
                           out_dir=cfg["out_dir"],
-                          downsample=cfg.get("downsample") or "max")
+                          downsample=cfg["downsample"])
     rf_rows = rf_network_report(result.final_spec)
     emit_report(result.plan, cfg["out_dir"], rf_rows,
                 rf_reference=base.input_shape[1])
@@ -455,18 +451,18 @@ def cmd_eval(cfg, out):
 
 
 def cmd_report(cfg, out):
+    from .presets import build_scalenet
     from .report import emit_report
     from .rf import rf_network_report
 
-    if not cfg.get("plan"):
+    base, scales = _preset_base(cfg) if cfg.get("preset") else (None, None)
+    plan = _plan(cfg, base, scales)
+    if plan is None:
         raise UsageError("--plan is required")
-    plan = _plan(cfg["plan"])
-    rf_rows = None
-    reference = None
-    if cfg.get("preset"):
-        spec = _build_network({**cfg, "allocation": "plan"})
-        rf_rows = rf_network_report(spec)
-        reference = spec.input_shape[1]
+    rf_rows = reference = None
+    if base is not None:
+        spec = build_scalenet(base, plan, downsample=cfg["downsample"])
+        rf_rows, reference = rf_network_report(spec), spec.input_shape[1]
     paths = emit_report(plan, cfg["out_dir"], rf_rows, reference)
     write_snapshot("report", cfg, cfg["out_dir"])
     for name in sorted(paths):

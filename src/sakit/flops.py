@@ -78,22 +78,16 @@ def network_flops(spec: NetworkSpec) -> FlopsReport:
         macs = _node_macs(n, shapes[n.name])
         if macs:
             report.rows.append(NodeCost(n.name, n.op, macs))
+    macs = {r.name: r.macs for r in report.rows}
     cats = spec.block_nodes("concat")
     for k, branches in spec.sa_blocks().items():
-        detail = []
-        total = 0
-        mid = branches[0][1].attrs["in"]
-        for scale, conv, _bn in branches:
-            _, bh, bw = shapes[conv.name]
-            unit = 9 * mid * bh * bw
-            detail.append((scale, conv.attrs["out"], unit))
-            total += conv.attrs["out"] * unit
-        report.sa_block_detail[k] = detail
-        report.sa_block_macs[k] = total
         _, h, w = shapes[cats[k].name]
-        scales = [s for s, _, _ in detail]
-        report.budgets[k] = block_budget(mid, cats[k].attrs["base"], h, w, scales,
-                                         block_index=k)
+        budget = block_budget(branches[0][1].attrs["in"], cats[k].attrs["base"], h, w,
+                              [s for s, _, _ in branches], block_index=k)
+        report.budgets[k] = budget
+        report.sa_block_detail[k] = [(s, conv.attrs["out"], budget.unit_costs[s])
+                                     for s, conv, _ in branches]
+        report.sa_block_macs[k] = sum(macs[conv.name] for _, conv, _ in branches)
     return report
 
 

@@ -1,10 +1,12 @@
 import gc
+import shlex
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from sakit.cli import build_parser, main, resolve_config
+from sakit.cli import _COMMAND_KEYS, build_parser, main, resolve_config
 
 
 def run(capsys, *argv):
@@ -59,30 +61,29 @@ _ALLOCATE = ["allocate", "--importances", "{tmp}/imp.csv", "--budgets", "{tmp}/b
     (["train", *_SMALL, "--lr", "-1"], "learning rate"),
     (["pipeline", *_SMALL, "--downsample", "bogus"], "--downsample"),
     (["pipeline", *_SMALL, "--scales", "2,1"], "--scales"),
-    (["build", "--preset", "cifar-n1", "--scales", "2,1", "--allocation", "even"], "--scales"),
+    (["build", "--preset", "cifar-n1", "--scales", "2,1", "--plan", "even"], "--scales"),
     ([*_ALLOCATE, "--scales", "2,1"], "--scales"),
     ([*_ALLOCATE, "--scales", "1,4"], "scales [2]"),  # the kept scale-2 channel
     (["allocate", "--importances", "{tmp}/imp2.csv", "--budgets", "{tmp}/bud.csv",
       "--scales", "1,2"], "no budget for blocks [2]"),
     (["allocate", "--importances", "{tmp}/imp2.csv", "--budgets", "{tmp}/bud0.csv",
       "--scales", "1,2"], "line 3: budget of block 2 must be at least 1"),
-    (["build", "--preset", "cifar-n1", "--allocation", "even", "--plan", "nosuchplan"],
-     "--plan is not read with --allocation even"),
-    (["rf", "--preset", "cifar-n1", "--allocation", "baseline", "--plan", "cifar-n4"],
-     "--plan is not read with --allocation baseline"),
-    (["train", *_SMALL, "--allocation", "seed", "--plan", "cifar-n4"],
-     "--plan is not read with --allocation seed"),
+    (["build", "--preset", "cifar-n4", "--plan", "cifar-n4", "--scales", "1,2"],
+     "--scales is not read with --plan cifar-n4"),
+    (["rf", "--preset", "scalenet50", "--scales", "1,2,4"],
+     "--scales is not read with --preset scalenet50"),
+    (["report", "--plan", "even"], "--plan even needs --preset"),
     (["flops", "--preset", "cifar-n1"], "unrecognized arguments: --out-dir"),
     (["pipeline", *_SMALL, "--b", "nan"], "exponent b must be finite"),
     ([*_ALLOCATE, "--scales", "1,2", "--b", "inf"], "exponent b must be finite"),
     (["train", "--spec", "{tmp}/s.netspec", "--preset", "resnet50", "--scales", "1,2",
-      "--allocation", "even"], "--spec gives the network; drop --preset, --scales, --allocation"),
+      "--plan", "even"], "--spec gives the network; drop --preset, --scales, --plan"),
     (["train", "--spec", "{tmp}/s.netspec", "--plan", "cifar-n4"], "drop --plan"),
     (["build", "--preset", "cifar-n1", "--input", "64"], "--input is not read with --preset"),
 ], ids=["milestones", "milestones-zero", "milestones-repeated", "augment", "lr", "downsample", "pipeline-scales", "build-scales",
         "allocate-scales", "allocate-lost-scale", "allocate-budget-hole",
-        "allocate-zero-budget", "build-plan-with-even", "rf-plan-with-baseline",
-        "train-plan-with-seed", "flops-out-dir", "pipeline-b-nan", "allocate-b-inf",
+        "allocate-zero-budget", "build-plan-scales", "rf-alias-scales",
+        "report-even-without-preset", "flops-out-dir", "pipeline-b-nan", "allocate-b-inf",
         "train-spec-with-network-options", "train-spec-with-plan", "cifar-input"])
 def test_bad_options_fail_before_anything_is_written(capsys, tmp_path, argv, says):
     (tmp_path / "imp.csv").write_text("k,scale,channel,gamma,abs_gamma,unit_cost\n"
@@ -137,13 +138,56 @@ def test_flops_scalenet_with_shipped_plan(capsys, tmp_path):
 def test_build_writes_spec_and_snapshot(capsys, tmp_path):
     out_file = tmp_path / "net.netspec"
     code, out, _ = run(capsys, "build", "--preset", "cifar-n1",
-                       "--allocation", "even", "--out", str(out_file))
+                       "--plan", "even", "--out", str(out_file))
     assert code == 0 and out_file.exists()
     assert (tmp_path / "config.resolved.txt").exists()
     text = out_file.read_text()
     assert text.startswith("network ")
     snapshot = (tmp_path / "config.resolved.txt").read_text()
-    assert "command=build" in snapshot and "preset=cifar-n1" in snapshot
+    assert snapshot.startswith("# sakit build\n") and "preset=cifar-n1" in snapshot
+
+
+_TINY_TRAIN = ["train", "--preset", "cifar-n1", "--classes", "3", "--per-class", "2",
+               "--val-per-class", "1", "--epochs", "2", "--batch", "4", "--deterministic"]
+
+
+@pytest.mark.parametrize("argv, artifact", [
+    (["build", "--preset", "cifar-n1", "--plan", "seed", "--classes", "7"], "*.netspec"),
+    ([*_TINY_TRAIN, "--momentum", "0.5", "--weight-decay", "0"], "metrics.csv"),
+], ids=["build", "train"])
+def test_snapshot_replays_the_run(capsys, tmp_path, argv, artifact):
+    code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path / "first"))
+    assert code == 0, err
+    snapshot = tmp_path / "first" / "config.resolved.txt"
+    code, _, err = run(capsys, argv[0], "--config", str(snapshot),
+                       "--out-dir", str(tmp_path / "replay"))
+    assert code == 0, err
+    first = sorted((tmp_path / "first").glob(artifact))
+    replay = sorted((tmp_path / "replay").glob(artifact))
+    assert [p.name for p in first] == [p.name for p in replay] and first
+    assert [p.read_bytes() for p in first] == [p.read_bytes() for p in replay]
+
+
+def test_momentum_reaches_training(capsys, tmp_path):
+    for momentum in ("0.5", "0.9"):
+        code, _, err = run(capsys, *_TINY_TRAIN, "--momentum", momentum, "--weight-decay", "0",
+                           "--out-dir", str(tmp_path / momentum))
+        assert code == 0, err
+    assert ((tmp_path / "0.5" / "metrics.csv").read_bytes()
+            != (tmp_path / "0.9" / "metrics.csv").read_bytes())
+
+
+def test_readme_cli_lines_parse():
+    """Each ``sakit`` line of the README's CLI block parses, so no removed
+    command or flag lingers in the docs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    argvs = [words[1:] for words in lines if words[:1] == ["sakit"]]
+    assert {argv[0] for argv in argvs} == set(_COMMAND_KEYS)
+    for argv in argvs:
+        build_parser().parse_args(argv)
 
 
 def test_rf_command(capsys, tmp_path):
@@ -302,7 +346,7 @@ def test_config_file_is_closed(tmp_path):
 @pytest.mark.parametrize("argv, name", [
     (["build", "--preset", "cifar-n1"], "cifar-n1.netspec"),
     (["flops", "--preset", "scalenet50", "--out", "{dir}/blocks.csv"], "blocks.csv"),
-    (["rf", "--preset", "cifar-n1", "--allocation", "even"], "rf.csv"),
+    (["rf", "--preset", "cifar-n1", "--plan", "even"], "rf.csv"),
     (["allocate", "--importances", "{tmp}/importances.csv",
       "--budgets", "{tmp}/budgets.csv", "--scales", "1,2,4"], "plan.txt"),
 ], ids=["build", "flops", "rf", "allocate"])
