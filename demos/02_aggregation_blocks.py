@@ -9,7 +9,7 @@ divisible size and at the two classic non-divisible ones.
 import numpy as np
 
 from sakit import Graph, SABlockSpec, build_sa_block
-from sakit.netspec import SpecBuilder, propagate_shapes
+from sakit.netspec import SpecBuilder
 
 
 def show(c_in, scales, channels, h, w):
@@ -20,7 +20,7 @@ def show(c_in, scales, channels, h, w):
     b.add("fc", "dense", ["g"], **{"in": sum(channels), "out": 2})
     b.add("loss", "softmax_xent", ["fc"])
     spec = b.build()
-    shapes = propagate_shapes(spec)
+    shapes = spec.shapes
     print(f"\ninput {c_in}x{h}x{w}, scales {scales}, channels {channels}:")
     for node in spec.nodes:
         if node.name.startswith("sa."):

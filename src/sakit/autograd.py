@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .netspec import KNOWN_OPS, NetworkSpec, ShapeError, propagate_shapes
+from .netspec import KNOWN_OPS, NetworkSpec, ShapeError
 from .rng import stream
 
 
@@ -136,7 +136,6 @@ class Graph:
     def __init__(self, spec: NetworkSpec, dtype=np.float32, seed=0, init=True):
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        propagate_shapes(spec)
         self.nodes = [Node(layer) for layer in spec.nodes]
         self.params, self.state = {}, {}
         for node in self.nodes:

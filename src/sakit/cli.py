@@ -5,7 +5,8 @@ Option values resolve with precedence env > flag > config file > default;
 env overrides use the SAKIT_ prefix (SAKIT_SEED=7). A boolean value is one
 of 1/0/true/false/yes/no/on/off in any case. Commands that write
 artifacts drop a ``config.resolved.txt`` snapshot of the options that were
-set next to them, so ``sakit <cmd> --config <snapshot>`` reruns the run.
+set next to them, so ``sakit <cmd> --config <snapshot>`` reruns the run; a
+config line is a comment only when its first non-blank character is ``#``.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
@@ -157,8 +158,8 @@ def resolve_config(cmd, args):
     if cfg_file:
         seen = {}  # key -> line that set it
         for lineno, raw in enumerate(_read(cfg_file).splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise UsageError(f"{cfg_file}:{lineno}: expected key=value")
@@ -420,13 +421,13 @@ def cmd_pipeline(cfg, out):
 
 
 def cmd_rf(cfg, out):
-    from .rf import rf_network_report, rf_report_csv
+    from .rf import _fmt, rf_network_report, rf_report_csv
 
     spec = _build_network(cfg)
     rows = rf_network_report(spec)
     out("block_index min_rf max_rf")
     for k, lo, hi in rows:
-        out(f"{k} {lo} {hi}")
+        out(f"{k} {_fmt(lo)} {_fmt(hi)}")
     out(f"wrote {_write_output('rf', cfg, 'rf.csv', rf_report_csv(rows))}")
     return 0
 

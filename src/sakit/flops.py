@@ -9,7 +9,7 @@ the budget check matches the constraint the allocator enforces.
 import math
 from dataclasses import dataclass, field
 
-from .netspec import NetworkSpec, propagate_shapes
+from .netspec import NetworkSpec
 
 
 def neuron_cost(in_channels, h, w, scale) -> int:
@@ -72,16 +72,15 @@ class FlopsReport:
 def network_flops(spec: NetworkSpec) -> FlopsReport:
     """Count MACs node by node; aggregation blocks also get per-block
     subtotals of their per-scale convs against the reconstructed budget."""
-    shapes = propagate_shapes(spec)
     report = FlopsReport()
     for n in spec.nodes:
-        macs = _node_macs(n, shapes[n.name])
+        macs = _node_macs(n, spec.shapes[n.name])
         if macs:
             report.rows.append(NodeCost(n.name, n.op, macs))
     macs = {r.name: r.macs for r in report.rows}
     cats = spec.block_nodes("concat")
     for k, branches in spec.sa_blocks().items():
-        _, h, w = shapes[cats[k].name]
+        _, h, w = spec.shapes[cats[k].name]
         budget = block_budget(branches[0][1].attrs["in"], cats[k].attrs["base"], h, w,
                               [s for s, _, _ in branches], block_index=k)
         report.budgets[k] = budget

@@ -9,7 +9,9 @@ optional ones with their defaults (read through ``LayerSpec.get``), in print
 order. Every attribute and tag is an integer; every attribute is >= 1, except
 ``pad`` (>= 0) and the ``bias``/``ceil`` flags (0 or 1). ``_ARITY`` is each
 op's input count. Every ``NetworkSpec`` checks each node against these rules,
-however it was made.
+however it was made, and propagates its shapes once into ``spec.shapes``, so
+a spec whose shapes do not hold fails where it is made (``ShapeError``). Its
+nodes are not mutated afterwards; nothing downstream re-derives a shape.
 
 The block and preset builders tag block nodes with ``block`` (and the
 per-scale convs and batchnorms also with ``scale``); this is the only module
@@ -93,7 +95,8 @@ class NetworkSpec:
 
     def __post_init__(self):
         """Check every node against its op's schema and the wiring: a DAG in
-        topological order, one name per node, each op's input count (``_ARITY``)."""
+        topological order, one name per node, each op's input count (``_ARITY``);
+        then propagate the shapes into ``self.shapes``."""
         self._index = {}
         for i, n in enumerate(self.nodes):
             check_node(n)
@@ -108,6 +111,7 @@ class NetworkSpec:
                 if name not in self._index:
                     raise SpecError(f"node '{n.name}' uses '{name}' before definition")
             self._index[n.name] = i
+        self.shapes = propagate_shapes(self)
 
     def node(self, name) -> LayerSpec:
         return self.nodes[self._index[name]]
@@ -363,12 +367,8 @@ class SpecBuilder:
     def __init__(self, name):
         self.name = name
         self.nodes = []
-        self._names = set()
 
     def add(self, name, op, inputs=(), **attrs) -> str:
-        if name in self._names:
-            raise SpecError(f"duplicate node '{name}'")
-        self._names.add(name)
         self.nodes.append(LayerSpec(name, op, list(inputs), dict(attrs)))
         return name
 

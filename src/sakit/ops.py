@@ -1,5 +1,9 @@
 """Layer kernels in NCHW layout, each a forward/backward pair over ndarrays.
 
+Precondition: kernels trust the geometry their NetworkSpec checked when it
+was made (matching channels and dims, outputs of at least 1x1, pool pad <=
+k // 2) and check only runtime data: batchnorm's batch, the loss labels.
+
 Conv and the pools share one window geometry: for each tap of a k x k
 window, the rectangle of outputs whose input cell is in bounds, and that
 cell's rectangle of the input (``_in_bounds`` per axis, ``_taps`` per tap).
@@ -85,14 +89,10 @@ def conv2d_forward(x, w, stride=1, dilation=1, pad=0):
     cache holds x itself, not its patches. Each image is one GEMM,
     W (Cout, Cin*k*k) @ P_i (Cin*k*k, Ho*Wo), written into y[i].
     """
-    n, cin, h, wd = x.shape
-    cout, cin_w, k, _ = w.shape
-    if cin != cin_w:
-        raise ValueError(f"conv expects {cin_w} input channels, got {cin}")
+    n, _, h, wd = x.shape
+    cout, _, k, _ = w.shape
     ho = conv_out_dim(h, k, stride, dilation, pad)
     wo = conv_out_dim(wd, k, stride, dilation, pad)
-    if ho < 1 or wo < 1:
-        raise ValueError(f"non-positive conv output dims {ho}x{wo}")
     wf = w.reshape(cout, -1)
     y = np.empty((n, cout, ho, wo), dtype=np.result_type(x, w))
     for i, p in enumerate(_patches(x, ho, wo, k, stride, dilation, pad)):
@@ -127,16 +127,7 @@ def conv2d_backward(dy, w, cache):
 
 
 def _pool_geometry(x_shape, k, stride, pad, ceil_mode):
-    if pad > k // 2:
-        # a wider pad leaves windows that hold only padding
-        raise ValueError(f"pool pad {pad} exceeds half the window {k}")
-    h, w = x_shape[2], x_shape[3]
-    ho = pool_out_dim(h, k, stride, pad, ceil_mode)
-    wo = pool_out_dim(w, k, stride, pad, ceil_mode)
-    if ho < 1 or wo < 1:
-        raise ValueError(f"pool window {k} stride {stride} pad {pad} leaves no "
-                         f"valid output on {h}x{w} input")
-    return ho, wo
+    return tuple(pool_out_dim(size, k, stride, pad, ceil_mode) for size in x_shape[2:])
 
 
 def _window_max(x, axis, out, k, stride, pad):
@@ -214,9 +205,7 @@ def resize_nearest_forward(x, out_h, out_w):
     Exact identity when target dims equal input dims. The cache is the
     per-source run lengths (rows, cols).
     """
-    n, c, h, w = x.shape
-    if out_h < 1 or out_w < 1:
-        raise ValueError("resize target dims must be >= 1")
+    h, w = x.shape[2:]
     rows, cols = _runs(h, out_h), _runs(w, out_w)
     return np.repeat(np.repeat(x, rows, axis=2), cols, axis=3), (rows, cols)
 
@@ -293,17 +282,11 @@ def relu_backward(dy, y):
 
 
 def add_forward(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"residual add shape mismatch {a.shape} vs {b.shape}")
     return a + b
 
 
 def concat_channels_forward(xs):
     """Concatenate NCHW tensors along channels, order preserved."""
-    base = xs[0].shape
-    for x in xs[1:]:
-        if x.shape[0] != base[0] or x.shape[2:] != base[2:]:
-            raise ValueError(f"concat spatial/batch mismatch {x.shape} vs {base}")
     return np.concatenate(xs, axis=1), [x.shape[1] for x in xs]
 
 

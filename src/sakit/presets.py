@@ -13,7 +13,7 @@ from importlib import resources
 
 from .blocks import SABlockSpec, SAResidualSpec, build_sa_residual, check_scales
 from .checkpoint import atomic_open
-from .netspec import NetworkSpec, SpecBuilder, SpecError, propagate_shapes
+from .netspec import NetworkSpec, SpecBuilder, SpecError
 
 RESNET_STAGE_BLOCKS = {50: (3, 4, 6, 3), 101: (3, 4, 23, 3), 152: (3, 8, 36, 3)}
 IMAGENET_SCALES = [1, 2, 4, 7]
@@ -266,11 +266,10 @@ def describe_bottlenecks(base: NetworkSpec):
     if set(adds) != set(convs):
         raise SpecError(f"'{base.name}' tags 3x3 convs of blocks {sorted(convs)} "
                         f"but adds of blocks {sorted(adds)}")
-    shapes = propagate_shapes(base)
     descs = []
     for k, c3 in convs.items():
-        _, h, w = shapes[c3.name]
-        descs.append(BottleneckDesc(k, c3.attrs["in"], shapes[adds[k].name][0],
+        _, h, w = base.shapes[c3.name]
+        descs.append(BottleneckDesc(k, c3.attrs["in"], base.shapes[adds[k].name][0],
                                     c3.get("stride"), h, w))
     stem_out = _producer_of_op(base, convs[min(convs)].inputs[0], "conv").inputs[0]
     return stem_out, descs
@@ -289,8 +288,9 @@ def build_scalenet(base: NetworkSpec, plan: AllocationPlan,
                    downsample: str = "max") -> NetworkSpec:
     """Replace every tagged 3x3 bottleneck conv with an aggregation block.
 
-    Strided baselines become a standalone 2x2 max pool in front of the
-    residual (all aggregation convs run at stride 1); the 1x1 expand input
+    Strided baselines become a standalone 2x2 ceil-mode max pool in front of
+    the residual, which keeps the replaced stride-2 conv's dims at odd sizes
+    (all aggregation convs run at stride 1); the 1x1 expand input
     width follows the plan row sum. The plan must have one row per block.
     """
     stem_out, descs = describe_bottlenecks(base)
@@ -298,7 +298,6 @@ def build_scalenet(base: NetworkSpec, plan: AllocationPlan,
     if set(plan.rows) != want:
         raise SpecError(
             f"plan rows {sorted(plan.rows)} do not match blocks {sorted(want)}")
-    shapes = propagate_shapes(base)
     b = SpecBuilder(_derived_name(base.name, plan))
     # stem nodes copied verbatim
     cur = None
@@ -307,11 +306,11 @@ def build_scalenet(base: NetworkSpec, plan: AllocationPlan,
         if node.name == stem_out:
             cur = node.name
             break
-    c_in = shapes[stem_out][0]
+    c_in = base.shapes[stem_out][0]
     for d in descs:
         prefix = f"sa{d.block_index}"
         if d.stride == 2:
-            cur = b.add(f"{prefix}.pool", "maxpool", [cur], k=2, stride=2)
+            cur = b.add(f"{prefix}.pool", "maxpool", [cur], k=2, stride=2, ceil=1)
         elif d.stride != 1:
             raise SpecError(f"unsupported baseline stride {d.stride}")
         sa = SABlockSpec(d.mid, list(plan.scales), list(plan.rows[d.block_index]),

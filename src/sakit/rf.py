@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .autograd import Graph
-from .netspec import NetworkSpec, propagate_shapes
+from .netspec import NetworkSpec
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,12 @@ def rf_propagate(node, incoming, in_shape=None) -> RFInterval:
 
 def rf_all_nodes(spec: NetworkSpec) -> dict:
     """Interval for every spatial node; propagation stops at the gap node."""
-    shapes = propagate_shapes(spec)
     intervals = {}
     for n in spec.nodes:
         if n.op in ("gap", "dense", "softmax_xent"):
             continue
         ins = [intervals[i] for i in n.inputs]
-        in_shape = shapes[n.inputs[0]] if n.inputs else None
+        in_shape = spec.shapes[n.inputs[0]] if n.inputs else None
         intervals[n.name] = rf_propagate(n, ins, in_shape)
     return intervals
 

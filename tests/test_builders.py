@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from sakit.autograd import Graph
@@ -181,6 +182,28 @@ def test_spec_round_trip_through_text_resnet_scalenet():
     assert back.sa_blocks().keys() == spec.sa_blocks().keys()
 
 
+@pytest.mark.parametrize("mode", DOWNSAMPLE_MODES)
+@pytest.mark.parametrize("size", [97, 225, 230])
+def test_scalenet_builds_at_odd_feature_sizes(size, mode):
+    # the 2x2 pool before each strided block rounds up, as the stride-2 3x3
+    # conv it replaces does, so odd feature sizes build (at 225 the blocks
+    # run at 57, 29, 15 and 8)
+    base = build_resnet(50, input_size=size)
+    spec = build_scalenet(base, reference_plan("scalenet50"), downsample=mode)
+    convs = base.block_nodes("conv")
+    for k, cat in spec.block_nodes("concat").items():
+        assert spec.shapes[cat.name][1:] == base.shapes[convs[k].name][1:]
+
+
+def test_scalenet_infers_at_a_small_odd_size():
+    # the blocks run at 9, 5, 3 and 2
+    spec = build_scalenet(build_resnet(50, num_classes=10, input_size=35),
+                          reference_plan("scalenet50"))
+    x = np.random.default_rng(0).random((1, 3, 35, 35), dtype=np.float32)
+    logits = Graph(spec).forward(x, mode="infer")[spec.logits_name]
+    assert logits.shape == (1, 10) and np.all(np.isfinite(logits))
+
+
 # sha256 of to_text(); a change to these bytes changes every checkpoint's spec
 _PINNED_SPECS = {
     "resnet50": "887b4de2279d07447bf0243233a2834beffa92434291dcfd8d558e38fe9333ad",
@@ -194,15 +217,15 @@ _PINNED_SPECS = {
     "cifar-n6-c3": "5d6583c53f67a010a2a50fc2b85af25193b5f0ddf1e86c548af885650cbfb057",
     "cifar-n11-c1": "aa4b32c08788820dad7e7d09b39ff5edf11724687d6a0d44173d158b7f3a18a9",
     "cifar-n11-c3": "27a5c389411382321806f285cf0c5e93bd00e7b5289ffd16c53a2d69a1e8b443",
-    "scalenet50": "3fcf0e5ef7c6c9bd85ef02050d48febcc46a0b2257c4034095bc5664c104a0a9",
-    "scalenet101": "939a51e1cb9a4aeac53f02485ebfd4c68ef4de29b0f75d9f6e667f8283837b56",
-    "scalenet152": "7aedea36c1e8ef6996b9a69c9d6cfd6623f5540768db0d1a6d1dad20142a1548",
-    "scalenet50-light": "5beed906f6881a9b6349bac33d8b720f80cec6677b87b36cdf90f4f14422cc51",
-    "desk-seed": "bcda68bfa31644f5def3eab90820be2590ae85c387e7fd691a94d37c4474ea43",
-    "desk-even": "a25596caedf79213f5f10d4f63bd847c2324b84076f34c48b1dc0883b9f895bd",
-    "desk-seed-avg": "50e6cb24d558c162c696dfa4dcd0a129f4dfdc3133f0304b73347aa4359d45d2",
-    "desk-seed-conv": "ac22cb874484f067db841b3bd126efe8b6360c20625e3173b6b914594b7da1fc",
-    "desk-seed-dilated": "dcd77043e90b9174e12708c0fb3c582944b6a06607b10aa5f7474f9f391743bc",
+    "scalenet50": "c9506a348c6b9d87b42279c3f84af7cd83a1310f7f1a3eb6147e65639da248d2",
+    "scalenet101": "a3df77f69f1f98ca3eb67239623268a40e7b193c3145e58cc29e0f94dc03f670",
+    "scalenet152": "cf47e86aa26ba1d028c4b3a7653e146b17e8f98fe5ce36f6ebda839a3bac6906",
+    "scalenet50-light": "e21013beeb5af0f4a2b3031c54c0a02837f39e9c2cd8418543d81c69e5e278c9",
+    "desk-seed": "82072aa8471f9021d307bd0d71f4e8cb4cd7c5fecd1b2b1d949af4413a53b344",
+    "desk-even": "1db02f7f18f1600d0a9513432b7d76cb2c9ae940909fd796fb2a751e1dc7387b",
+    "desk-seed-avg": "4edeb8d8dd95bdd78fa60686fb63d1bd9fb76a5ab0a268760669ce3052415125",
+    "desk-seed-conv": "cb458e54f8ab5c13595604f7d1fb5ee2395cbb378262e29878004b248cdfde86",
+    "desk-seed-dilated": "2b552b85d9fc63b493faf4ca9c73b77a39f92a91e8ace310ca25e0c98559e411",
 }
 
 

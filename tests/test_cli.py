@@ -80,11 +80,13 @@ _ALLOCATE = ["allocate", "--importances", "{tmp}/imp.csv", "--budgets", "{tmp}/b
       "--plan", "even"], "--spec gives the network; drop --preset, --scales, --plan"),
     (["train", "--spec", "{tmp}/s.netspec", "--plan", "cifar-n4"], "drop --plan"),
     (["build", "--preset", "cifar-n1", "--input", "64"], "--input is not read with --preset"),
+    (["train", "--spec", "{tmp}/bad.netspec"], "node 'c1': expects 3 channels, got 1"),
 ], ids=["milestones", "milestones-zero", "milestones-repeated", "augment", "lr", "downsample", "pipeline-scales", "build-scales",
         "allocate-scales", "allocate-lost-scale", "allocate-budget-hole",
         "allocate-zero-budget", "build-plan-scales", "rf-alias-scales",
         "report-even-without-preset", "flops-out-dir", "pipeline-b-nan", "allocate-b-inf",
-        "train-spec-with-network-options", "train-spec-with-plan", "cifar-input"])
+        "train-spec-with-network-options", "train-spec-with-plan", "cifar-input",
+        "train-spec-shapes"])
 def test_bad_options_fail_before_anything_is_written(capsys, tmp_path, argv, says):
     (tmp_path / "imp.csv").write_text("k,scale,channel,gamma,abs_gamma,unit_cost\n"
                                       "1,1,0,0.9,0.9,4\n1,2,0,0.7,0.7,1\n")
@@ -92,6 +94,9 @@ def test_bad_options_fail_before_anything_is_written(capsys, tmp_path, argv, say
                                        "1,1,0,0.9,0.9,4\n2,2,0,0.7,0.7,1\n")
     (tmp_path / "bud.csv").write_text("k,budget\n1,99\n")
     (tmp_path / "bud0.csv").write_text("k,budget\n1,99\n2,0\n")
+    (tmp_path / "bad.netspec").write_text(  # a 3-channel conv on 1-channel images
+        "network bad\nx = input(c=1,h=32,w=32)\nc1 = conv(in=3,out=4,k=3,pad=1) <- x\n"
+        "g = gap() <- c1\nfc = dense(in=4,out=10) <- g\nloss = softmax_xent() <- fc\n")
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path / "run"))
     assert code != 0 and says in err, err
@@ -330,6 +335,17 @@ def test_repeated_config_file_key_rejected(tmp_path):
     from sakit.cli import UsageError
     with pytest.raises(UsageError, match=r"conf.txt:3: duplicate key 'seed' \(first on line 1\)"):
         resolve_config("train", args)
+
+
+def test_hash_inside_a_config_value_is_kept(capsys, tmp_path, monkeypatch):
+    # only a line whose first non-blank character is '#' is a comment
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conf.txt").write_text("# sakit build\n  # indented comment\n"
+                                       "preset=cifar-n1\nout_dir=a#b\n")
+    code, _, err = run(capsys, "build", "--config", "conf.txt")
+    assert code == 0, err
+    assert (tmp_path / "a#b" / "cifar-n1.netspec").exists()
+    assert not (tmp_path / "a").exists()
 
 
 def test_config_file_is_closed(tmp_path):

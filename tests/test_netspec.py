@@ -173,8 +173,9 @@ def test_get_falls_back_on_the_declared_default():
 def test_duplicate_names_rejected():
     b = SpecBuilder("dup")
     b.add("x", "input", c=1, h=2, w=2)
-    with pytest.raises(SpecError):
-        b.add("x", "relu", ["x"])
+    b.add("x", "relu", ["x"])
+    with pytest.raises(SpecError, match="duplicate node name 'x' in 'dup'"):
+        b.build()
 
 
 def test_shape_propagation():
@@ -184,6 +185,7 @@ def test_shape_propagation():
     assert shapes["g"] == (4,)
     assert shapes["fc"] == (2,)
     assert shapes["loss"] == ()
+    assert spec.shapes == shapes  # kept when the spec was made
 
 
 def test_conv_shape_formula_matches_enumeration():
@@ -208,13 +210,43 @@ def test_conv_shape_formula_matches_enumeration():
     assert conv_out_dim(8, 3, 2, 2, 0) == 2
 
 
-def test_shape_errors_name_the_node():
+# one case per ShapeError branch of netspec._node_shape: (name, op, inputs,
+# attrs) of the nodes after a 3x8x8 input "x", ending in node "bad", and the
+# error's message
+_POOL = ("p", "maxpool", ["x"], {"k": 2, "stride": 2})
+_GAP = ("g", "gap", ["x"], {})
+_SHAPE_ERRORS = {
+    "conv-channels": ([("bad", "conv", ["x"], {"in": 5, "out": 4, "k": 3})],
+                      "expects 5 channels, got 3"),
+    "conv-dims": ([("bad", "conv", ["x"], {"in": 3, "out": 4, "k": 5, "dilation": 2})],
+                  "non-positive output dims 0x0"),
+    "pool-window": ([("bad", "avgpool", ["x"], {"k": 9, "stride": 1})],
+                    "window 9 exceeds padded input 8x8"),
+    "batchnorm-channels": ([("bad", "batchnorm", ["x"], {"c": 4})],
+                           "expects 4 channels, got 3"),
+    "concat-spatial": ([_POOL, ("bad", "concat", ["x", "p"], {})],
+                       "spatial mismatch 4x4 vs 8x8"),
+    "add-operands": ([_POOL, ("bad", "add", ["x", "p"], {})],
+                     r"operand shapes differ: \(3, 8, 8\) vs \(3, 4, 4\)"),
+    "dense-input": ([_GAP, ("bad", "dense", ["g"], {"in": 4, "out": 2})],
+                    r"expects \(4,\) vector, got \(3,\)"),
+    "softmax-vector": ([("bad", "softmax_xent", ["x"], {})],
+                       r"logits must be a vector, got \(3, 8, 8\)"),
+    "chw": ([_GAP, ("bad", "resize", ["g"], {"h": 2, "w": 2})],
+            r"needs a CHW tensor, got shape \(3,\)"),
+}
+
+
+@pytest.mark.parametrize("case", _SHAPE_ERRORS)
+def test_shape_errors_name_the_node(case):
+    nodes, message = _SHAPE_ERRORS[case]
     b = SpecBuilder("bad")
     b.add("x", "input", c=3, h=8, w=8)
-    b.add("c1", "conv", ["x"], **{"in": 5, "out": 4, "k": 3})
-    spec = b.build()
-    with pytest.raises(ShapeError, match="c1"):
-        propagate_shapes(spec)
+    for name, op, inputs, attrs in nodes:
+        b.add(name, op, inputs, **attrs)
+    with pytest.raises(ShapeError, match=f"^node 'bad': {message}$") as err:
+        b.build()
+    assert err.value.node == "bad"
 
 
 def test_sa_block_discovery_on_plain_net_is_empty():
