@@ -28,14 +28,19 @@ Nearest resize works on per-axis run lengths: how many output rows (columns)
 read each source row (column). Forward repeats rows by their run lengths,
 then columns; backward sums each run with one reduceat per axis, rows first.
 
+Batchnorm inference, with the running stats fixed, is one affine map per
+channel: y = x * a + s, where a = gamma * inv_std and s = beta - mean * a.
+Training forward and backward share the expression (x - mean) * inv_std for
+``xhat``, so backward recomputes it bit for bit.
+
 Caches hold inputs, not copies: conv and batchnorm keep their input, and
-backward recomputes the patches and ``xhat`` with the forward's expressions;
-relu is ``maximum(x, 0)`` and keeps its output. Max pooling takes the max
-along each window row, then across the rows, which picks the same element
-as a row-major scan of the taps; its cache is its input, its output and its
-geometry, and backward routes each window's gradient to the first in-bounds
-tap in row-major order that equals the window's max. Average pooling
-divides each window's sum by the count of its in-bounds cells.
+backward recomputes the patches and ``xhat``; relu is ``maximum(x, 0)`` and
+keeps its output. Max pooling takes the max along each window row, then
+across the rows, which picks the same element as a row-major scan of the
+taps; its cache is its input, its output and its geometry, and backward
+routes each window's gradient to the first in-bounds tap in row-major order
+that equals the window's max. Average pooling divides each window's sum by
+the count of its in-bounds cells.
 """
 
 import numpy as np
@@ -228,29 +233,34 @@ def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
                         momentum=0.1, training=True):
     """Per-channel batch normalization with affine scale/shift.
 
-    Training normalizes with current-batch statistics (biased variance) and
-    blends them into the running stats; inference uses the running stats.
-    Returns (y, cache, new_running_mean, new_running_var).
+    Training normalizes with current-batch statistics (biased variance),
+    y = gamma * ((x - mean) * inv_std) + beta, and blends them into the
+    running stats; backward recomputes (x - mean) * inv_std. Inference is one
+    affine map per channel from the running stats, y = x * a + s with
+    a = gamma * inv_std and s = beta - mean * a, and returns the running
+    stats themselves. Returns (y, cache, new_running_mean, new_running_var).
     """
     n, c, h, w = x.shape
     if training:
         if n * h * w < 2:
             raise ValueError("batchnorm training needs >= 2 elements per channel")
         mean = x.mean(axis=(0, 2, 3))
-        d = x - mean[None, :, None, None]
+        y = x - mean[None, :, None, None]
         # np.var's own expression, so the bits match x.var(axis=(0, 2, 3))
-        var = np.square(d).sum(axis=(0, 2, 3)) / (n * h * w)
+        var = np.square(y).sum(axis=(0, 2, 3)) / (n * h * w)
         new_mean = (1 - momentum) * running_mean + momentum * mean
         new_var = (1 - momentum) * running_var + momentum * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        y *= inv_std[None, :, None, None]
+        y *= gamma[None, :, None, None]
+        y += beta[None, :, None, None]
     else:
-        mean, var = running_mean, running_var
-        new_mean, new_var = running_mean, running_var
-        d = x - mean[None, :, None, None]
-    inv_std = 1.0 / np.sqrt(var + eps)
-    d *= inv_std[None, :, None, None]
-    d *= gamma[None, :, None, None]
-    d += beta[None, :, None, None]
-    return d, (x, mean, inv_std, gamma), new_mean, new_var
+        mean, new_mean, new_var = running_mean, running_mean, running_var
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        a = gamma * inv_std
+        y = x * a[None, :, None, None]
+        y += (beta - mean * a)[None, :, None, None]
+    return y, (x, mean, inv_std, gamma), new_mean, new_var
 
 
 def batchnorm2d_backward(dy, cache):

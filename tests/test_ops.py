@@ -9,10 +9,11 @@ from sakit.netspec import conv_out_dim, pool_out_dim
 from sakit.rng import stream
 
 
-# Reference kernels: two-pass batchnorm, where-relu, the tap-loop maxpool
-# forward, the argmax-and-where maxpool backward and the padded avgpool that
-# the current kernels replaced, and a fancy-index conv forward and backward
-# with the kernel's GEMMs. The current kernels must give the same bytes.
+# Reference kernels: two-pass training batchnorm and affine inference
+# batchnorm, where-relu, the tap-loop maxpool forward, the argmax-and-where
+# maxpool backward and the padded avgpool that the current kernels replaced,
+# and a fancy-index conv forward and backward with the kernel's GEMMs. The
+# current kernels must give the same bytes.
 
 def _patches_by_index(x, k, stride, dilation, pad):
     # (N, Cin*k*k, Ho*Wo) patch matrices of the zero-padded input, rows in
@@ -62,10 +63,13 @@ def _conv_backward_oracle(dy, x, w, stride, dilation, pad):
 
 
 def _batchnorm_oracle(x, gamma, beta, eps, training, running_mean, running_var):
-    if training:
-        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-    else:
-        mean, var = running_mean, running_var
+    if not training:
+        # the kernel's affine map per channel: x * a + (beta - mean * a)
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        a = gamma * inv_std
+        shift = beta - running_mean * a
+        return x * a[None, :, None, None] + shift[None, :, None, None], None, inv_std
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
     return gamma[None, :, None, None] * xhat + beta[None, :, None, None], xhat, inv_std
@@ -519,6 +523,43 @@ def test_batchnorm_bytes_match_two_pass_oracle(dtype):
                 ref = _batchnorm_backward_oracle(dy, xhat, inv_std, gamma)
                 for g, r in zip(got, ref):
                     assert _same_bytes(g, r)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mean_over_std", [0.0, 10.0, 1e3])
+def test_batchnorm_inference_rounding_bounded(dtype, mean_over_std):
+    # x * a + s rounds relative to |x * a|, not to |y|, and s = beta - mean * a
+    # relative to |mean * a| + |beta| (not |s|: the two may cancel), so a
+    # large |mean| against std costs precision; it must cost no more than
+    # this, where a's relative error is about 2 eps and each product and sum
+    # adds eps / 2
+    rng = stream(9, "bn-affine")
+    shape, eps = (4, 8, 6, 6), 1e-5
+    c = shape[1]
+    std = rng.uniform(0.5, 2, size=c)
+    mean = mean_over_std * std * rng.choice([-1.0, 1.0], size=c)
+    x = (mean[:, None, None] + std[:, None, None] * rng.normal(size=shape)).astype(dtype)
+    gamma, beta = rng.normal(size=c).astype(dtype), rng.normal(size=c).astype(dtype)
+
+    def reference_and_bound(rm, rv):
+        # float64 gamma (x - mean) / sqrt(var + eps) + beta from the same inputs
+        g, b, m, v = (t.astype(np.float64)[None, :, None, None] for t in (gamma, beta, rm, rv))
+        a = g / np.sqrt(v + eps)
+        ref = g * (x - m) / np.sqrt(v + eps) + b
+        return ref, 4 * np.finfo(dtype).eps * (np.abs(x * a) + np.abs(m * a) + np.abs(b))
+
+    rm, rv = mean.astype(dtype), np.square(std).astype(dtype)
+    y, _, _, _ = ops.batchnorm2d_forward(x, gamma, beta, rm, rv, eps, training=False)
+    ref, bound = reference_and_bound(rm, rv)
+    assert y.dtype == dtype and np.all(np.abs(y - ref) <= bound)
+    # with one batch's own mean and biased variance as running stats,
+    # inference agrees with training mode on that batch
+    bm, bv = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    y_train, _, _, _ = ops.batchnorm2d_forward(x, gamma, beta, rm, rv, eps, training=True)
+    y_infer, _, _, _ = ops.batchnorm2d_forward(x, gamma, beta, bm, bv, eps, training=False)
+    ref, bound = reference_and_bound(bm, bv)
+    assert np.all(np.abs(y_infer - ref) <= bound)
+    assert np.all(np.abs(y_infer.astype(np.float64) - y_train) <= bound)
 
 
 @pytest.mark.parametrize("shape, k, stride, pad, ceil", [
