@@ -14,6 +14,14 @@ keep their input, relu its output, softmax its probabilities. Backward frees
 each cache after use; each forward first releases the previous pass. One
 thread and no hidden randomness: identical weights, inputs and mode flags
 give bitwise-identical outputs.
+
+An intermediate not named in ``keep`` may be overwritten by its last reader
+(the in-place sharing of MXNet's memory planner, Chen et al. 2015): a relu
+or an add in both modes, and a batchnorm in inference, writes its output
+into its first input when it is that input's last reader and reads it once.
+In training no node writes over an array a cache holds (``CACHE_HOLDS``).
+The caller's input array and the names in ``keep`` are never written, and
+the bytes are those of a fresh output.
 """
 
 from dataclasses import dataclass, field
@@ -54,8 +62,10 @@ class Node:
             return {}
         raise ShapeError(n, f"unhandled op '{op}'")
 
-    def forward(self, xs, params, state, training, labels=None):
-        """Return (output, backward cache); only the loss reads ``labels``."""
+    def forward(self, xs, params, state, training, labels=None, out=None):
+        """Return (output, backward cache); only the loss reads ``labels``.
+        An ``out`` array is the first input, which a relu, an add or an
+        inference batchnorm overwrites with its output."""
         layer, op, a, n, x = self.layer, self.layer.op, self.layer.attrs, self.name, xs[0]
         if op == "input":
             return x, None
@@ -75,12 +85,12 @@ class Node:
             # inference returns the running stats themselves, so this keeps them
             y, cache, state[mean], state[var] = ops.batchnorm2d_forward(
                 x, params[f"{n}.gamma"], params[f"{n}.beta"], state[mean], state[var],
-                training=training)
+                training=training, out=out)
             return y, cache
         if op == "relu":
-            return ops.relu_forward(x)
+            return ops.relu_forward(x, out=out)
         if op == "add":
-            return ops.add_forward(x, xs[1]), None
+            return ops.add_forward(x, xs[1], out=out), None
         if op == "concat":
             return ops.concat_channels_forward(xs)
         if op == "gap":
@@ -129,6 +139,18 @@ class Node:
 # perfbench's tracer wraps forward and backward on every class in this mapping
 _NODE_TYPES = dict.fromkeys(KNOWN_OPS, Node)
 
+# what each op's training cache holds of the graph's arrays: its input, its
+# output or both (everything else a cache holds is its own); no node may
+# write over these before backward reads them
+CACHE_HOLDS = {"conv": ("input",), "batchnorm": ("input",), "dense": ("input",),
+               "maxpool": ("input", "output"), "relu": ("output",)}
+
+
+def held_by_caches(spec):
+    """Names of the outputs that some node's training cache holds."""
+    return {name for layer in spec.nodes for holds in CACHE_HOLDS.get(layer.op, ())
+            for name in (layer.inputs if holds == "input" else [layer.name])}
+
 
 class Graph:
     """Executable network: ordered nodes, named parameters, named state."""
@@ -159,6 +181,19 @@ class Graph:
         for name, i in last.items():
             if name not in outputs:
                 self._dead_after[i].append(name)
+        # per mode, the input a relu, an add or a batchnorm writes its output
+        # into, if any: one that dies at it, that it reads once and that is
+        # not the caller's array (``forward`` does not copy a contiguous
+        # input); in training, also one no cache holds, which rules out
+        # batchnorm, whose own cache holds its input
+        held = held_by_caches(spec)
+        self._writes_into = {False: [], True: []}
+        for layer, dead in zip(spec.nodes, self._dead_after):
+            first = layer.inputs[0] if layer.inputs else None
+            ok = (layer.op in ("relu", "add", "batchnorm") and first in dead
+                  and layer.inputs.count(first) == 1 and first != spec.input_name)
+            self._writes_into[False].append(first if ok else None)
+            self._writes_into[True].append(first if ok and first not in held else None)
         self.activations = None
         self._backward_ready = False
 
@@ -189,13 +224,14 @@ class Graph:
             raise ShapeError(self.spec.input_name,
                              f"expects (N,{c},{h},{w}) input with N >= 1, got {x.shape}")
         acts = self.activations = {}
-        for node, dead in zip(self.nodes, self._dead_after):
+        for node, dead, into in zip(self.nodes, self._dead_after, self._writes_into[training]):
             if node.layer.op == "softmax_xent" and labels is None:
                 continue
             xs = [acts[i] for i in node.layer.inputs] if node.layer.inputs else [x]
+            out = acts[into] if into is not None and into not in keep else None
             try:
                 acts[node.name], node.cache = node.forward(
-                    xs, self.params, self.state, training, labels)
+                    xs, self.params, self.state, training, labels, out)
             except ValueError as e:
                 raise ShapeError(node.name, str(e)) from e
             if not training:

@@ -191,8 +191,8 @@ class NetworkSpec:
         name = None
         nodes = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):  # a `#` elsewhere is part of the line
                 continue
             if line.startswith("network "):
                 if name is not None:

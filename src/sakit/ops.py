@@ -33,6 +33,10 @@ channel: y = x * a + s, where a = gamma * inv_std and s = beta - mean * a.
 Training forward and backward share the expression (x - mean) * inv_std for
 ``xhat``, so backward recomputes it bit for bit.
 
+Relu, add and inference batchnorm take ``out=`` and write through numpy's
+``out=``, which the executor points at a dying first input; the bytes are
+those of a fresh output.
+
 Caches hold inputs, not copies: conv and batchnorm keep their input, and
 backward recomputes the patches and ``xhat``; relu is ``maximum(x, 0)`` and
 keeps its output. Max pooling takes the max along each window row, then
@@ -230,7 +234,7 @@ def resize_nearest_backward(dy, cache):
 
 
 def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
-                        momentum=0.1, training=True):
+                        momentum=0.1, training=True, out=None):
     """Per-channel batch normalization with affine scale/shift.
 
     Training normalizes with current-batch statistics (biased variance),
@@ -238,7 +242,9 @@ def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
     running stats; backward recomputes (x - mean) * inv_std. Inference is one
     affine map per channel from the running stats, y = x * a + s with
     a = gamma * inv_std and s = beta - mean * a, and returns the running
-    stats themselves. Returns (y, cache, new_running_mean, new_running_var).
+    stats themselves; it writes y into ``out`` when given (x itself, say),
+    which training ignores. Returns (y, cache, new_running_mean,
+    new_running_var).
     """
     n, c, h, w = x.shape
     if training:
@@ -258,7 +264,7 @@ def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
         mean, new_mean, new_var = running_mean, running_mean, running_var
         inv_std = 1.0 / np.sqrt(running_var + eps)
         a = gamma * inv_std
-        y = x * a[None, :, None, None]
+        y = np.multiply(x, a[None, :, None, None], out=out)
         y += (beta - mean * a)[None, :, None, None]
     return y, (x, mean, inv_std, gamma), new_mean, new_var
 
@@ -281,9 +287,10 @@ def batchnorm2d_backward(dy, cache):
     return dx, dgamma, dbeta
 
 
-def relu_forward(x):
-    """Returns (y, y): the output is its own backward cache."""
-    y = np.maximum(x, 0)
+def relu_forward(x, out=None):
+    """Returns (y, y): the output is its own backward cache. ``out`` may be
+    x itself."""
+    y = np.maximum(x, 0, out=out)
     return y, y
 
 
@@ -291,8 +298,9 @@ def relu_backward(dy, y):
     return dy * (y > 0)
 
 
-def add_forward(a, b):
-    return a + b
+def add_forward(a, b, out=None):
+    """a + b, written into ``out`` when given (a itself, say)."""
+    return np.add(a, b, out=out)
 
 
 def concat_channels_forward(xs):

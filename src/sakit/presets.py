@@ -62,8 +62,8 @@ def parse_plan(text: str) -> AllocationPlan:
     exponent = None
     seen = {}  # canonical key -> line of its first occurrence
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):  # a `#` elsewhere is part of the line
             continue
         if ":" not in line:
             raise SpecError(f"expected 'key: value', got '{line}'", lineno)

@@ -105,6 +105,9 @@ def test_plan_round_trips():
     assert back.rows == plan.rows and back.scales == plan.scales
     assert serialize_plan(back) == text
     assert plan.rows[3] == [59, 26, 0, 3]  # zero-channel scale accepted
+    # only a line that starts with `#` is a comment, so a source keeps its `#`
+    plan.source = "run#7"
+    assert parse_plan(serialize_plan(plan)).source == "run#7"
 
 
 def test_plan_parse_line_examples():

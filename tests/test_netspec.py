@@ -29,6 +29,9 @@ def test_text_round_trip():
         assert (a.op, a.inputs, a.attrs) == (b.op, b.inputs, b.attrs)
     # serialize(parse(text)) is the canonical form and is stable
     assert back.to_text() == text
+    # only a line that starts with `#` is a comment, so a name keeps its `#`
+    spec.name = "net#1"
+    assert NetworkSpec.from_text("# a comment\n" + spec.to_text()).name == "net#1"
 
 
 def test_round_trip_resnet50():
