@@ -15,13 +15,12 @@ each cache after use; each forward first releases the previous pass. One
 thread and no hidden randomness: identical weights, inputs and mode flags
 give bitwise-identical outputs.
 
-An intermediate not named in ``keep`` may be overwritten by its last reader
-(the in-place sharing of MXNet's memory planner, Chen et al. 2015): a relu
-or an add in both modes, and a batchnorm in inference, writes its output
-into its first input when it is that input's last reader and reads it once.
-In training no node writes over an array a cache holds (``CACHE_HOLDS``).
-The caller's input array and the names in ``keep`` are never written, and
-the bytes are those of a fresh output.
+In inference an intermediate not named in ``keep`` may be overwritten by
+its last reader (the in-place sharing of MXNet's memory planner, Chen et al.
+2015): a relu, an add or a batchnorm writes its output into its first input
+when it is that input's last reader and reads it once. Training writes
+nothing in place. The caller's input array and the names in ``keep`` are
+never written, and the bytes are those of a fresh output.
 """
 
 from dataclasses import dataclass, field
@@ -64,8 +63,8 @@ class Node:
 
     def forward(self, xs, params, state, training, labels=None, out=None):
         """Return (output, backward cache); only the loss reads ``labels``.
-        An ``out`` array is the first input, which a relu, an add or an
-        inference batchnorm overwrites with its output."""
+        An ``out`` array is the first input, which an inference relu, add
+        or batchnorm overwrites with its output."""
         layer, op, a, n, x = self.layer, self.layer.op, self.layer.attrs, self.name, xs[0]
         if op == "input":
             return x, None
@@ -139,18 +138,6 @@ class Node:
 # perfbench's tracer wraps forward and backward on every class in this mapping
 _NODE_TYPES = dict.fromkeys(KNOWN_OPS, Node)
 
-# what each op's training cache holds of the graph's arrays: its input, its
-# output or both (everything else a cache holds is its own); no node may
-# write over these before backward reads them
-CACHE_HOLDS = {"conv": ("input",), "batchnorm": ("input",), "dense": ("input",),
-               "maxpool": ("input", "output"), "relu": ("output",)}
-
-
-def held_by_caches(spec):
-    """Names of the outputs that some node's training cache holds."""
-    return {name for layer in spec.nodes for holds in CACHE_HOLDS.get(layer.op, ())
-            for name in (layer.inputs if holds == "input" else [layer.name])}
-
 
 class Graph:
     """Executable network: ordered nodes, named parameters, named state."""
@@ -181,19 +168,16 @@ class Graph:
         for name, i in last.items():
             if name not in outputs:
                 self._dead_after[i].append(name)
-        # per mode, the input a relu, an add or a batchnorm writes its output
-        # into, if any: one that dies at it, that it reads once and that is
-        # not the caller's array (``forward`` does not copy a contiguous
-        # input); in training, also one no cache holds, which rules out
-        # batchnorm, whose own cache holds its input
-        held = held_by_caches(spec)
-        self._writes_into = {False: [], True: []}
+        # in inference, the input a relu, an add or a batchnorm writes its
+        # output into, if any: one that dies at it, that it reads once and
+        # that is not the caller's array (``forward`` does not copy a
+        # contiguous input)
+        self._writes_into = []
         for layer, dead in zip(spec.nodes, self._dead_after):
             first = layer.inputs[0] if layer.inputs else None
             ok = (layer.op in ("relu", "add", "batchnorm") and first in dead
                   and layer.inputs.count(first) == 1 and first != spec.input_name)
-            self._writes_into[False].append(first if ok else None)
-            self._writes_into[True].append(first if ok and first not in held else None)
+            self._writes_into.append(first if ok else None)
         self.activations = None
         self._backward_ready = False
 
@@ -224,11 +208,11 @@ class Graph:
             raise ShapeError(self.spec.input_name,
                              f"expects (N,{c},{h},{w}) input with N >= 1, got {x.shape}")
         acts = self.activations = {}
-        for node, dead, into in zip(self.nodes, self._dead_after, self._writes_into[training]):
+        for node, dead, into in zip(self.nodes, self._dead_after, self._writes_into):
             if node.layer.op == "softmax_xent" and labels is None:
                 continue
             xs = [acts[i] for i in node.layer.inputs] if node.layer.inputs else [x]
-            out = acts[into] if into is not None and into not in keep else None
+            out = None if training or into is None or into in keep else acts[into]
             try:
                 acts[node.name], node.cache = node.forward(
                     xs, self.params, self.state, training, labels, out)

@@ -34,8 +34,8 @@ Training forward and backward share the expression (x - mean) * inv_std for
 ``xhat``, so backward recomputes it bit for bit.
 
 Relu, add and inference batchnorm take ``out=`` and write through numpy's
-``out=``, which the executor points at a dying first input; the bytes are
-those of a fresh output.
+``out=``, which the executor points at a dying first input in inference;
+the bytes are those of a fresh output.
 
 Caches hold inputs, not copies: conv and batchnorm keep their input, and
 backward recomputes the patches and ``xhat``; relu is ``maximum(x, 0)`` and

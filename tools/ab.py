@@ -1,12 +1,12 @@
 """Byte record of a sakit tree, for comparing a change with its parent.
 
-    python3 tools/ab.py bytes              # every field
-    python3 tools/ab.py bytes --desk-only  # the two desk fields only
+    python3 tools/ab.py bytes
 
 sakit is imported from the ``src/`` beside this file's ``tools/``. To record
 a parent commit, copy this file into a ``git archive`` of it and run it
-there. BLAS is pinned to one thread before numpy loads, so two trees whose
-kernels compute the same expressions print the same JSON.
+there. Loading this file pins BLAS to one thread, which holds if numpy is
+not loaded yet, so two trees whose kernels compute the same expressions
+print the same JSON.
 
 ``bytes`` prints one JSON object of hashes: sha256, first 16 hex digits, over
 each array's dtype, shape and bytes, in the order listed.
@@ -34,6 +34,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path.insert(0, str(ROOT / "src"))
 
 
 def digest(arrays):
@@ -110,14 +113,9 @@ def desk_hashes(downsample):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    p = sub.add_parser("bytes", help="print the byte record as JSON")
-    p.add_argument("--desk-only", action="store_true",
-                   help="only the desk_max and desk_avg fields")
-    args = parser.parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.path.insert(0, str(ROOT / "src"))
-    record = {} if args.desk_only else imagenet_hashes()
+    sub.add_parser("bytes", help="print the byte record as JSON")
+    parser.parse_args(argv)
+    record = imagenet_hashes()
     for downsample in ("max", "avg"):
         record[f"desk_{downsample}"] = desk_hashes(downsample)
     print(json.dumps(record, indent=1, sort_keys=True))
