@@ -9,11 +9,12 @@ The graph owns named parameter and state arrays. One forward loop serves
 both modes and frees each output after its last reader (found once from the
 spec), so it returns only the logits, the loss and the names asked for in
 ``keep``. A training forward also stores the node caches, which are all that
-backward reads and which hold arrays, not copies: conv, batchnorm and dense
-keep their input, relu its output, softmax its probabilities. Backward frees
-each cache after use; each forward first releases the previous pass. One
-thread and no hidden randomness: identical weights, inputs and mode flags
-give bitwise-identical outputs.
+backward reads and which hold arrays, not copies: conv and dense keep
+their input, relu its output, softmax its probabilities, and batchnorm its
+normalized input in place of its input. Backward frees each cache after
+use; each forward first releases the previous pass. One thread and no
+hidden randomness: identical weights, inputs and mode flags give
+bitwise-identical outputs.
 
 In inference an intermediate not named in ``keep`` may be overwritten by
 its last reader (the in-place sharing of MXNet's memory planner, Chen et al.

@@ -26,20 +26,23 @@ with an oracle making the same BLAS calls on operands laid out alike.
 
 Nearest resize works on per-axis run lengths: how many output rows (columns)
 read each source row (column). Forward repeats rows by their run lengths,
-then columns; backward sums each run with one reduceat per axis, rows first.
+then columns. Backward, rows first, lays each source's run out in slots and
+adds them: the first slot plus the left-to-right sum of the rest, which is
+how reduceat sums runs of up to 8 cells.
 
 Batchnorm inference, with the running stats fixed, is one affine map per
 channel: y = x * a + s, where a = gamma * inv_std and s = beta - mean * a.
-Training forward and backward share the expression (x - mean) * inv_std for
-``xhat``, so backward recomputes it bit for bit.
+Training forward computes ``xhat`` = (x - mean) * inv_std once and caches
+it for backward.
 
 Relu, add and inference batchnorm take ``out=`` and write through numpy's
 ``out=``, which the executor points at a dying first input in inference;
 the bytes are those of a fresh output.
 
-Caches hold inputs, not copies: conv and batchnorm keep their input, and
-backward recomputes the patches and ``xhat``; relu is ``maximum(x, 0)`` and
-keeps its output. Max pooling takes the max along each window row, then
+Caches hold inputs, not copies: conv keeps its input and backward
+recomputes the patches; relu is ``maximum(x, 0)`` and keeps its output.
+Batchnorm keeps ``xhat`` in place of its input, and backward scales that
+``xhat`` in place. Max pooling takes the max along each window row, then
 across the rows, which picks the same element as a row-major scan of the
 taps; its cache is its input, its output and its geometry, and backward
 routes each window's gradient to the first in-bounds tap in row-major order
@@ -219,18 +222,43 @@ def resize_nearest_forward(x, out_h, out_w):
     return np.repeat(np.repeat(x, rows, axis=2), cols, axis=3), (rows, cols)
 
 
+def _sum_runs(dy, runs, axis):
+    """Sum each source's run of cells along ``axis``: slot 0 plus the
+    left-to-right sum of the other slots, as reduceat sums runs of up to 8.
+
+    Each source's run is laid out in q slots, q the longest run: a reshape
+    when every run is q long, else one take from dy and two pad cells, +0.0
+    for slot 0 of a source that no output reads (so its sum is +0.0) and
+    -0.0 for any later empty slot (x + -0.0 is x, signed zeros included).
+    """
+    size, q = runs.size, int(runs.max())
+    shape = dy.shape[:axis] + (size, q) + dy.shape[axis + 1:]
+    if (runs == q).all():
+        slots = dy.reshape(shape)
+    else:
+        pad = np.zeros(dy.shape[:axis] + (2,) + dy.shape[axis + 1:], dtype=dy.dtype)
+        pad[(slice(None),) * axis + (1,)] = -0.0
+        j = np.arange(q)
+        cells = np.where(j < runs[:, None], (np.cumsum(runs) - runs)[:, None] + j,
+                         dy.shape[axis] + (j > 0))
+        slots = np.take(np.concatenate((dy, pad), axis=axis), cells.ravel(),
+                        axis=axis).reshape(shape)
+    lead = (slice(None),) * (axis + 1)
+    if q == 1:
+        return slots[lead + (0,)]
+    rest = slots[lead + (1,)]
+    if q > 2:
+        rest = rest.copy()
+        for t in range(2, q):
+            rest += slots[lead + (t,)]
+    return np.add(slots[lead + (0,)], rest)
+
+
 def resize_nearest_backward(dy, cache):
     """Sum each source's run of output rows, then of output columns; a
-    source that no output reads gets 0."""
+    source that no output reads gets +0.0."""
     rows, cols = cache
-    read_r, read_c = rows > 0, cols > 0
-    dx = np.add.reduceat(dy, (np.cumsum(rows) - rows)[read_r], axis=2)
-    dx = np.add.reduceat(dx, (np.cumsum(cols) - cols)[read_c], axis=3)
-    if read_r.all() and read_c.all():
-        return dx
-    full = np.zeros(dy.shape[:2] + (rows.size, cols.size), dtype=dy.dtype)
-    full[:, :, read_r[:, None] & read_c] = dx.reshape(dx.shape[:2] + (-1,))
-    return full
+    return _sum_runs(_sum_runs(dy, rows, 2), cols, 3)
 
 
 def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
@@ -238,44 +266,43 @@ def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
     """Per-channel batch normalization with affine scale/shift.
 
     Training normalizes with current-batch statistics (biased variance),
-    y = gamma * ((x - mean) * inv_std) + beta, and blends them into the
-    running stats; backward recomputes (x - mean) * inv_std. Inference is one
-    affine map per channel from the running stats, y = x * a + s with
-    a = gamma * inv_std and s = beta - mean * a, and returns the running
-    stats themselves; it writes y into ``out`` when given (x itself, say),
-    which training ignores. Returns (y, cache, new_running_mean,
-    new_running_var).
+    y = gamma * xhat + beta with xhat = (x - mean) * inv_std, blends them
+    into the running stats and caches (xhat, inv_std, gamma), not x.
+    Inference is one affine map per channel from the running stats,
+    y = x * a + s with a = gamma * inv_std and s = beta - mean * a, returns
+    the running stats themselves and no cache; it writes y into ``out`` when
+    given (x itself, say), which training ignores. Returns (y, cache,
+    new_running_mean, new_running_var).
     """
     n, c, h, w = x.shape
-    if training:
-        if n * h * w < 2:
-            raise ValueError("batchnorm training needs >= 2 elements per channel")
-        mean = x.mean(axis=(0, 2, 3))
-        y = x - mean[None, :, None, None]
-        # np.var's own expression, so the bits match x.var(axis=(0, 2, 3))
-        var = np.square(y).sum(axis=(0, 2, 3)) / (n * h * w)
-        new_mean = (1 - momentum) * running_mean + momentum * mean
-        new_var = (1 - momentum) * running_var + momentum * var
-        inv_std = 1.0 / np.sqrt(var + eps)
-        y *= inv_std[None, :, None, None]
-        y *= gamma[None, :, None, None]
-        y += beta[None, :, None, None]
-    else:
-        mean, new_mean, new_var = running_mean, running_mean, running_var
+    if not training:
         inv_std = 1.0 / np.sqrt(running_var + eps)
         a = gamma * inv_std
         y = np.multiply(x, a[None, :, None, None], out=out)
-        y += (beta - mean * a)[None, :, None, None]
-    return y, (x, mean, inv_std, gamma), new_mean, new_var
+        y += (beta - running_mean * a)[None, :, None, None]
+        return y, None, running_mean, running_var
+    if n * h * w < 2:
+        raise ValueError("batchnorm training needs >= 2 elements per channel")
+    mean = x.mean(axis=(0, 2, 3))
+    xhat = x - mean[None, :, None, None]
+    y = np.square(xhat)
+    # np.var's own expression, so the bits match x.var(axis=(0, 2, 3))
+    var = y.sum(axis=(0, 2, 3)) / (n * h * w)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std[None, :, None, None]
+    np.multiply(xhat, gamma[None, :, None, None], out=y)
+    y += beta[None, :, None, None]
+    new_mean = (1 - momentum) * running_mean + momentum * mean
+    new_var = (1 - momentum) * running_var + momentum * var
+    return y, (xhat, inv_std, gamma), new_mean, new_var
 
 
 def batchnorm2d_backward(dy, cache):
     """Gradients (dx, dgamma, dbeta) of a training-mode forward, through the
-    batch statistics; ``xhat`` is recomputed from the cached input."""
-    x, mean, inv_std, gamma = cache
+    batch statistics. Scales the cached ``xhat`` in place, so a cache serves
+    one backward."""
+    xhat, inv_std, gamma = cache
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    xhat = x - mean[None, :, None, None]
-    xhat *= inv_std[None, :, None, None]
     dx = dy * xhat
     dgamma = dx.sum(axis=(0, 2, 3))
     dbeta = dy.sum(axis=(0, 2, 3))

@@ -1,11 +1,16 @@
-"""tools/ab.py bytes: the byte record prints the same text on every run."""
+"""tools/ab.py: the byte record prints the same text on every run, and the
+per-op A/B of a tree against itself finds no differing bytes."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-AB = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+AB = ROOT / "tools" / "ab.py"
 DESK_FIELDS = {"loss", "grads", "input_grad", "params", "state", "eval_logits"}
 
 # a fresh process loads tools/ab.py by path, which pins BLAS before numpy loads
@@ -28,3 +33,27 @@ def test_desk_byte_record_is_complete_and_repeats():
     for fields in record.values():
         assert set(fields) == DESK_FIELDS
         assert all(len(h) == 16 and int(h, 16) >= 0 for h in fields.values())
+
+
+@pytest.mark.parametrize("net, op, nodes, phases", [
+    ("desk", "batchnorm", 19, ("forward", "backward")),
+    ("desk", "softmax_xent", 1, ("forward", "backward")),
+    ("scalenet50", "resize", 40, ("forward",))])
+def test_ops_ab_of_a_tree_against_itself(net, op, nodes, phases):
+    out = subprocess.run([sys.executable, str(AB), "ops", "--parent", str(ROOT), "--net", net,
+                          "--op", op, "--reps", "2"],
+                         capture_output=True, text=True, check=True).stdout
+    record = json.loads(out)
+    assert record["first_differing_node"] is None
+    assert (record["net"], record["op"], record["nodes"], record["reps"]) == (net, op, nodes, 2)
+    assert record["mode"] == ("train" if len(phases) == 2 else "infer")
+    assert set(record) == {"net", "op", "nodes", "batch", "mode", "reps",
+                           "first_differing_node", *phases}
+    for phase in phases:
+        assert set(record[phase]) == {"parent", "change", "paired_diff_ms", "change_faster"}
+        assert re.fullmatch(r"[0-2]/2", record[phase]["change_faster"])
+        for side in ("parent", "change"):
+            stats = record[phase][side]
+            assert set(stats) == {"p25", "median", "p75", "minflt"}
+            assert 0 < stats["p25"] <= stats["median"] <= stats["p75"]
+            assert stats["minflt"] >= 0

@@ -98,19 +98,55 @@ def test_training_frees_unkept_outputs_and_backward_drops_caches(seed_net):
     assert acts == {}
 
 
+def _arrays(obj):
+    """The ndarrays in a cache or a list of them, nested tuples and lists
+    included."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for o in obj for a in _arrays(o)]
+    return []
+
+
+def _owner(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def test_training_caches_hold_activations_not_copies(seed_net):
-    """Conv and batchnorm caches hold their input and relu's its output, so a
-    training forward retains no patch matrix, xhat or mask beside them."""
+    """Conv caches hold their input and relu's its output, so a training
+    forward retains no patch matrix or mask beside them. Batchnorm caches
+    its own xhat in place of its input, which no cache then holds."""
     g, x, y = seed_net
     acts = g.forward(x, labels=y, mode="train", keep=[n.name for n in g.spec.nodes])
     kinds = {"conv", "batchnorm", "relu"}
     checked = [n for n in g.nodes if n.layer.op in kinds]
     assert {n.layer.op for n in checked} == kinds
+    cached = _arrays([n.cache for n in g.nodes])
     for node in checked:
+        if node.layer.op == "batchnorm":
+            xhat, source = node.cache[0], acts[node.layer.inputs[0]]
+            assert not any(np.shares_memory(xhat, a) for a in acts.values()), node.name
+            assert not any(np.shares_memory(a, source) for a in cached), node.name
+            continue
         relu = node.layer.op == "relu"
         held = node.cache if relu else node.cache[0]
         source = acts[node.name] if relu else acts[node.layer.inputs[0]]
         assert np.shares_memory(held, source), node.name
+    g.backward()
+
+
+def test_training_retained_bytes_are_pinned(seed_net):
+    """The distinct buffers that the activations and caches hold after a
+    lean training forward: the figure of the executor that cached
+    batchnorm's input, less the batch means those caches also held."""
+    g, x, y = seed_net
+    acts = g.forward(x, labels=y, mode="train")
+    owners = {id(o): o for o in map(_owner, _arrays([list(acts.values()),
+                                                     [n.cache for n in g.nodes]]))}
+    means = sum(4 * n.attrs["c"] for n in g.spec.nodes if n.op == "batchnorm")
+    assert sum(o.nbytes for o in owners.values()) == 10_101_696 - means
     g.backward()
 
 

@@ -333,9 +333,18 @@ _BUILDER_RESIZES = [
     (16, 16, 32, 32), (28, 28, 56, 56), (3, 3, 3, 3), (3, 5, 10, 11)]
 
 
+def _one_nan(a):
+    """a with every NaN set to np.nan. Where NaNs of both signs meet in one
+    add (np.nan and the -nan of inf + -inf), numpy keeps one operand's or
+    the other's by the cell's place in a SIMD vector, so that sign is not
+    pinned."""
+    return np.where(np.isnan(a), np.nan, a).astype(a.dtype)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_resize_upsampling_bytes_match_gather_and_reduceat_oracle(dtype):
     rng = stream(4, "resize-bytes")
+    hard = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf], dtype=dtype)
     for h, w, oh, ow in _BUILDER_RESIZES:
         x = rng.normal(size=(2, 3, h, w)).astype(dtype)
         y, cache = ops.resize_nearest_forward(x, oh, ow)
@@ -343,10 +352,36 @@ def test_resize_upsampling_bytes_match_gather_and_reduceat_oracle(dtype):
         assert y.dtype == dtype and y.shape == want.shape
         assert y.tobytes() == want.tobytes(), (h, w, oh, ow)
         dy = rng.normal(size=y.shape).astype(dtype)
-        dx = ops.resize_nearest_backward(dy, cache)
-        want = _resize_backward_oracle(dy, h, w)
-        assert dx.dtype == dtype and dx.shape == x.shape
-        assert dx.tobytes() == want.tobytes(), (h, w, oh, ow)
+        zeros = rng.choice(hard[:2], size=y.shape)  # signed zeros only: each sum's sign is pinned
+        mixed = np.where(rng.random(y.shape) < 0.3, rng.choice(hard, size=y.shape), dy)
+        for dy, pin in ((dy, np.asarray), (zeros, np.asarray), (mixed, _one_nan)):
+            with np.errstate(invalid="ignore"):
+                dx = ops.resize_nearest_backward(dy, cache)
+                want = _resize_backward_oracle(dy, h, w)
+            assert dx.dtype == dtype and dx.shape == x.shape
+            assert pin(dx).tobytes() == pin(want).tobytes(), (h, w, oh, ow)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_resize_backward_sums_a_long_run_first_then_left_to_right(dtype):
+    # 2 -> 30 gives runs of 15, where reduceat would switch to pairwise sums
+    rng = stream(4, "resize-long-run")
+    y, cache = ops.resize_nearest_forward(np.zeros((2, 3, 2, 2), dtype=dtype), 30, 30)
+    dy = (rng.normal(size=y.shape) * 10.0 ** rng.integers(-6, 7, size=y.shape)).astype(dtype)
+
+    def first_then_left_to_right(cells):
+        rest = cells[1]
+        for c in cells[2:]:
+            rest = rest + c
+        return cells[0] + rest
+
+    rows = np.empty((2, 3, 2, 30), dtype=dtype)
+    for i, j, r, col in np.ndindex(rows.shape):
+        rows[i, j, r, col] = first_then_left_to_right(dy[i, j, 15 * r:15 * r + 15, col])
+    want = np.empty((2, 3, 2, 2), dtype=dtype)
+    for i, j, r, col in np.ndindex(want.shape):
+        want[i, j, r, col] = first_then_left_to_right(rows[i, j, r, 15 * col:15 * col + 15])
+    assert _same_bytes(ops.resize_nearest_backward(dy, cache), want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
