@@ -1,7 +1,7 @@
 """Byte record and per-op A/B of a sakit tree against its parent.
 
     python3 tools/ab.py bytes
-    python3 tools/ab.py ops --parent DIR --net desk --op batchnorm
+    python3 tools/ab.py ops --parent DIR --op batchnorm
 
 sakit is imported from the ``src/`` beside this file's ``tools/``. To record
 a parent commit, copy this file into a ``git archive`` of it and run it
@@ -26,23 +26,22 @@ each array's dtype, shape and bytes, in the order listed.
   the params and the state (by name), and ``eval_logits`` of one infer-mode
   pass of the stepped network.
 
-``ops`` times every node of one netspec op (``--op``, not ``input``) in this
-tree and in the tree at ``--parent DIR`` (a ``git archive`` of the parent;
-its ``src/sakit`` is imported as the package ``sakit_parent``), in one
-process. Each side builds the network from its own presets, with
-``Graph(seed=1)`` parameters and the batchnorm state above, and feeds the
-same seeded N(0, 1) inputs, upstream gradients and labels to its own
-``autograd.Node`` of each node. ``desk`` is the seed network of
-``desk_max`` in training at batch 32: forward, then backward on the fresh
-cache. ``resnet50`` and ``scalenet50`` run inference at batch 2. After
-3 warm-up reps, the sides alternate rep by rep, the first side swapping
-each rep, for ``--reps`` reps. A rep of a side sums its nodes' forward and
-backward seconds and ``ru_minflt``. The JSON gives per side and phase the
-median and quartiles (``statistics.quantiles``, inclusive) in ms and the
-median faults per rep; per phase the median paired difference, change
-minus parent, and the reps the change was faster; and the first node,
-in spec order, whose output bytes (forward output, then input and
-parameter gradients) differ between the sides in the first rep, or null.
+``ops`` times every node of one netspec op (``--op``, not ``input``) of the
+desk seed network of ``desk_max`` in training at batch 32, in this tree and
+in the tree at ``--parent DIR`` (a ``git archive`` of the parent; its
+``src/sakit`` is imported as the package ``sakit_parent``), in one process.
+Each side builds the network from its own presets, with ``Graph(seed=1)``
+parameters and the batchnorm state above, and feeds the same seeded N(0, 1)
+inputs, upstream gradients and labels to its own ``autograd.Node`` of each
+node: forward, then backward on the fresh cache. After 3 warm-up reps, the
+sides alternate rep by rep, the first side swapping each rep, for 30 reps.
+A rep of a side sums its nodes' forward and backward seconds and
+``ru_minflt``. The JSON gives per side and phase the median and quartiles
+(``statistics.quantiles``, inclusive) in ms and the median faults per rep;
+per phase the median paired difference, change minus parent, and the reps
+the change was faster; and the first node, in spec order, whose output
+bytes (forward output, then input and parameter gradients) differ between
+the sides in the first rep, or null.
 """
 
 import argparse
@@ -106,14 +105,19 @@ def imagenet_hashes():
     return out
 
 
+def desk_spec(presets, downsample="max"):
+    """The cifar-n1 seed network at scales [1, 2, 4] from ``presets``."""
+    return presets.build_seed(presets.build_cifar_resnet(1, num_classes=10, in_channels=1),
+                              [1, 2, 4], downsample=downsample)
+
+
 def desk_hashes(downsample):
     import numpy as np
+    from sakit import presets
     from sakit.autograd import Graph
     from sakit.optim import SgdState, sgd_step
-    from sakit.presets import build_cifar_resnet, build_seed
     from sakit.rng import stream
-    spec = build_seed(build_cifar_resnet(1, num_classes=10, in_channels=1), [1, 2, 4],
-                      downsample=downsample)
+    spec = desk_spec(presets, downsample)
     g = Graph(spec, seed=1)
     sgd = SgdState(0.05, momentum=0.9, weight_decay=1e-4)
     losses, grads, input_grads = [], [], []
@@ -144,25 +148,19 @@ def load_tree(src, name):
     return module
 
 
-def build_net(tree, net):
-    """(spec, batch, training) of ``net`` from ``tree``'s presets."""
-    p = tree.presets
-    if net == "desk":
-        return p.build_seed(p.build_cifar_resnet(1, num_classes=10, in_channels=1),
-                            [1, 2, 4]), 32, True
-    resnet = p.build_resnet(50)
-    if net == "scalenet50":
-        return p.build_scalenet(resnet, p.reference_plan("scalenet50")), 2, False
-    return resnet, 2, False
+BATCH = 32
+WARMUP = 3
+REPS = 30
 
 
 class Side:
-    """One tree's nodes of the op, with its parameters and shared inputs."""
+    """One tree's nodes of the op in the desk seed network, with its
+    parameters and shared inputs."""
 
-    def __init__(self, tree, net, op):
+    def __init__(self, tree, op):
         import numpy as np
         from sakit.rng import stream
-        spec, self.batch, self.training = build_net(tree, net)
+        spec = desk_spec(tree.presets)
         graph = tree.autograd.Graph(spec, seed=1)
         set_bn_state(graph)
         self.params, self.state = graph.params, graph.state
@@ -170,13 +168,12 @@ class Side:
         self.inputs, self.dys = [], []
         for node in self.nodes:
             r = stream(1, "ab-ops", node.name)
-            self.inputs.append([r.normal(size=(self.batch,) + spec.shapes[i]).astype(
-                graph.dtype) for i in node.layer.inputs])
+            self.inputs.append([r.normal(size=(BATCH,) + spec.shapes[i]).astype(graph.dtype)
+                                for i in node.layer.inputs])
             # the loss is one number, not one per image
-            shape = () if node.name == spec.loss_name else (self.batch,) + spec.shapes[node.name]
+            shape = () if node.name == spec.loss_name else (BATCH,) + spec.shapes[node.name]
             self.dys.append(np.asarray(r.normal(size=shape), dtype=graph.dtype))
-        self.labels = stream(1, "ab-ops", "labels").integers(0, spec.num_classes,
-                                                             size=self.batch)
+        self.labels = stream(1, "ab-ops", "labels").integers(0, spec.num_classes, size=BATCH)
 
     def rep(self, record=None):
         """(forward s, backward s, forward faults, backward faults) summed
@@ -184,18 +181,15 @@ class Side:
         total = [0.0, 0.0, 0, 0]
         for node, xs, dy in zip(self.nodes, self.inputs, self.dys):
             f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
-            y, node.cache = node.forward(xs, self.params, dict(self.state), self.training,
-                                         self.labels)
+            y, node.cache = node.forward(xs, self.params, dict(self.state), True, self.labels)
             t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            grads = node.backward(dy, self.params) if self.training else None
+            grads = node.backward(dy, self.params)
             t2, f2 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             total = [total[0] + t1 - t0, total[1] + t2 - t1,
                      total[2] + f1 - f0, total[3] + f2 - f1]
             if record is not None:
                 record.append((node.name, "forward", digest([y])))
-                if grads is not None:
-                    record.append((node.name, "backward",
-                                   digest(grads[0] + by_name(grads[1]))))
+                record.append((node.name, "backward", digest(grads[0] + by_name(grads[1]))))
             node.cache = None
         return total
 
@@ -205,36 +199,31 @@ def quartiles(values):
     return {"p25": round(q1, 3), "median": round(med, 3), "p75": round(q3, 3)}
 
 
-WARMUP = 3
-
-
-def ops_ab(parent, net, op, reps):
+def ops_ab(parent, op):
     """The ``ops`` record (module docstring) as a dict."""
     import sakit
-    sides = {"parent": Side(load_tree(Path(parent) / "src", "sakit_parent"), net, op),
-             "change": Side(sakit, net, op)}
+    sides = {"parent": Side(load_tree(Path(parent) / "src", "sakit_parent"), op),
+             "change": Side(sakit, op)}
     names = [[n.name for n in side.nodes] for side in sides.values()]
     if names[0] != names[1] or not names[0]:
-        raise SystemExit(f"{net} has no '{op}' nodes, or the trees differ: {names}")
+        raise SystemExit(f"the desk has no '{op}' nodes, or the trees differ: {names}")
     runs = {name: [] for name in sides}
     records = {name: [] for name in sides}
-    for i in range(WARMUP + reps):
+    for i in range(WARMUP + REPS):
         for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             row = sides[name].rep(records[name] if i == 0 else None)
             if i >= WARMUP:
                 runs[name].append(row)
     differ = next(({"node": a[0], "part": a[1]}
                    for a, b in zip(*records.values()) if a != b), None)
-    out = {"net": net, "op": op, "nodes": len(names[0]), "batch": sides["change"].batch,
-           "mode": "train" if sides["change"].training else "infer",
-           "reps": reps, "first_differing_node": differ}
-    for k, phase in enumerate(("forward", "backward")[:1 + sides["change"].training]):
+    out = {"op": op, "nodes": len(names[0]), "reps": REPS, "first_differing_node": differ}
+    for k, phase in enumerate(("forward", "backward")):
         ms = {name: [row[k] * 1e3 for row in rows] for name, rows in runs.items()}
         diff = [c - p for p, c in zip(ms["parent"], ms["change"])]
         out[phase] = {name: dict(quartiles(ms[name]), minflt=statistics.median(
             row[k + 2] for row in runs[name])) for name in sides}
         out[phase]["paired_diff_ms"] = round(statistics.median(diff), 3)
-        out[phase]["change_faster"] = f"{sum(d < 0 for d in diff)}/{reps}"
+        out[phase]["change_faster"] = f"{sum(d < 0 for d in diff)}/{REPS}"
     return out
 
 
@@ -245,14 +234,10 @@ def main(argv=None):
     sub.add_parser("bytes", help="print the byte record as JSON")
     ops = sub.add_parser("ops", help="time one op's nodes against a parent tree")
     ops.add_argument("--parent", required=True, help="root of the parent tree")
-    ops.add_argument("--net", choices=("desk", "resnet50", "scalenet50"), default="desk")
     ops.add_argument("--op", required=True, choices=sorted(set(KNOWN_OPS) - {"input"}))
-    ops.add_argument("--reps", type=int, default=30)
     args = parser.parse_args(argv)
     if args.mode == "ops":
-        if args.reps < 2:
-            parser.error("--reps must be at least 2")
-        print(json.dumps(ops_ab(args.parent, args.net, args.op, args.reps), indent=1))
+        print(json.dumps(ops_ab(args.parent, args.op), indent=1))
         return
     record = imagenet_hashes()
     for downsample in ("max", "avg"):
