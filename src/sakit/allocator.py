@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flops import network_flops
-from .netspec import NetworkSpec, SpecError
+from .netspec import NetworkSpec, SpecError, text_lines
 from .presets import AllocationPlan, build_scalenet, build_seed, save_plan
 
 
@@ -208,11 +208,12 @@ _BUDGETS_HEADER = "k,budget"
 
 
 def _csv_rows(text, header, types):
-    """Yield (line number, fields converted by ``types``) for each non-blank
-    row after ``header``; any malformed row raises SpecError naming its line."""
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1].strip() != header:
-        raise SpecError(f"csv must start with the header '{header}'")
+    """Yield (line number, fields converted by ``types``) for each text line
+    after ``header``; any malformed row raises SpecError naming its line."""
+    lines = text_lines(text)
+    if not lines or lines[0][1] != header:
+        raise SpecError(f"csv must start with the header '{header}'",
+                        lines[0][0] if lines else None)
     names = header.split(",")
     for lineno, ln in lines[1:]:
         parts = ln.split(",")

@@ -6,7 +6,8 @@ env overrides use the SAKIT_ prefix (SAKIT_SEED=7). A boolean value is one
 of 1/0/true/false/yes/no/on/off in any case. Commands that write
 artifacts drop a ``config.resolved.txt`` snapshot of the options that were
 set next to them, so ``sakit <cmd> --config <snapshot>`` reruns the run; a
-config line is a comment only when its first non-blank character is ``#``.
+config file is read through ``netspec.text_lines`` and so under its comment
+rule, and a value that holds a line break is rejected.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from .blocks import DOWNSAMPLE_MODES, check_scales
 from .checkpoint import atomic_open
+from .netspec import is_one_line, text_lines
 
 ENV_PREFIX = "SAKIT_"
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -123,6 +125,8 @@ def _coerce(key, tag, raw):
     if isinstance(raw, bool):
         return raw
     text = str(raw).strip()
+    if not is_one_line(text):  # the snapshot writes each value on one line
+        raise UsageError(f"{_flag(key)} takes one line, got {text!r}")
     try:
         if tag == "int":
             return int(text)
@@ -157,10 +161,7 @@ def resolve_config(cmd, args):
     cfg_file = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if cfg_file:
         seen = {}  # key -> line that set it
-        for lineno, raw in enumerate(_read(cfg_file).splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in text_lines(_read(cfg_file)):
             if "=" not in line:
                 raise UsageError(f"{cfg_file}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
@@ -171,7 +172,10 @@ def resolve_config(cmd, args):
                 raise UsageError(f"{cfg_file}:{lineno}: duplicate key '{key}' "
                                  f"(first on line {seen[key]})")
             seen[key] = lineno
-            cfg[key] = _coerce(key, types[key], value.strip())
+            try:
+                cfg[key] = _coerce(key, types[key], value)
+            except UsageError as e:
+                raise UsageError(f"{cfg_file}:{lineno}: {e}") from None
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:

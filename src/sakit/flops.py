@@ -20,17 +20,16 @@ def neuron_cost(in_channels, h, w, scale) -> int:
 
 @dataclass
 class BlockBudget:
-    block_index: int
     budget: int  # MACs of the replaced 3x3 conv
     unit_costs: dict  # scale -> MACs per output neuron
 
 
-def block_budget(in_channels, out_channels, h, w, scales, block_index=0) -> BlockBudget:
+def block_budget(in_channels, out_channels, h, w, scales) -> BlockBudget:
     """Budget of the block replacing a 'same'-padded, stride-1 3x3 conv whose
     output dims h x w are also the block's working dims."""
     budget = 9 * in_channels * out_channels * h * w
     units = {s: neuron_cost(in_channels, h, w, s) for s in scales}
-    return BlockBudget(block_index, budget, units)
+    return BlockBudget(budget, units)
 
 
 @dataclass
@@ -82,7 +81,7 @@ def network_flops(spec: NetworkSpec) -> FlopsReport:
     for k, branches in spec.sa_blocks().items():
         _, h, w = spec.shapes[cats[k].name]
         budget = block_budget(branches[0][1].attrs["in"], cats[k].attrs["base"], h, w,
-                              [s for s, _, _ in branches], block_index=k)
+                              [s for s, _, _ in branches])
         report.budgets[k] = budget
         report.sa_block_detail[k] = [(s, conv.attrs["out"], budget.unit_costs[s])
                                      for s, conv, _ in branches]

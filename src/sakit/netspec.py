@@ -1,7 +1,8 @@
 """Architecture graphs: layer nodes, text round-tripping, shape propagation.
 
 A network is an ordered DAG of layer nodes, weight-free. The text form is
-line oriented (one node per line, ``name = op(key=val,...) <- in1,in2``) so
+line oriented (a ``network <name>`` header, then one node per line,
+``name = op(key=val,...) <- in1,in2``, read through ``text_lines``) so
 specs diff cleanly and can be embedded verbatim in checkpoints.
 
 ``KNOWN_OPS`` is the one node schema: each op's required attributes, then its
@@ -63,10 +64,13 @@ _TAGS = ("block", "scale", "base")  # allowed on any op, default None
 # (least, greatest) value of an attribute; any other attribute is >= 1
 _RANGES = {"pad": (0, None), "bias": (0, 1), "ceil": (0, 1)}
 
+_NAME_RE = re.compile(r"[\w.\-]+")  # a node name, as node lines carry it
 _NODE_RE = re.compile(
-    r"^(?P<name>[\w.\-]+)\s*=\s*(?P<op>\w+)\((?P<args>[^)]*)\)"
+    rf"^(?P<name>{_NAME_RE.pattern})\s*=\s*(?P<op>\w+)\((?P<args>[^)]*)\)"
     r"(?:\s*<-\s*(?P<inputs>[\w.\-, ]*))?$"
 )
+# the characters that end a line for text_lines: Python's line boundaries
+_LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 @dataclass
@@ -97,6 +101,9 @@ class NetworkSpec:
         """Check every node against its op's schema and the wiring: a DAG in
         topological order, one name per node, each op's input count (``_ARITY``);
         then propagate the shapes into ``self.shapes``."""
+        if not self.name or not is_one_line(self.name):
+            raise SpecError(f"network name {self.name!r} must be one nonempty line "
+                            "with no leading or trailing whitespace")
         self._index = {}
         for i, n in enumerate(self.nodes):
             check_node(n)
@@ -188,22 +195,27 @@ class NetworkSpec:
 
     @classmethod
     def from_text(cls, text) -> "NetworkSpec":
-        name = None
-        nodes = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):  # a `#` elsewhere is part of the line
-                continue
-            if line.startswith("network "):
-                if name is not None:
-                    raise SpecError(f"second 'network' header (the network is '{name}')",
-                                    lineno)
-                name = line[len("network "):].strip()
-                continue
-            nodes.append(parse_node(line, lineno))
-        if name is None:
-            raise SpecError("missing 'network <name>' header")
-        return cls(name, nodes)
+        """The first line is ``network <name>``; every later one is a node."""
+        lines = text_lines(text)
+        if not lines or not lines[0][1].startswith("network "):
+            raise SpecError("expected a 'network <name>' header first",
+                            lines[0][0] if lines else None)
+        name = lines[0][1][len("network "):].strip()
+        return cls(name, [parse_node(line, lineno) for lineno, line in lines[1:]])
+
+
+def text_lines(text):
+    """(line number, stripped line) of every line of ``text`` that is not
+    blank and whose first non-blank character is not ``#``: the one comment
+    rule of spec text, plans, config files and CSVs."""
+    lines = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1)]
+    return [(i, line) for i, line in lines if line and not line.startswith("#")]
+
+
+def is_one_line(text):
+    """True when ``text`` holds no line break and no leading or trailing
+    whitespace, so a writer's ``<key> <text>`` line reads back as ``text``."""
+    return text == text.strip() and not _LINE_BREAK_RE.search(text)
 
 
 def format_node(n: LayerSpec) -> str:
@@ -247,6 +259,9 @@ def check_node(layer: LayerSpec, lineno=None):
     attribute of its op and nothing besides its optional ones and the tags,
     each an integer in its range."""
     where = f"node '{layer.name}'"
+    if not _NAME_RE.fullmatch(layer.name):
+        raise SpecError(f"{where}: a node name is letters, digits, '_', '.' and '-'",
+                        lineno)
     if layer.op not in KNOWN_OPS:
         raise SpecError(f"{where}: unknown op '{layer.op}'", lineno)
     required, optional = KNOWN_OPS[layer.op]

@@ -4,7 +4,7 @@ Builders produce bottleneck baselines (ImageNet-style and 32x32-input
 variants), their scale-aggregation counterparts driven by an allocation
 plan, over-provisioned seed networks, and even splits. The plan text format
 is line oriented: a ``scales:`` header then one ``k: C1,...,CL`` row per
-block, ``#`` comments allowed.
+block, read through ``netspec.text_lines`` and so under its comment rule.
 """
 
 import math
@@ -13,7 +13,7 @@ from importlib import resources
 
 from .blocks import SABlockSpec, SAResidualSpec, build_sa_residual, check_scales
 from .checkpoint import atomic_open
-from .netspec import NetworkSpec, SpecBuilder, SpecError
+from .netspec import NetworkSpec, SpecBuilder, SpecError, is_one_line, text_lines
 
 RESNET_STAGE_BLOCKS = {50: (3, 4, 6, 3), 101: (3, 4, 23, 3), 152: (3, 8, 36, 3)}
 IMAGENET_SCALES = [1, 2, 4, 7]
@@ -38,6 +38,9 @@ class AllocationPlan:
                 raise ValueError(f"row {k} has negative channel counts")
             if sum(row) < 1:
                 raise ValueError(f"row {k} keeps no channels")
+        if not is_one_line(self.source):
+            raise ValueError(f"source {self.source!r} must be one line with no leading "
+                             "or trailing whitespace")
 
 
 def serialize_plan(plan: AllocationPlan) -> str:
@@ -61,10 +64,7 @@ def parse_plan(text: str) -> AllocationPlan:
     source = ""
     exponent = None
     seen = {}  # canonical key -> line of its first occurrence
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):  # a `#` elsewhere is part of the line
-            continue
+    for lineno, line in text_lines(text):
         if ":" not in line:
             raise SpecError(f"expected 'key: value', got '{line}'", lineno)
         key, _, value = line.partition(":")

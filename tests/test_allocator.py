@@ -231,6 +231,10 @@ def test_csv_round_trips():
     with pytest.raises(ValueError, match="header"):
         parse_importance_csv("bogus\n1,1,1,1,1,1\n")
     header = importance_csv([]).strip()
+    # a line whose first non-blank character is `#` is a comment, as in plans
+    assert parse_budgets_csv("# budgets\nk,budget\n  # block 1\n1,10\n") == {1: 10}
+    back = parse_importance_csv(f"# importances\n{header}\n# k=1\n1,1,0,0.5,0.5,9\n")
+    assert [(r.block, r.gamma, r.cost) for r in back] == [(1, 0.5, 9)]
     with pytest.raises(SpecError, match="line 3: gamma 'x' is not a number"):
         parse_importance_csv(f"{header}\n1,1,0,0.5,0.5,9\n1,1,1,x,0.5,9\n")
     with pytest.raises(SpecError, match="line 4: k 'one' is not a number"):

@@ -159,6 +159,12 @@ def test_plan_file_round_trip(tmp_path):
     assert back.source == "t"
 
 
+@pytest.mark.parametrize("source", ["run\n2: 9,9", "a\rb", " run", "run "])
+def test_plan_source_that_would_not_read_back_is_rejected(source):
+    with pytest.raises(ValueError, match="must be one line"):
+        AllocationPlan([1, 2], {1: [3, 4]}, source=source)
+
+
 def test_scalenet_row_count_mismatch():
     base = build_cifar_resnet(1)
     with pytest.raises(SpecError, match="do not match"):

@@ -348,6 +348,21 @@ def test_hash_inside_a_config_value_is_kept(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "a").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_values_holding_a_line_break_are_rejected(capsys, tmp_path, monkeypatch, source):
+    # the snapshot writes one key=value line per option, so such a value would
+    # replay as a different run
+    monkeypatch.chdir(tmp_path)
+    argv = ["build", "--preset", "cifar-n1"]
+    if source == "flag":
+        argv += ["--out-dir", "a\nplan=even"]
+    else:
+        monkeypatch.setenv("SAKIT_OUT_DIR", "a\nplan=even")
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "--out-dir takes one line" in err, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_file_is_closed(tmp_path):
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text("seed=1\n")

@@ -32,6 +32,13 @@ def test_text_round_trip():
     # only a line that starts with `#` is a comment, so a name keeps its `#`
     spec.name = "net#1"
     assert NetworkSpec.from_text("# a comment\n" + spec.to_text()).name == "net#1"
+    # every line after the header is a node, so a node may be named `network`
+    b = SpecBuilder("network")
+    b.add("network", "input", c=1, h=2, w=2)
+    b.add("g", "gap", ["network"])
+    text = b.build().to_text()
+    assert text.startswith("network network\nnetwork = input(")
+    assert NetworkSpec.from_text(text).to_text() == text
 
 
 def test_round_trip_resnet50():
@@ -61,7 +68,7 @@ def test_parse_errors_carry_line_numbers():
         NetworkSpec.from_text("network t\nc = relu() <- nope\n")
     with pytest.raises(SpecError, match="network"):
         NetworkSpec.from_text("x = input(c=1,h=2,w=2)\n")
-    with pytest.raises(SpecError, match="line 3: second 'network' header"):
+    with pytest.raises(SpecError, match="line 3: unparseable node line 'network b'"):
         NetworkSpec.from_text("network a\nx = input(c=1,h=2,w=2)\nnetwork b\n")
 
 
@@ -151,6 +158,22 @@ def test_builder_specs_are_checked_like_text():
 def test_op_arity_checked_in_text(line, message):
     with pytest.raises(SpecError, match=f"node 'a': {message}"):
         NetworkSpec.from_text(f"network t\nx = input(c=1,h=8,w=8)\n{line}\n")
+
+
+@pytest.mark.parametrize("name", ["a b", "", "a\nb", "x=y", "a,b", "#"])
+def test_node_names_the_text_cannot_carry_are_rejected(name):
+    b = _tiny_builder()
+    b.add(name, "relu", ["x"])
+    with pytest.raises(SpecError, match="a node name is letters, digits"):
+        b.build()
+
+
+@pytest.mark.parametrize("name", ["", " t", "t ", "a\nb", "a\rb", "a\u2028b"])
+def test_network_names_the_header_cannot_carry_are_rejected(name):
+    b = _tiny_builder()
+    b.name = name
+    with pytest.raises(SpecError, match="must be one nonempty line"):
+        b.build()
 
 
 def test_op_arity_checked_in_builder_specs():
