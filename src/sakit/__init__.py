@@ -9,7 +9,7 @@ and analyzing cost (MACs) and receptive fields.
 from .allocator import (NeuronRecord, ProjectionConfig, brute_oracle,
                         extract_importance, greedy_project, run_pipeline)
 from .autograd import Graph, GradcheckReport, gradcheck
-from .blocks import SABlockSpec, SAResidualSpec, build_sa_block, build_sa_residual
+from .blocks import SABlockSpec, build_sa_block, build_sa_residual
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, augment, load_cifar, synthetic_dataset
 from .flops import BlockBudget, block_budget, network_flops, neuron_cost

@@ -59,7 +59,8 @@ def extract_importance(tensors: dict, spec: NetworkSpec):
     """One NeuronRecord per aggregation-block output channel of ``spec``.
 
     ``tensors`` maps parameter names to arrays (a checkpoint or live graph
-    params); each per-scale conv must be paired with its batchnorm. A
+    params); each per-scale conv must be paired with its batchnorm, and a
+    gamma that is not finite raises ValueError naming its tensor and channel. A
     record's cost is its scale's unit cost in ``network_flops(spec).budgets``.
     """
     budgets = network_flops(spec).budgets
@@ -73,6 +74,10 @@ def extract_importance(tensors: dict, spec: NetworkSpec):
             if gammas.shape != (conv.attrs["out"],):
                 raise ValueError(f"'{gname}' has shape {gammas.shape}, "
                                  f"expected ({conv.attrs['out']},)")
+            bad = np.flatnonzero(~np.isfinite(gammas))
+            if bad.size:
+                raise ValueError(f"'{gname}' channel {bad[0]} is {gammas[bad[0]]}, "
+                                 "not finite")
             cost = budgets[k].unit_costs[scale]
             for ch, g in enumerate(gammas):
                 records.append(NeuronRecord(k, scale, ch, float(g), cost))
@@ -237,15 +242,17 @@ def importance_csv(records) -> str:
 
 def parse_importance_csv(text):
     """Records from ``importance_csv`` text. A repeated (k, scale, channel),
-    an abs_gamma that is not |gamma|, a unit_cost below 1 or one that differs
-    from an earlier row of the same (k, scale) raises SpecError naming its
-    line."""
+    a gamma that is not finite, an abs_gamma that is not |gamma|, a unit_cost
+    below 1 or one that differs from an earlier row of the same (k, scale)
+    raises SpecError naming its line."""
     records, seen, costs = [], set(), {}
     for lineno, (k, scale, channel, gamma, abs_gamma, cost) in _csv_rows(
             text, _IMPORTANCE_HEADER, (int, int, int, float, float, int)):
         if (k, scale, channel) in seen:
             raise SpecError(f"duplicate channel {channel} of block {k} "
                             f"at scale {scale}", lineno)
+        if not math.isfinite(gamma):
+            raise SpecError(f"gamma must be finite, got {gamma!r}", lineno)
         if abs_gamma != abs(gamma):
             raise SpecError(f"abs_gamma {abs_gamma!r} is not |gamma| {abs(gamma)!r}",
                             lineno)

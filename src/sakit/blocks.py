@@ -1,4 +1,10 @@
-"""Scale-aggregation block and residual-bottleneck graph fragments.
+"""The residual bottleneck every preset builds, and the scale-aggregation
+block that takes its 3x3 stage's place.
+
+``build_bottleneck`` writes a bottleneck's 1x1 reduce, its shortcut, its 1x1
+expand and the closing add and relu around a caller's 3x3 stage: a plain
+strided 3x3 conv in the baselines (``presets``), an aggregation block in
+``build_sa_residual``. ``conv_bn`` writes each conv -> batchnorm(-> relu) run.
 
 An aggregation block splits its input into per-scale branches (downsample by
 factor s, 3x3 conv, batchnorm+relu, nearest upsample back) and concatenates
@@ -46,15 +52,40 @@ class SABlockSpec:
         return sum(self.per_scale_channels)
 
 
-@dataclass
-class SAResidualSpec:
-    """Bottleneck with the 3x3 stage replaced by an aggregation block; the 1x1
-    reduce feeds the block's input width, and the shortcut is an identity when
-    the input and expand widths match, else a 1x1 projection."""
+def conv_bn(b: SpecBuilder, prefix: str, names, input_name: str,
+            c_in: int, c_out: int, k: int, tags=None, **attrs) -> str:
+    """Append ``prefix.<names[0]>``, a k x k conv from ``c_in`` to ``c_out``
+    channels with ``attrs``, then a batchnorm over its ``c_out`` channels,
+    then a relu when ``names`` holds a third name; ``tags`` go on the conv
+    and the batchnorm. Returns the last node's name."""
+    conv, bn, *relu = (f"{prefix}.{n}" for n in names)
+    tags = tags or {}
+    cur = b.add(conv, "conv", [input_name], **{"in": c_in, "out": c_out, "k": k},
+                **attrs, **tags)
+    cur = b.add(bn, "batchnorm", [cur], c=c_out, **tags)
+    return b.add(relu[0], "relu", [cur]) if relu else cur
 
-    in_channels: int
-    sa: SABlockSpec
-    expand_channels: int
+
+def build_bottleneck(b: SpecBuilder, prefix: str, input_name: str, in_channels: int,
+                     mid: int, out_channels: int, block: int, stage, stride=None) -> str:
+    """1x1 reduce to ``mid`` -> ``stage`` -> 1x1 expand to ``out_channels`` ->
+    shortcut add -> relu; returns the relu's name.
+
+    ``stage(name)`` appends the 3x3 stage on the relu'd reduce and returns its
+    output name and width. The shortcut is an identity when the widths match
+    and ``stride`` is None or 1, else a 1x1 projection and batchnorm, which
+    writes ``stride`` unless it is None. The closing add is tagged ``block``.
+    """
+    cur = conv_bn(b, prefix, ("reduce", "bn1", "relu1"), input_name, in_channels, mid, 1)
+    cur, width = stage(cur)
+    cur = conv_bn(b, prefix, ("expand", "bn3"), cur, width, out_channels, 1)
+    sc = input_name
+    if stride not in (None, 1) or in_channels != out_channels:
+        proj = {} if stride is None else {"stride": stride}
+        sc = conv_bn(b, prefix, ("proj", "projbn"), input_name, in_channels, out_channels,
+                     1, **proj)
+    cur = b.add(f"{prefix}.add", "add", [cur, sc], block=block)
+    return b.add(f"{prefix}.relu3", "relu", [cur])
 
 
 def build_sa_block(b: SpecBuilder, prefix: str, input_name: str,
@@ -75,11 +106,8 @@ def build_sa_block(b: SpecBuilder, prefix: str, input_name: str,
         cur = input_name
         if s > 1:
             cur = _downsample(b, p, cur, spec, s)
-        cur = b.add(f"{p}.conv", "conv", [cur],
-                    **{"in": spec.in_channels, "out": cl, "k": 3, "stride": 1,
-                       "pad": 1, "block": k, "scale": s})
-        cur = b.add(f"{p}.bn", "batchnorm", [cur], c=cl, block=k, scale=s)
-        cur = b.add(f"{p}.relu", "relu", [cur])
+        cur = conv_bn(b, p, ("conv", "bn", "relu"), cur, spec.in_channels, cl, 3,
+                      tags={"block": k, "scale": s}, stride=1, pad=1)
         bh, bw = -(-h // s), -(-w // s)
         if (bh, bw) != (h, w):
             cur = b.add(f"{p}.up", "resize", [cur], h=h, w=w)
@@ -88,38 +116,21 @@ def build_sa_block(b: SpecBuilder, prefix: str, input_name: str,
 
 
 def _downsample(b, p, cur, spec, s):
+    if spec.downsample in ("max", "avg"):
+        return b.add(f"{p}.down", f"{spec.downsample}pool", [cur], k=s, stride=s, ceil=1)
+    # dilated: pad = dilation keeps the stride-only shape change
+    taps = {"dilation": 2, "pad": 2} if spec.downsample == "dilated" else {"pad": 1}
     c = spec.in_channels
-    if spec.downsample == "max":
-        return b.add(f"{p}.down", "maxpool", [cur], k=s, stride=s, ceil=1)
-    if spec.downsample == "avg":
-        return b.add(f"{p}.down", "avgpool", [cur], k=s, stride=s, ceil=1)
-    if spec.downsample == "conv":
-        cur = b.add(f"{p}.down", "conv", [cur],
-                    **{"in": c, "out": c, "k": 3, "stride": s, "pad": 1})
-    else:  # dilated: pad = dilation keeps the stride-only shape change
-        cur = b.add(f"{p}.down", "conv", [cur],
-                    **{"in": c, "out": c, "k": 3, "stride": s, "dilation": 2, "pad": 2})
-    cur = b.add(f"{p}.downbn", "batchnorm", [cur], c=c)
-    return b.add(f"{p}.downrelu", "relu", [cur])
+    return conv_bn(b, p, ("down", "downbn", "downrelu"), cur, c, c, 3, stride=s, **taps)
 
 
-def build_sa_residual(b: SpecBuilder, prefix: str, input_name: str,
-                      spec: SAResidualSpec, h: int, w: int) -> str:
-    """1x1 reduce -> aggregation block -> 1x1 expand -> shortcut add -> relu."""
-    sa = spec.sa
-    cur = b.add(f"{prefix}.reduce", "conv", [input_name],
-                **{"in": spec.in_channels, "out": sa.in_channels, "k": 1})
-    cur = b.add(f"{prefix}.bn1", "batchnorm", [cur], c=sa.in_channels)
-    cur = b.add(f"{prefix}.relu1", "relu", [cur])
-    cur = build_sa_block(b, f"{prefix}.sa", cur, sa, h, w)
-    cur = b.add(f"{prefix}.expand", "conv", [cur],
-                **{"in": sa.out_channels, "out": spec.expand_channels, "k": 1})
-    cur = b.add(f"{prefix}.bn3", "batchnorm", [cur], c=spec.expand_channels)
-    if spec.in_channels != spec.expand_channels:
-        sc = b.add(f"{prefix}.proj", "conv", [input_name],
-                   **{"in": spec.in_channels, "out": spec.expand_channels, "k": 1})
-        sc = b.add(f"{prefix}.projbn", "batchnorm", [sc], c=spec.expand_channels)
-    else:
-        sc = input_name
-    cur = b.add(f"{prefix}.add", "add", [cur, sc], block=sa.block_index)
-    return b.add(f"{prefix}.relu3", "relu", [cur])
+def build_sa_residual(b: SpecBuilder, prefix: str, input_name: str, in_channels: int,
+                      sa: SABlockSpec, expand_channels: int, h: int, w: int) -> str:
+    """The bottleneck with the aggregation block ``sa`` as its 3x3 stage: the
+    1x1 reduce feeds ``sa.in_channels``, and at stride 1 the shortcut is an
+    identity when ``in_channels`` equals ``expand_channels``."""
+    def stage(cur):
+        return build_sa_block(b, f"{prefix}.sa", cur, sa, h, w), sa.out_channels
+
+    return build_bottleneck(b, prefix, input_name, in_channels, sa.in_channels,
+                            expand_channels, sa.block_index, stage)

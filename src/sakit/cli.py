@@ -7,7 +7,9 @@ of 1/0/true/false/yes/no/on/off in any case. Commands that write
 artifacts drop a ``config.resolved.txt`` snapshot of the options that were
 set next to them, so ``sakit <cmd> --config <snapshot>`` reruns the run; a
 config file is read through ``netspec.text_lines`` and so under its comment
-rule, and a value that holds a line break is rejected.
+rule, and a value that holds a line break is rejected. Every file the CLI
+reads as text goes through ``netspec.read_text``: one that is not UTF-8 is a
+usage error for ``--config`` and a ``SpecError`` for specs, plans and CSVs.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
@@ -15,13 +17,12 @@ import argparse
 import os
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .blocks import DOWNSAMPLE_MODES, check_scales
 from .checkpoint import atomic_open
-from .netspec import is_one_line, text_lines
+from .netspec import is_one_line, read_text, text_lines
 
 ENV_PREFIX = "SAKIT_"
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -115,10 +116,6 @@ def build_parser():
     return parser
 
 
-def _read(path):
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _coerce(key, tag, raw):
     if raw is None:
         return None
@@ -161,7 +158,7 @@ def resolve_config(cmd, args):
     cfg_file = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if cfg_file:
         seen = {}  # key -> line that set it
-        for lineno, line in text_lines(_read(cfg_file)):
+        for lineno, line in text_lines(read_text(cfg_file, UsageError)):
             if "=" not in line:
                 raise UsageError(f"{cfg_file}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
@@ -289,7 +286,7 @@ def _spec_file(cfg):
     """The network in the --spec file, or None when none is given."""
     from .netspec import NetworkSpec
 
-    return NetworkSpec.from_text(_read(cfg["spec"])) if cfg.get("spec") else None
+    return NetworkSpec.from_text(read_text(cfg["spec"])) if cfg.get("spec") else None
 
 
 def _load_dataset(cfg, split):
@@ -389,8 +386,8 @@ def cmd_allocate(cfg, out):
         raise UsageError("--importances and --budgets are required")
     if not cfg.get("scales"):
         raise UsageError("--scales is required")
-    records = parse_importance_csv(_read(cfg["importances"]))
-    budgets = parse_budgets_csv(_read(cfg["budgets"]))
+    records = parse_importance_csv(read_text(cfg["importances"]))
+    budgets = parse_budgets_csv(read_text(cfg["budgets"]))
     proj = ProjectionConfig(exponent=cfg["b"])
     results = project_network(records, budgets, proj)
     plan = plan_from_results(results, cfg["scales"], source="allocate",

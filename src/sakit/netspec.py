@@ -212,6 +212,18 @@ def text_lines(text):
     return [(i, line) for i, line in lines if line and not line.startswith("#")]
 
 
+def read_text(path, error=SpecError):
+    """The UTF-8 text of the file at ``path``; a file that is not UTF-8 raises
+    ``error`` naming the file and the offset of its first bad byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text, byte {data[e.start]:#04x} "
+                    f"at offset {e.start}") from None
+
+
 def is_one_line(text):
     """True when ``text`` holds no line break and no leading or trailing
     whitespace, so a writer's ``<key> <text>`` line reads back as ``text``."""

@@ -2,7 +2,10 @@
 
 Builders produce bottleneck baselines (ImageNet-style and 32x32-input
 variants), their scale-aggregation counterparts driven by an allocation
-plan, over-provisioned seed networks, and even splits. The plan text format
+plan, over-provisioned seed networks, and even splits. Both kinds of block
+are ``blocks.build_bottleneck``: a baseline passes it a strided 3x3 conv as
+the 3x3 stage, and ``build_scalenet`` an aggregation block through
+``blocks.build_sa_residual``. The plan text format
 is line oriented: a ``scales:`` header then one ``k: C1,...,CL`` row per
 block, read through ``netspec.text_lines`` and so under its comment rule.
 """
@@ -11,9 +14,11 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .blocks import SABlockSpec, SAResidualSpec, build_sa_residual, check_scales
+from .blocks import (SABlockSpec, build_bottleneck, build_sa_residual, check_scales,
+                     conv_bn)
 from .checkpoint import atomic_open
-from .netspec import NetworkSpec, SpecBuilder, SpecError, is_one_line, text_lines
+from .netspec import (NetworkSpec, SpecBuilder, SpecError, is_one_line, read_text,
+                      text_lines)
 
 RESNET_STAGE_BLOCKS = {50: (3, 4, 6, 3), 101: (3, 4, 23, 3), 152: (3, 8, 36, 3)}
 IMAGENET_SCALES = [1, 2, 4, 7]
@@ -123,8 +128,7 @@ def _int_list(text, lineno):
 
 
 def load_plan(path) -> AllocationPlan:
-    with open(path, encoding="utf-8") as f:
-        return parse_plan(f.read())
+    return parse_plan(read_text(path))
 
 
 def save_plan(plan, path):
@@ -149,18 +153,14 @@ def reference_plan(name) -> AllocationPlan:
 # baseline builders
 
 def _imagenet_stem(b, in_channels, width):
-    cur = b.add("stem.conv", "conv", ["x"],
-                **{"in": in_channels, "out": width, "k": 7, "stride": 2, "pad": 3})
-    cur = b.add("stem.bn", "batchnorm", [cur], c=width)
-    cur = b.add("stem.relu", "relu", [cur])
+    cur = conv_bn(b, "stem", ("conv", "bn", "relu"), "x", in_channels, width, 7,
+                  stride=2, pad=3)
     return b.add("stem.pool", "maxpool", [cur], k=3, stride=2, pad=1)
 
 
 def _cifar_stem(b, in_channels, width):
-    cur = b.add("stem.conv", "conv", ["x"],
-                **{"in": in_channels, "out": width, "k": 3, "stride": 1, "pad": 1})
-    cur = b.add("stem.bn", "batchnorm", [cur], c=width)
-    return b.add("stem.relu", "relu", [cur])
+    return conv_bn(b, "stem", ("conv", "bn", "relu"), "x", in_channels, width, 3,
+                   stride=1, pad=1)
 
 
 def _head(b, cur, channels, num_classes):
@@ -170,24 +170,12 @@ def _head(b, cur, channels, num_classes):
 
 
 def _bottleneck(b, prefix, cur, in_ch, mid, out_ch, stride, k):
-    """Plain bottleneck; stride (if any) sits on the 3x3 conv."""
-    y = b.add(f"{prefix}.reduce", "conv", [cur], **{"in": in_ch, "out": mid, "k": 1})
-    y = b.add(f"{prefix}.bn1", "batchnorm", [y], c=mid)
-    y = b.add(f"{prefix}.relu1", "relu", [y])
-    y = b.add(f"{prefix}.conv", "conv", [y],
-              **{"in": mid, "out": mid, "k": 3, "stride": stride, "pad": 1, "block": k})
-    y = b.add(f"{prefix}.bn2", "batchnorm", [y], c=mid)
-    y = b.add(f"{prefix}.relu2", "relu", [y])
-    y = b.add(f"{prefix}.expand", "conv", [y], **{"in": mid, "out": out_ch, "k": 1})
-    y = b.add(f"{prefix}.bn3", "batchnorm", [y], c=out_ch)
-    if stride != 1 or in_ch != out_ch:
-        sc = b.add(f"{prefix}.proj", "conv", [cur],
-                   **{"in": in_ch, "out": out_ch, "k": 1, "stride": stride})
-        sc = b.add(f"{prefix}.projbn", "batchnorm", [sc], c=out_ch)
-    else:
-        sc = cur
-    y = b.add(f"{prefix}.add", "add", [y, sc], block=k)
-    return b.add(f"{prefix}.relu3", "relu", [y])
+    """Plain bottleneck; its stride sits on the 3x3 conv and the projection."""
+    def conv3x3(y):
+        return conv_bn(b, prefix, ("conv", "bn2", "relu2"), y, mid, mid, 3,
+                       stride=stride, pad=1, block=k), mid
+
+    return build_bottleneck(b, prefix, cur, in_ch, mid, out_ch, k, conv3x3, stride)
 
 
 def _bottleneck_net(name, stem, width, stage_blocks, num_classes, input_size, in_channels):
@@ -315,8 +303,7 @@ def build_scalenet(base: NetworkSpec, plan: AllocationPlan,
             raise SpecError(f"unsupported baseline stride {d.stride}")
         sa = SABlockSpec(d.mid, list(plan.scales), list(plan.rows[d.block_index]),
                          d.block_index, downsample=downsample)
-        cur = build_sa_residual(b, prefix, cur, SAResidualSpec(c_in, sa, d.out_channels),
-                                d.h, d.w)
+        cur = build_sa_residual(b, prefix, cur, c_in, sa, d.out_channels, d.h, d.w)
         c_in = d.out_channels
     _head(b, cur, c_in, base.num_classes)
     return b.build()

@@ -177,6 +177,18 @@ def test_extract_importance_missing_bn():
         extract_importance({}, seed)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extract_importance_rejects_a_gamma_that_is_not_finite(bad):
+    # a NaN priority would reach greedy_project's sort, where it has no order
+    seed = build_seed(build_cifar_resnet(1, num_classes=10), [1, 2, 4])
+    gammas = {f"{bn.name}.gamma": np.ones(conv.attrs["out"])
+              for branches in seed.sa_blocks().values() for _, conv, bn in branches}
+    _, _, bn = seed.sa_blocks()[2][2]
+    gammas[f"{bn.name}.gamma"][5] = bad
+    with pytest.raises(ValueError, match=f"'{bn.name}.gamma' channel 5 is .*, not finite"):
+        extract_importance(gammas, seed)
+
+
 def test_abs_gamma_examples():
     assert rec(0.5, 1).importance == 0.5
     assert rec(-0.5, 1).importance == 0.5
@@ -243,6 +255,9 @@ def test_csv_round_trips():
         parse_importance_csv(f"{header}\n1,1,0,0.5,0.5,9\n1,1,0,0.7,0.7,9\n")
     with pytest.raises(SpecError, match=r"line 2: abs_gamma 0.1 is not \|gamma\| 0.7"):
         parse_importance_csv(f"{header}\n1,1,0,-0.7,0.1,9\n")
+    for bad in (np.nan, np.inf, -np.inf):  # importance_csv writes any gamma it is given
+        with pytest.raises(SpecError, match="line 3: gamma must be finite"):
+            parse_importance_csv(importance_csv([rec(0.5, 9), rec(bad, 9, 1, 1)]))
     with pytest.raises(SpecError, match="line 4: unit_cost 8 differs from 9"):
         parse_importance_csv(f"{header}\n1,1,0,0.5,0.5,9\n1,2,0,0.5,0.5,8\n1,1,1,0.5,0.5,8\n")
     with pytest.raises(SpecError, match="line 2: unit_cost of block 1 at scale 1 must be "

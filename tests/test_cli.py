@@ -363,6 +363,29 @@ def test_values_holding_a_line_break_are_rejected(capsys, tmp_path, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, argv, code, says", [
+    ("--config", ["build", "--preset", "cifar-n1"], 1, "usage error: "),
+    ("--spec", ["gradcheck"], 2, "error: SpecError: "),
+    ("--plan", ["build", "--preset", "cifar-n1"], 2, "error: SpecError: "),
+    ("--importances", ["allocate", "--budgets", "budgets.csv", "--scales", "1,2,4"], 2,
+     "error: SpecError: "),
+    ("--budgets", ["allocate", "--importances", "importances.csv", "--scales", "1,2,4"], 2,
+     "error: SpecError: "),
+], ids=["config", "spec", "plan", "importances", "budgets"])
+def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path, monkeypatch, flag, argv, code,
+                                           says):
+    # the reader's own error, naming the file and the offset of the bad byte
+    monkeypatch.chdir(tmp_path)
+    Path("importances.csv").write_text("k,scale,channel,gamma,abs_gamma,unit_cost\n"
+                                       "1,1,0,0.9,0.9,4\n")
+    Path("budgets.csv").write_text("k,budget\n1,9\n")
+    Path("f").write_bytes(b"seed=1\n\xff\n")
+    got, _, err = run(capsys, *argv, flag, "f")
+    assert got == code and f"{says}f: not UTF-8 text, byte 0xff at offset 7" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "f",
+                                                          "importances.csv"]
+
+
 def test_config_file_is_closed(tmp_path):
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text("seed=1\n")

@@ -1,7 +1,11 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sakit.data import (DataError, Dataset, augment, load_cifar,
                         normalization_stats, normalize, synthetic_dataset)
@@ -111,6 +115,45 @@ def test_load_cifar_missing_and_bad_args(tmp_path):
         load_cifar(tmp_path, "cifar7", "train")
     with pytest.raises(DataError, match="split"):
         load_cifar(tmp_path, "cifar100", "dev")
+
+
+@st.composite
+def byte_edits(draw, data, label_bytes):
+    """``data`` truncated, with bytes appended (whole records with a drawn
+    label byte, then up to 3 more bytes), or with one bit of one byte flipped."""
+    edit = draw(st.sampled_from(["truncate", "append", "flip"]))
+    if edit == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if edit == "append":
+        records = b"".join(bytes([draw(st.integers(0, 255))]) * label_bytes + bytes(3072)
+                           for _ in range(draw(st.integers(0, 2))))
+        return data + records + draw(st.binary(min_size=0 if records else 1, max_size=3))
+    i, bit = draw(st.integers(0, len(data) - 1)), draw(st.integers(0, 7))
+    return data[:i] + bytes([data[i] ^ (1 << bit)]) + data[i + 1:]
+
+
+@pytest.mark.parametrize("variant, fname, label_bytes, classes", [
+    ("cifar10", "test_batch.bin", 1, 10), ("cifar100", "test.bin", 2, 100)])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_load_cifar_under_byte_edits(variant, fname, label_bytes, classes, data):
+    # a 3-record file after one edit loads whole records with in-range labels,
+    # or fails with the loader's own error naming the file
+    rng = stream(0, "cifar-edits", variant)
+    record = label_bytes + 3072
+    raw = b"".join(bytes(rng.integers(0, 10, size=label_bytes).tolist())
+                   + bytes(rng.integers(0, 256, size=3072).tolist()) for _ in range(3))
+    raw = data.draw(byte_edits(raw, label_bytes))
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / fname).write_bytes(raw)
+        try:
+            ds = load_cifar(d, variant, "test")
+        except DataError as e:
+            assert fname in str(e)
+            return
+    assert len(ds) == len(raw) // record and ds.images.shape == (len(ds), 3, 32, 32)
+    assert np.array_equal(ds.labels, np.frombuffer(raw, np.uint8)[label_bytes - 1::record])
+    assert ds.labels.max() < classes
 
 
 def test_augment_empty_flags_is_identity():

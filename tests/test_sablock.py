@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sakit.autograd import Graph
-from sakit.blocks import SABlockSpec, SAResidualSpec, build_sa_block, build_sa_residual
+from sakit.blocks import SABlockSpec, build_sa_block, build_sa_residual
 from sakit.flops import network_flops, neuron_cost
 from sakit.netspec import SpecBuilder, propagate_shapes
 from sakit.rng import stream
@@ -114,7 +114,7 @@ def test_residual_zero_branch_passes_shortcut():
     b = SpecBuilder("res")
     b.add("x", "input", c=8, h=10, w=10)
     sa = SABlockSpec(4, [1, 2], [3, 2], 1)
-    out = build_sa_residual(b, "blk", "x", SAResidualSpec(8, sa, 8), 10, 10)
+    out = build_sa_residual(b, "blk", "x", 8, sa, 8, 10, 10)
     b.add("head.gap", "gap", [out])
     b.add("head.fc", "dense", ["head.gap"], **{"in": 8, "out": 2})
     b.add("loss", "softmax_xent", ["head.fc"])
@@ -133,7 +133,7 @@ def test_residual_projection_when_channels_differ():
     b = SpecBuilder("proj")
     b.add("x", "input", c=4, h=6, w=6)
     sa = SABlockSpec(4, [1, 2], [2, 2], 1)
-    out = build_sa_residual(b, "blk", "x", SAResidualSpec(4, sa, 16), 6, 6)
+    out = build_sa_residual(b, "blk", "x", 4, sa, 16, 6, 6)
     b.add("head.gap", "gap", [out])
     b.add("head.fc", "dense", ["head.gap"], **{"in": 16, "out": 2})
     b.add("loss", "softmax_xent", ["head.fc"])

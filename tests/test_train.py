@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sakit.autograd import Graph
-from sakit.blocks import SABlockSpec, SAResidualSpec, build_sa_residual
+from sakit.blocks import SABlockSpec, build_sa_residual
 from sakit.checkpoint import load_checkpoint, save_checkpoint
 from sakit.data import Dataset, synthetic_dataset
 from sakit.netspec import NetworkSpec, SpecBuilder
@@ -19,8 +19,7 @@ def micro_sa_net(classes=10, size=16, width=8):
     cur = b.add("stem.bn", "batchnorm", [cur], c=width)
     cur = b.add("stem.relu", "relu", [cur])
     sa = SABlockSpec(width, [1, 2, 4], [width // 2, width // 4, width // 4], 1)
-    cur = build_sa_residual(b, "sa1", cur, SAResidualSpec(width, sa, 2 * width),
-                            size, size)
+    cur = build_sa_residual(b, "sa1", cur, width, sa, 2 * width, size, size)
     b.add("head.gap", "gap", [cur])
     b.add("head.fc", "dense", ["head.gap"], **{"in": 2 * width, "out": classes})
     b.add("loss", "softmax_xent", ["head.fc"])
