@@ -33,7 +33,12 @@ how reduceat sums runs of up to 8 cells.
 Batchnorm inference, with the running stats fixed, is one affine map per
 channel: y = x * a + s, where a = gamma * inv_std and s = beta - mean * a.
 Training forward computes ``xhat`` = (x - mean) * inv_std once and caches
-it for backward.
+it for backward. Training's elementwise passes, forward and backward, take
+each per-channel operand as one contiguous (1, C, H, W) row (``_row``), so
+numpy runs one C*H*W loop per image rather than one H*W loop per image and
+channel; the same operations on the same values, so the same bytes.
+Inference keeps broadcasting ``[None, :, None, None]``: at batch 1, building
+a row costs as much as the pass it serves.
 
 Relu, add and inference batchnorm take ``out=`` and write through numpy's
 ``out=``, which the executor points at a dying first input in inference;
@@ -261,18 +266,26 @@ def resize_nearest_backward(dy, cache):
     return _sum_runs(_sum_runs(dy, rows, 2), cols, 3)
 
 
+def _row(v, h, w):
+    """Per-channel values ``v`` as one contiguous (1, C, h, w) image, so an
+    elementwise pass against (N, C, h, w) runs one C*h*w loop per image."""
+    return np.repeat(v, h * w).reshape(1, len(v), h, w)
+
+
 def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
                         momentum=0.1, training=True, out=None):
     """Per-channel batch normalization with affine scale/shift.
 
     Training normalizes with current-batch statistics (biased variance),
     y = gamma * xhat + beta with xhat = (x - mean) * inv_std, blends them
-    into the running stats and caches (xhat, inv_std, gamma), not x.
-    Inference is one affine map per channel from the running stats,
-    y = x * a + s with a = gamma * inv_std and s = beta - mean * a, returns
-    the running stats themselves and no cache; it writes y into ``out`` when
-    given (x itself, say), which training ignores. Returns (y, cache,
-    new_running_mean, new_running_var).
+    into the running stats and caches (xhat, inv_std, gamma), not x. Its
+    passes take mean, inv_std, gamma and beta as contiguous per-channel rows,
+    one loop per image. Inference is one affine map per channel from the
+    running stats, y = x * a + s with a = gamma * inv_std and
+    s = beta - mean * a, broadcast, since at batch 1 a row costs a full pass;
+    it returns the running stats themselves and no cache, and writes y into
+    ``out`` when given (x itself, say), which training ignores. Returns
+    (y, cache, new_running_mean, new_running_var).
     """
     n, c, h, w = x.shape
     if not training:
@@ -284,14 +297,14 @@ def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
     if n * h * w < 2:
         raise ValueError("batchnorm training needs >= 2 elements per channel")
     mean = x.mean(axis=(0, 2, 3))
-    xhat = x - mean[None, :, None, None]
+    xhat = x - _row(mean, h, w)
     y = np.square(xhat)
     # np.var's own expression, so the bits match x.var(axis=(0, 2, 3))
     var = y.sum(axis=(0, 2, 3)) / (n * h * w)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std[None, :, None, None]
-    np.multiply(xhat, gamma[None, :, None, None], out=y)
-    y += beta[None, :, None, None]
+    xhat *= _row(inv_std, h, w)
+    np.multiply(xhat, _row(gamma, h, w), out=y)
+    y += _row(beta, h, w)
     new_mean = (1 - momentum) * running_mean + momentum * mean
     new_var = (1 - momentum) * running_var + momentum * var
     return y, (xhat, inv_std, gamma), new_mean, new_var
@@ -300,17 +313,19 @@ def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
 def batchnorm2d_backward(dy, cache):
     """Gradients (dx, dgamma, dbeta) of a training-mode forward, through the
     batch statistics. Scales the cached ``xhat`` in place, so a cache serves
-    one backward."""
+    one backward. Like the training forward, its passes take per-channel
+    operands as contiguous rows, one loop per image."""
     xhat, inv_std, gamma = cache
-    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    n, _, h, w = dy.shape
+    m = n * h * w
     dx = dy * xhat
     dgamma = dx.sum(axis=(0, 2, 3))
     dbeta = dy.sum(axis=(0, 2, 3))
-    xhat *= dgamma[None, :, None, None] / m
+    xhat *= _row(dgamma / m, h, w)
     # dbeta / m is dy.mean: the same sum over the same count
-    np.subtract(dy, (dbeta / m)[None, :, None, None], out=dx)
+    np.subtract(dy, _row(dbeta / m, h, w), out=dx)
     dx -= xhat
-    dx *= (gamma * inv_std)[None, :, None, None]
+    dx *= _row(gamma * inv_std, h, w)
     return dx, dgamma, dbeta
 
 

@@ -83,8 +83,11 @@ def train(spec: NetworkSpec, train_ds, val_ds, cfg: TrainConfig,
     """SGD training of ``spec`` on ``train_ds`` with per-epoch validation.
 
     Aborts with a diagnostic on a non-finite loss. Writes metrics.csv plus
-    final/best checkpoints when ``out_dir`` is given.
+    final/best checkpoints when ``out_dir`` is given. An empty split is a
+    ValueError before the first step.
     """
+    _check_split(train_ds, "train_ds")
+    _check_split(val_ds, "val_ds")
     graph = Graph(spec, dtype=np.float32, seed=cfg.seed)
     if train_ds.mean is None:
         data_mod.normalization_stats(train_ds)
@@ -165,9 +168,18 @@ class EvalResult:
     loss: float
 
 
+def _check_split(ds, arg):
+    if len(ds) == 0:
+        raise ValueError(f"{arg} has no images (split '{ds.split}')")
+
+
 def evaluate_graph(graph: Graph, ds, mean, std, batch=256) -> EvalResult:
     """Inference-mode top-1/top-5 error and mean loss of ``graph`` on ``ds``,
-    normalized with ``mean``/``std``, ``batch`` images per forward."""
+    normalized with ``mean``/``std``, ``batch`` images per forward. An empty
+    ``ds`` or a ``batch`` below 1 is a ValueError."""
+    _check_split(ds, "ds")
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
     n = len(ds)
     top1 = top5 = 0
     losses = []

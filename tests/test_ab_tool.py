@@ -1,5 +1,6 @@
 """tools/ab.py: the byte record prints the same text on every run, and the
-per-op A/B of a tree against itself finds no differing bytes."""
+per-op and training-step A/B of a tree against itself find no differing
+bytes."""
 
 import json
 import re
@@ -36,25 +37,24 @@ def test_desk_byte_record_is_complete_and_repeats():
 
 
 # the same, with two reps: the tree against itself as its own parent
-OPS_RECORD = f"""
+AB_RECORD = f"""
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("ab", {str(AB)!r})
 ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab)
 ab.REPS = 2
-print(json.dumps(ab.ops_ab({str(ROOT)!r}, sys.argv[1])))
+parent = {str(ROOT)!r}
+print(json.dumps(ab.ops_ab(parent, sys.argv[2]) if sys.argv[1] == "ops" else ab.step_ab(parent)))
 """
 
 
-@pytest.mark.parametrize("op, nodes", [("batchnorm", 19), ("resize", 6), ("softmax_xent", 1)])
-def test_ops_ab_of_a_tree_against_itself(op, nodes):
-    out = subprocess.run([sys.executable, "-c", OPS_RECORD, op], capture_output=True,
-                         text=True, check=True).stdout
-    record = json.loads(out)
-    assert record["first_differing_node"] is None
-    assert (record["op"], record["nodes"], record["reps"]) == (op, nodes, 2)
-    assert set(record) == {"op", "nodes", "reps", "first_differing_node", "forward", "backward"}
-    for phase in ("forward", "backward"):
+def ab_record(*args):
+    return json.loads(subprocess.run([sys.executable, "-c", AB_RECORD, *args],
+                                     capture_output=True, text=True, check=True).stdout)
+
+
+def check_phases(record, phases):
+    for phase in phases:
         assert set(record[phase]) == {"parent", "change", "paired_diff_ms", "change_faster"}
         assert re.fullmatch(r"[0-2]/2", record[phase]["change_faster"])
         for side in ("parent", "change"):
@@ -62,3 +62,22 @@ def test_ops_ab_of_a_tree_against_itself(op, nodes):
             assert set(stats) == {"p25", "median", "p75", "minflt"}
             assert 0 < stats["p25"] <= stats["median"] <= stats["p75"]
             assert stats["minflt"] >= 0
+
+
+@pytest.mark.parametrize("op, nodes", [("batchnorm", 19), ("resize", 6), ("softmax_xent", 1)])
+def test_ops_ab_of_a_tree_against_itself(op, nodes):
+    record = ab_record("ops", op)
+    assert record["first_differing_node"] is None
+    assert (record["op"], record["nodes"], record["reps"]) == (op, nodes, 2)
+    assert set(record) == {"op", "nodes", "reps", "first_differing_node", "forward", "backward"}
+    check_phases(record, ("forward", "backward"))
+
+
+def test_step_ab_of_a_tree_against_itself():
+    record = ab_record("step")
+    assert (record["batch"], record["reps"], record["params_equal"]) == (32, 2, True)
+    phases = ("forward", "backward", "sgd_step", "step")
+    assert set(record) == {"batch", "reps", "params_equal"} | set(phases)
+    check_phases(record, phases)
+    # a step's time is the sum of its phases'
+    assert record["step"]["change"]["median"] > record["forward"]["change"]["median"]

@@ -6,8 +6,8 @@ from sakit.blocks import SABlockSpec, build_sa_residual
 from sakit.checkpoint import load_checkpoint, save_checkpoint
 from sakit.data import Dataset, synthetic_dataset
 from sakit.netspec import NetworkSpec, SpecBuilder
-from sakit.training import (TrainConfig, evaluate_tensors, lr_at, train,
-                            write_metrics_csv)
+from sakit.training import (TrainConfig, evaluate_graph, evaluate_tensors, lr_at,
+                            train, write_metrics_csv)
 
 
 def micro_sa_net(classes=10, size=16, width=8):
@@ -181,6 +181,39 @@ def test_running_stats_are_checked_like_parameters():
                  "stem.bn.running_var": np.ones(3, np.float32)}
     with pytest.raises(ValueError, match=r"'stem.bn.running_var' shape \(3,\)"):
         evaluate_tensors(spec, misshapen, val_ds)
+
+
+def empty(ds):
+    return Dataset(ds.images[:0], ds.labels[:0], ds.num_classes, split=ds.split)
+
+
+@pytest.mark.parametrize("arg", ["train_ds", "val_ds"])
+def test_train_rejects_an_empty_split_before_the_first_step(monkeypatch, arg):
+    import sakit.training as training
+
+    def no_step(*args):
+        raise AssertionError("trained a step")
+    monkeypatch.setattr(training, "sgd_step", no_step)
+    train_ds, val_ds = small_data(classes=2, per_class=2)
+    splits = {"train_ds": train_ds, "val_ds": val_ds}
+    splits[arg] = empty(splits[arg])
+    split = splits[arg].split
+    with pytest.raises(ValueError, match=f"{arg} has no images \\(split '{split}'\\)"):
+        train(micro_sa_net(classes=2), splits["train_ds"], splits["val_ds"],
+              TrainConfig(epochs=1, batch_size=2))
+
+
+def test_evaluate_rejects_an_empty_split_and_a_batch_below_one():
+    spec = micro_sa_net(classes=2)
+    graph = Graph(spec, seed=2)
+    _, val_ds = small_data(classes=2, per_class=2)
+    mean, std = np.zeros(1, np.float32), np.ones(1, np.float32)
+    with pytest.raises(ValueError, match="ds has no images \\(split 'val'\\)"):
+        evaluate_graph(graph, empty(val_ds), mean, std)
+    for batch in (0, -1):
+        with pytest.raises(ValueError, match=f"batch must be at least 1, got {batch}"):
+            evaluate_graph(graph, val_ds, mean, std, batch=batch)
+    assert evaluate_graph(graph, val_ds, mean, std, batch=1).top5_err is None
 
 
 def test_metrics_csv_layout(tmp_path):

@@ -2,6 +2,7 @@
 
     python3 tools/ab.py bytes
     python3 tools/ab.py ops --parent DIR --op batchnorm
+    python3 tools/ab.py step --parent DIR
 
 sakit is imported from the ``src/`` beside this file's ``tools/``. To record
 a parent commit, copy this file into a ``git archive`` of it and run it
@@ -42,6 +43,16 @@ per phase the median paired difference, change minus parent, and the reps
 the change was faster; and the first node, in spec order, whose output
 bytes (forward output, then input and parameter gradients) differ between
 the sides in the first rep, or null.
+
+``step`` times the whole training step of that desk seed network, each
+side's ``Graph(seed=1)`` as initialized with its own ``sgd_step`` and the
+``desk_max`` SGD settings, on the same seeded batch of 32 images per step.
+Warm-up, alternation and reps are those of ``ops``, one step a rep. The JSON
+gives the statistics of ``ops`` for the phases ``forward`` (with the loss),
+``backward``, ``sgd_step`` and ``step`` (their sum), and whether the two
+sides' parameters are byte-equal after the last step. Both networks share
+one heap, so a side's ``minflt`` depends on what the other side freed; count
+a step's faults in a process that runs one tree.
 """
 
 import argparse
@@ -153,6 +164,17 @@ WARMUP = 3
 REPS = 30
 
 
+def clock():
+    """(seconds, ru_minflt) now."""
+    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def between(*marks):
+    """Seconds between successive ``clock()`` marks, then their faults."""
+    return ([b[0] - a[0] for a, b in zip(marks, marks[1:])]
+            + [b[1] - a[1] for a, b in zip(marks, marks[1:])])
+
+
 class Side:
     """One tree's nodes of the op in the desk seed network, with its
     parameters and shared inputs."""
@@ -180,13 +202,11 @@ class Side:
         over the nodes; ``record`` collects each node's output digests."""
         total = [0.0, 0.0, 0, 0]
         for node, xs, dy in zip(self.nodes, self.inputs, self.dys):
-            f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+            c0 = clock()
             y, node.cache = node.forward(xs, self.params, dict(self.state), True, self.labels)
-            t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            c1 = clock()
             grads = node.backward(dy, self.params)
-            t2, f2 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            total = [total[0] + t1 - t0, total[1] + t2 - t1,
-                     total[2] + f1 - f0, total[3] + f2 - f1]
+            total = [a + b for a, b in zip(total, between(c0, c1, clock()))]
             if record is not None:
                 record.append((node.name, "forward", digest([y])))
                 record.append((node.name, "backward", digest(grads[0] + by_name(grads[1]))))
@@ -194,36 +214,98 @@ class Side:
         return total
 
 
+class StepSide:
+    """One tree's desk seed network and SGD state, one training step a rep."""
+
+    def __init__(self, tree):
+        self.spec = desk_spec(tree.presets)
+        self.graph = tree.autograd.Graph(self.spec, seed=1)
+        self.sgd = tree.optim.SgdState(0.05, momentum=0.9, weight_decay=1e-4)
+        self.sgd_step = tree.optim.sgd_step
+
+    def rep(self, x, labels):
+        """(forward, backward, sgd_step, step) seconds, then their faults."""
+        c0 = clock()
+        self.graph.forward(x, labels=labels, mode="train")
+        c1 = clock()
+        grads = self.graph.backward()
+        c2 = clock()
+        self.sgd_step(self.sgd, self.graph.params, grads)
+        row = between(c0, c1, c2, clock())
+        return row[:3] + [sum(row[:3])] + row[3:] + [sum(row[3:])]
+
+
 def quartiles(values):
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"p25": round(q1, 3), "median": round(med, 3), "p75": round(q3, 3)}
 
 
-def ops_ab(parent, op):
-    """The ``ops`` record (module docstring) as a dict."""
-    import sakit
-    sides = {"parent": Side(load_tree(Path(parent) / "src", "sakit_parent"), op),
-             "change": Side(sakit, op)}
-    names = [[n.name for n in side.nodes] for side in sides.values()]
-    if names[0] != names[1] or not names[0]:
-        raise SystemExit(f"the desk has no '{op}' nodes, or the trees differ: {names}")
-    runs = {name: [] for name in sides}
-    records = {name: [] for name in sides}
+def alternate(rep):
+    """{side: rows} of ``rep(side, i)`` for the reps after the warm-up; the
+    sides alternate, the first swapping each rep."""
+    runs = {"parent": [], "change": []}
     for i in range(WARMUP + REPS):
         for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            row = sides[name].rep(records[name] if i == 0 else None)
+            row = rep(name, i)
             if i >= WARMUP:
                 runs[name].append(row)
-    differ = next(({"node": a[0], "part": a[1]}
-                   for a, b in zip(*records.values()) if a != b), None)
-    out = {"op": op, "nodes": len(names[0]), "reps": REPS, "first_differing_node": differ}
-    for k, phase in enumerate(("forward", "backward")):
+    return runs
+
+
+def phase_stats(runs, phases):
+    """Per phase: each side's quartiles in ms and median faults, the median
+    paired difference and the reps the change was faster. A row holds the
+    phases' seconds, then their faults."""
+    out = {}
+    for k, phase in enumerate(phases):
         ms = {name: [row[k] * 1e3 for row in rows] for name, rows in runs.items()}
         diff = [c - p for p, c in zip(ms["parent"], ms["change"])]
         out[phase] = {name: dict(quartiles(ms[name]), minflt=statistics.median(
-            row[k + 2] for row in runs[name])) for name in sides}
+            row[k + len(phases)] for row in runs[name])) for name in runs}
         out[phase]["paired_diff_ms"] = round(statistics.median(diff), 3)
         out[phase]["change_faster"] = f"{sum(d < 0 for d in diff)}/{REPS}"
+    return out
+
+
+def load_parent(parent):
+    return load_tree(Path(parent) / "src", "sakit_parent")
+
+
+def ops_ab(parent, op):
+    """The ``ops`` record (module docstring) as a dict."""
+    import sakit
+    sides = {"parent": Side(load_parent(parent), op), "change": Side(sakit, op)}
+    names = [[n.name for n in side.nodes] for side in sides.values()]
+    if names[0] != names[1] or not names[0]:
+        raise SystemExit(f"the desk has no '{op}' nodes, or the trees differ: {names}")
+    records = {name: [] for name in sides}
+    runs = alternate(lambda name, i: sides[name].rep(records[name] if i == 0 else None))
+    differ = next(({"node": a[0], "part": a[1]}
+                   for a, b in zip(*records.values()) if a != b), None)
+    out = {"op": op, "nodes": len(names[0]), "reps": REPS, "first_differing_node": differ}
+    out.update(phase_stats(runs, ("forward", "backward")))
+    return out
+
+
+def step_ab(parent):
+    """The ``step`` record (module docstring) as a dict."""
+    import numpy as np
+    import sakit
+    from sakit.rng import stream
+    sides = {"parent": StepSide(load_parent(parent)), "change": StepSide(sakit)}
+    if sides["parent"].spec.to_text() != sides["change"].spec.to_text():
+        raise SystemExit("the trees build different desk seed networks")
+    batches = []
+    for i in range(WARMUP + REPS):
+        r = stream(1, "ab-step", i)
+        batches.append((r.normal(size=(BATCH, 1, 32, 32)).astype(np.float32),
+                        r.integers(0, 10, size=BATCH)))
+    runs = alternate(lambda name, i: sides[name].rep(*batches[i]))
+    params = [side.graph.params for side in sides.values()]
+    equal = params[0].keys() == params[1].keys() and all(
+        params[0][k].tobytes() == params[1][k].tobytes() for k in params[0])
+    out = {"batch": BATCH, "reps": REPS, "params_equal": equal}
+    out.update(phase_stats(runs, ("forward", "backward", "sgd_step", "step")))
     return out
 
 
@@ -235,9 +317,14 @@ def main(argv=None):
     ops = sub.add_parser("ops", help="time one op's nodes against a parent tree")
     ops.add_argument("--parent", required=True, help="root of the parent tree")
     ops.add_argument("--op", required=True, choices=sorted(set(KNOWN_OPS) - {"input"}))
+    step = sub.add_parser("step", help="time the desk training step against a parent tree")
+    step.add_argument("--parent", required=True, help="root of the parent tree")
     args = parser.parse_args(argv)
     if args.mode == "ops":
         print(json.dumps(ops_ab(args.parent, args.op), indent=1))
+        return
+    if args.mode == "step":
+        print(json.dumps(step_ab(args.parent), indent=1))
         return
     record = imagenet_hashes()
     for downsample in ("max", "avg"):
