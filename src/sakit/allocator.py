@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flops import network_flops
-from .netspec import NetworkSpec, SpecError, text_lines
-from .presets import AllocationPlan, build_scalenet, build_seed, save_plan
+from .netspec import NetworkSpec, SpecError, csv_rows, csv_text
+from .presets import AllocationPlan, build_scalenet, build_seed, serialize_plan
 
 
 @dataclass(frozen=True)
@@ -212,32 +212,9 @@ _IMPORTANCE_HEADER = "k,scale,channel,gamma,abs_gamma,unit_cost"
 _BUDGETS_HEADER = "k,budget"
 
 
-def _csv_rows(text, header, types):
-    """Yield (line number, fields converted by ``types``) for each text line
-    after ``header``; any malformed row raises SpecError naming its line."""
-    lines = text_lines(text)
-    if not lines or lines[0][1] != header:
-        raise SpecError(f"csv must start with the header '{header}'",
-                        lines[0][0] if lines else None)
-    names = header.split(",")
-    for lineno, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(names):
-            raise SpecError(f"expected {len(names)} fields, got {len(parts)}", lineno)
-        values = []
-        for convert, name, part in zip(types, names, parts):
-            try:
-                values.append(convert(part))
-            except ValueError:
-                raise SpecError(f"{name} '{part}' is not a number", lineno) from None
-        yield lineno, values
-
-
 def importance_csv(records) -> str:
-    lines = [_IMPORTANCE_HEADER]
-    for r in records:
-        lines.append(f"{r.block},{r.scale},{r.channel},{r.gamma!r},{r.importance!r},{r.cost}")
-    return "\n".join(lines) + "\n"
+    return csv_text(_IMPORTANCE_HEADER, ((r.block, r.scale, r.channel, r.gamma,
+                                          r.importance, r.cost) for r in records))
 
 
 def parse_importance_csv(text):
@@ -246,7 +223,7 @@ def parse_importance_csv(text):
     below 1 or one that differs from an earlier row of the same (k, scale)
     raises SpecError naming its line."""
     records, seen, costs = [], set(), {}
-    for lineno, (k, scale, channel, gamma, abs_gamma, cost) in _csv_rows(
+    for lineno, (k, scale, channel, gamma, abs_gamma, cost) in csv_rows(
             text, _IMPORTANCE_HEADER, (int, int, int, float, float, int)):
         if (k, scale, channel) in seen:
             raise SpecError(f"duplicate channel {channel} of block {k} "
@@ -268,17 +245,14 @@ def parse_importance_csv(text):
 
 
 def budgets_csv(budgets: dict) -> str:
-    lines = [_BUDGETS_HEADER]
-    for k in sorted(budgets):
-        lines.append(f"{k},{budgets[k]}")
-    return "\n".join(lines) + "\n"
+    return csv_text(_BUDGETS_HEADER, ((k, budgets[k]) for k in sorted(budgets)))
 
 
 def parse_budgets_csv(text):
     """{k: budget} from ``budgets_csv`` text; a repeated block or a budget
     below 1 raises SpecError naming its line."""
     out = {}
-    for lineno, (k, budget) in _csv_rows(text, _BUDGETS_HEADER, (int, int)):
+    for lineno, (k, budget) in csv_rows(text, _BUDGETS_HEADER, (int, int)):
         if k in out:
             raise SpecError(f"duplicate block {k}", lineno)
         if budget < 1:
@@ -308,21 +282,16 @@ def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
     are written under ``out_dir`` but never read back.
     """
     import sakit.training as train_mod
-    from .checkpoint import atomic_open, save_checkpoint
+    from .checkpoint import save_checkpoint, write_text
 
-    os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, name) for name in
              ("seed.netspec", "seed.sanc", "seed_metrics.csv",
               "importances.csv", "budgets.csv", "plan.txt",
               "final.netspec", "final.sanc", "final_metrics.csv")}
 
-    def write(name, text):
-        with atomic_open(paths[name]) as f:
-            f.write(text)
-
     def stage(name, spec):
         """Write the spec, train it, save its weights and its metrics."""
-        write(f"{name}.netspec", spec.to_text())
+        write_text(paths[f"{name}.netspec"], spec.to_text())
         result = train_mod.train(spec, train_ds, val_ds, train_cfg)
         save_checkpoint(paths[f"{name}.sanc"], spec.to_text(), result.tensors())
         train_mod.write_metrics_csv(result.metrics, paths[f"{name}_metrics.csv"])
@@ -335,9 +304,9 @@ def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
     results = project_network(records, budgets, proj_cfg)
     plan = plan_from_results(results, scales, source=f"{base.name}-pipeline",
                              exponent=proj_cfg.exponent, budgets=budgets)
-    write("importances.csv", importance_csv(records))
-    write("budgets.csv", budgets_csv(budgets))
-    save_plan(plan, paths["plan.txt"])
+    write_text(paths["importances.csv"], importance_csv(records))
+    write_text(paths["budgets.csv"], budgets_csv(budgets))
+    write_text(paths["plan.txt"], serialize_plan(plan))
 
     final_spec = build_scalenet(base, plan, downsample=downsample)
     final_result = stage("final", final_spec)

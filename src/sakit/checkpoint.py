@@ -1,12 +1,18 @@
-"""Binary checkpoint I/O.
+"""Binary checkpoint I/O and the one writer of every artifact.
 
 Layout: magic "SANC", version u32 LE, spec-text length u64 + UTF-8 network
 spec text, tensor count u64, then per tensor: name length u16 + UTF-8 name,
 dtype code u8 (0=f32, 1=f64), rank u8, dims as u32 list, raw little-endian
 IEEE-754 payload.
 
-Every artifact sakit writes goes through ``atomic_open``, so an interrupted
-write leaves the previous file, never half of a new one.
+Every artifact sakit writes goes through ``atomic_open``: checkpoints
+through ``save_checkpoint``, text through ``write_text``. ``atomic_open``
+creates the file's directory; an interrupted write leaves the previous file,
+never half of a new one; and an ``OSError`` from a failed write names the
+file's path, not its hidden temporary. Every CSV has one format, built by
+``netspec.csv_text`` (a header line, then one line of comma-joined cells per
+row) and read back by ``netspec.csv_rows``, which skips ``text_lines``
+comments.
 """
 
 import math
@@ -31,21 +37,34 @@ class CheckpointError(ValueError):
 @contextmanager
 def atomic_open(path, mode="w"):
     """Open a new file beside ``path`` for writing (mode "w" for UTF-8 text,
-    "wb" for bytes). When the block ends it is synced and moved onto ``path``
-    with ``os.replace``; when the block raises it is removed instead."""
+    "wb" for bytes), creating its directory. When the block ends it is synced
+    and moved onto ``path`` with ``os.replace``; when the block raises it is
+    removed instead. An ``OSError`` on the way names ``path`` as its file."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as f:
-            yield f
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+        os.makedirs(head or ".", exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as f:
+                yield f
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        e.filename = path
+        del e.filename2  # os.replace's second name; the message then ends in ``path``
         raise
+
+
+def write_text(path, text):
+    """Write ``text`` to ``path`` as UTF-8 through ``atomic_open``."""
+    with atomic_open(path) as f:
+        f.write(text)
 
 
 def save_checkpoint(path, spec_text: str, tensors: dict):

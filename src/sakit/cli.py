@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .blocks import DOWNSAMPLE_MODES, check_scales
-from .checkpoint import atomic_open
+from .checkpoint import write_text
 from .netspec import is_one_line, read_text, text_lines
 
 ENV_PREFIX = "SAKIT_"
@@ -193,15 +193,14 @@ def resolve_config(cmd, args):
 
 def write_snapshot(cmd, cfg, out_dir):
     """Write the set options of ``cfg`` as a --config file for ``cmd``."""
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.resolved.txt")
-    with atomic_open(path) as f:
-        f.write(f"# sakit {cmd}\n")
-        for key in sorted(k for k in cfg if cfg[k] is not None):
-            val = cfg[key]
-            if isinstance(val, list):
-                val = ",".join(str(v) for v in val)
-            f.write(f"{key}={val}\n")
+    lines = [f"# sakit {cmd}"]
+    for key in sorted(k for k in cfg if cfg[k] is not None):
+        val = cfg[key]
+        if isinstance(val, list):
+            val = ",".join(str(v) for v in val)
+        lines.append(f"{key}={val}")
+    write_text(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -209,9 +208,8 @@ def _write_output(cmd, cfg, default_name, text):
     """Write ``text`` to --out, else to ``default_name`` in --out-dir, with the
     snapshot beside it; returns the path."""
     path = cfg.get("out") or os.path.join(cfg["out_dir"], default_name)
-    write_snapshot(cmd, cfg, os.path.dirname(path) or ".")  # creates the directory
-    with atomic_open(path) as f:
-        f.write(text)
+    write_snapshot(cmd, cfg, os.path.dirname(path) or ".")
+    write_text(path, text)
     return path
 
 

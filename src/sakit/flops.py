@@ -9,7 +9,7 @@ the budget check matches the constraint the allocator enforces.
 import math
 from dataclasses import dataclass, field
 
-from .netspec import NetworkSpec
+from .netspec import NetworkSpec, csv_text
 
 
 def neuron_cost(in_channels, h, w, scale) -> int:
@@ -62,10 +62,9 @@ class FlopsReport:
         return out
 
     def block_table_csv(self) -> str:
-        lines = ["k,scale,channels,unit_cost,subtotal,budget,utilization"]
-        for k, scale, ch, unit, sub, budget, util in self.block_table():
-            lines.append(f"{k},{scale},{ch},{unit},{sub},{budget},{util:.6f}")
-        return "\n".join(lines) + "\n"
+        return csv_text("k,scale,channels,unit_cost,subtotal,budget,utilization",
+                        ((k, s, ch, unit, sub, budget, f"{util:.6f}")
+                         for k, s, ch, unit, sub, budget, util in self.block_table()))
 
 
 def network_flops(spec: NetworkSpec) -> FlopsReport:

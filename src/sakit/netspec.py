@@ -212,6 +212,34 @@ def text_lines(text):
     return [(i, line) for i, line in lines if line and not line.startswith("#")]
 
 
+def csv_text(header, rows):
+    """The one CSV format sakit writes: the ``header`` line, then one line
+    per row of its cells through ``str``, joined by commas."""
+    lines = [header] + [",".join(str(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def csv_rows(text, header, types):
+    """Yield (line number, fields converted by ``types``) for each text line
+    after ``header``; any malformed row raises SpecError naming its line."""
+    lines = text_lines(text)
+    if not lines or lines[0][1] != header:
+        raise SpecError(f"csv must start with the header '{header}'",
+                        lines[0][0] if lines else None)
+    names = header.split(",")
+    for lineno, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(names):
+            raise SpecError(f"expected {len(names)} fields, got {len(parts)}", lineno)
+        values = []
+        for convert, name, part in zip(types, names, parts):
+            try:
+                values.append(convert(part))
+            except ValueError:
+                raise SpecError(f"{name} '{part}' is not a number", lineno) from None
+        yield lineno, values
+
+
 def read_text(path, error=SpecError):
     """The UTF-8 text of the file at ``path``; a file that is not UTF-8 raises
     ``error`` naming the file and the offset of its first bad byte."""

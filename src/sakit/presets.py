@@ -16,7 +16,6 @@ from importlib import resources
 
 from .blocks import (SABlockSpec, build_bottleneck, build_sa_residual, check_scales,
                      conv_bn)
-from .checkpoint import atomic_open
 from .netspec import (NetworkSpec, SpecBuilder, SpecError, is_one_line, read_text,
                       text_lines)
 
@@ -129,11 +128,6 @@ def _int_list(text, lineno):
 
 def load_plan(path) -> AllocationPlan:
     return parse_plan(read_text(path))
-
-
-def save_plan(plan, path):
-    with atomic_open(path) as f:
-        f.write(serialize_plan(plan))
 
 
 def reference_plan(name) -> AllocationPlan:

@@ -1,5 +1,9 @@
 """CSV and static SVG emission for allocation proportions and RF series."""
 
+import os
+
+from .netspec import csv_text
+
 _PALETTE = ["#4878cf", "#ee854a", "#6acc65", "#d65f5f", "#956cb4", "#8c613c"]
 _WIDTH, _HEIGHT = 720, 360  # of every SVG figure
 
@@ -15,11 +19,9 @@ def plan_proportions(plan):
 
 
 def proportions_csv(plan) -> str:
-    lines = ["k,scale,channels,proportion"]
-    for k, counts, fracs in plan_proportions(plan):
-        for s, c, f in zip(plan.scales, counts, fracs):
-            lines.append(f"{k},{s},{c},{f:.6f}")
-    return "\n".join(lines) + "\n"
+    return csv_text("k,scale,channels,proportion",
+                    ((k, s, c, f"{f:.6f}") for k, counts, fracs in plan_proportions(plan)
+                     for s, c, f in zip(plan.scales, counts, fracs)))
 
 
 def _svg_header(title):
@@ -111,23 +113,15 @@ def rf_series_svg(rows, reference=None) -> str:
 def emit_report(plan, out_dir, rf_rows=None, rf_reference=None):
     """Write proportions CSV+SVG and, when RF rows are given, the RF CSV+SVG.
     Returns the written paths."""
-    import os
-
-    from .checkpoint import atomic_open
+    from .checkpoint import write_text
     from .rf import rf_report_csv
 
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    def put(name, text):
-        p = os.path.join(out_dir, name)
-        with atomic_open(p) as f:
-            f.write(text)
-        paths[name] = p
-
-    put("proportions.csv", proportions_csv(plan))
-    put("proportions.svg", proportions_svg(plan))
+    texts = {"proportions.csv": proportions_csv(plan),
+             "proportions.svg": proportions_svg(plan)}
     if rf_rows:
-        put("rf.csv", rf_report_csv(rf_rows))
-        put("rf.svg", rf_series_svg(rf_rows, reference=rf_reference))
+        texts["rf.csv"] = rf_report_csv(rf_rows)
+        texts["rf.svg"] = rf_series_svg(rf_rows, reference=rf_reference)
+    paths = {name: os.path.join(out_dir, name) for name in texts}
+    for name, text in texts.items():
+        write_text(paths[name], text)
     return paths

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .autograd import Graph
-from .netspec import NetworkSpec
+from .netspec import NetworkSpec, csv_text
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,8 @@ def rf_network_report(spec: NetworkSpec):
 
 
 def rf_report_csv(rows) -> str:
-    lines = ["block_index,min_rf,max_rf"]
-    for k, lo, hi in rows:
-        lines.append(f"{k},{_fmt(lo)},{_fmt(hi)}")
-    return "\n".join(lines) + "\n"
+    return csv_text("block_index,min_rf,max_rf",
+                    ((k, _fmt(lo), _fmt(hi)) for k, lo, hi in rows))
 
 
 def _fmt(x: Fraction):

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import data as data_mod
 from .autograd import Graph
-from .checkpoint import atomic_open, save_checkpoint
-from .netspec import NetworkSpec
+from .checkpoint import save_checkpoint, write_text
+from .netspec import NetworkSpec, csv_text
 from .optim import SgdState, sgd_step
 from .presets import build_scalenet, even_allocation
 from .blocks import DOWNSAMPLE_MODES
@@ -139,7 +139,6 @@ def train(spec: NetworkSpec, train_ds, val_ds, cfg: TrainConfig,
             if out_dir:  # only best.sanc reads it
                 best_params = {p: v.copy() for p, v in result.tensors().items()}
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         write_metrics_csv(result.metrics, os.path.join(out_dir, "metrics.csv"))
         save_checkpoint(os.path.join(out_dir, "final.sanc"), spec.to_text(),
                         result.tensors())
@@ -149,16 +148,8 @@ def train(spec: NetworkSpec, train_ds, val_ds, cfg: TrainConfig,
 
 
 def write_metrics_csv(metrics, path):
-    with atomic_open(path) as f:
-        f.write(",".join(METRIC_COLUMNS) + "\n")
-        for row in metrics:
-            f.write(",".join(_fmt_metric(row[c]) for c in METRIC_COLUMNS) + "\n")
-
-
-def _fmt_metric(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    write_text(path, csv_text(",".join(METRIC_COLUMNS),
+                              ([row[c] for c in METRIC_COLUMNS] for row in metrics)))
 
 
 @dataclass
@@ -242,8 +233,6 @@ def downsample_sweep(base: NetworkSpec, scales, train_ds, val_ds,
         if log:
             log(f"downsample={mode}: val top1 {last['val_top1']:.3f}")
     if out_csv:
-        with atomic_open(out_csv) as f:
-            f.write("mode,train_loss,val_top1,val_top5\n")
-            for r in rows:
-                f.write(f"{r['mode']},{r['train_loss']!r},{r['val_top1']!r},{r['val_top5']!r}\n")
+        write_text(out_csv, csv_text("mode,train_loss,val_top1,val_top5",
+                                     (r.values() for r in rows)))
     return rows

@@ -1,6 +1,6 @@
-"""tools/ab.py: the byte record prints the same text on every run, and the
-per-op and training-step A/B of a tree against itself find no differing
-bytes."""
+"""tools/ab.py: the byte record, the pipeline's artifact hashes included,
+prints the same text on every run, and the per-op and training-step A/B of a
+tree against itself find no differing bytes."""
 
 import json
 import re
@@ -14,29 +14,45 @@ ROOT = Path(__file__).resolve().parent.parent
 AB = ROOT / "tools" / "ab.py"
 DESK_FIELDS = {"loss", "grads", "input_grad", "params", "state", "eval_logits"}
 
-# a fresh process loads tools/ab.py by path, which pins BLAS before numpy loads
-DESK_RECORD = f"""
+
+def record_twice(expr):
+    """The JSON of ``expr`` from two fresh processes, which must print the
+    same text. Each loads tools/ab.py by path, which pins BLAS before numpy
+    loads."""
+    script = f"""
 import importlib.util, json
 spec = importlib.util.spec_from_file_location("ab", {str(AB)!r})
 ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab)
-print(json.dumps({{f"desk_{{d}}": ab.desk_hashes(d) for d in ("max", "avg")}},
-                 indent=1, sort_keys=True))
+print(json.dumps({expr}, indent=1, sort_keys=True))
 """
+    runs = [subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    return json.loads(runs[0])
 
 
 def test_desk_byte_record_is_complete_and_repeats():
-    runs = [subprocess.run([sys.executable, "-c", DESK_RECORD], capture_output=True,
-                           text=True, check=True).stdout for _ in range(2)]
-    assert runs[0] == runs[1]
-    record = json.loads(runs[0])
+    record = record_twice('{f"desk_{d}": ab.desk_hashes(d) for d in ("max", "avg")}')
     assert set(record) == {"desk_max", "desk_avg"}
     for fields in record.values():
         assert set(fields) == DESK_FIELDS
         assert all(len(h) == 16 and int(h, 16) >= 0 for h in fields.values())
 
 
-# the same, with two reps: the tree against itself as its own parent
+PIPELINE_FILES = {"seed.netspec", "seed.sanc", "seed_metrics.csv", "importances.csv",
+                  "budgets.csv", "plan.txt", "final.netspec", "final.sanc",
+                  "final_metrics.csv", "proportions.csv", "proportions.svg", "rf.csv",
+                  "rf.svg"}
+
+
+def test_pipeline_artifact_record_is_complete_and_repeats():
+    record = record_twice("ab.pipeline_artifacts()")
+    assert set(record) == PIPELINE_FILES
+    assert all(len(h) == 16 and int(h, 16) >= 0 for h in record.values())
+
+
+# record_twice's script, with two reps: the tree against itself as its own parent
 AB_RECORD = f"""
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("ab", {str(AB)!r})

@@ -5,11 +5,12 @@ import pytest
 
 from sakit.autograd import Graph
 from sakit.blocks import DOWNSAMPLE_MODES
+from sakit.checkpoint import write_text
 from sakit.flops import network_flops
 from sakit.netspec import NetworkSpec, SpecError, propagate_shapes
 from sakit.presets import (AllocationPlan, build_cifar_resnet, build_resnet,
                            build_scalenet, build_seed, even_allocation,
-                           load_plan, parse_plan, reference_plan, save_plan,
+                           load_plan, parse_plan, reference_plan,
                            serialize_plan, weighted_layer_count)
 
 
@@ -151,7 +152,7 @@ def test_plan_file_round_trip(tmp_path):
     plan = AllocationPlan([1, 2], {1: [4, 4], 2: [3, 5]}, source="t",
                           exponent=0.5, budgets={1: 100, 2: 200})
     path = tmp_path / "p.plan"
-    save_plan(plan, path)
+    write_text(path, serialize_plan(plan))
     back = load_plan(path)
     assert back.rows == plan.rows
     assert back.exponent == 0.5

@@ -111,7 +111,7 @@ def test_write_that_raises_partway_keeps_the_old_file(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("old\n")
     with pytest.raises(KeyError):
-        write_metrics_csv([{}], path)  # the header is written, then the row fails
+        write_metrics_csv([{}], path)  # the row fails
     assert path.read_text() == "old\n"
     with pytest.raises(RuntimeError):
         with atomic_open(tmp_path / "ck.sanc", "wb") as f:

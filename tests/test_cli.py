@@ -1,5 +1,10 @@
 import gc
+import os
+import resource
 import shlex
+import signal
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -493,3 +498,23 @@ def test_even_plan_proportions_are_uniform():
     for _k, counts, fracs in plan_proportions(plan):
         for f in fracs:
             assert abs(f - 1 / 3) <= 1 / sum(counts)  # exact up to remainders
+
+
+def _limit_file_size():
+    """In the child: files stop at 20 kB, and a write past that fails with
+    EFBIG instead of killing the process."""
+    resource.setrlimit(resource.RLIMIT_FSIZE, (20000, 20000))
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+
+def test_a_failed_write_names_its_file_and_leaves_no_temporary(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    out = tmp_path / "x.netspec"  # scalenet50's spec text is larger than the limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "sakit.cli", "build", "--preset", "scalenet50",
+         "--out", str(out)], env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+        preexec_fn=_limit_file_size, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert str(out) in proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["config.resolved.txt"]

@@ -7,7 +7,8 @@ duplicate a line, truncate, or flip one of the low seven bits of a character
 result either loads, and serializing the parse is a fixed point, or it raises
 the reader's own error type, naming a line, or else the node or row it is
 about or what the whole text lacks. Each writer either rejects a drawn name
-or value where it is set, or writes text that reads back to it.
+or value where it is set, or writes text that reads back to it. Every CSV
+sakit writes reads back through the one CSV reader, ``netspec.csv_rows``.
 """
 
 import os
@@ -19,11 +20,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sakit.allocator import (NeuronRecord, budgets_csv, importance_csv,
-                             parse_budgets_csv, parse_importance_csv)
+from sakit.allocator import (NeuronRecord, ProjectionConfig, budgets_csv, importance_csv,
+                             parse_budgets_csv, parse_importance_csv, run_pipeline)
+from sakit.checkpoint import write_text
 from sakit.cli import UsageError, build_parser, resolve_config, write_snapshot
-from sakit.netspec import NetworkSpec, ShapeError, SpecBuilder, SpecError
-from sakit.presets import AllocationPlan, parse_plan, serialize_plan
+from sakit.data import synthetic_dataset
+from sakit.flops import network_flops
+from sakit.netspec import NetworkSpec, ShapeError, SpecBuilder, SpecError, csv_rows
+from sakit.presets import AllocationPlan, build_cifar_resnet, parse_plan, serialize_plan
+from sakit.report import emit_report
+from sakit.rf import rf_network_report
+from sakit.training import TrainConfig, downsample_sweep
 
 # printable ASCII, with its line breaks, plus the other characters that end a line
 _PRINTABLE = string.printable + "\x1c\x85\u2028"
@@ -209,3 +216,36 @@ def test_config_writer_under_a_drawn_value(config_io, value):
     except UsageError:
         return
     assert parse(serialize(cfg)) == cfg
+
+
+def test_every_csv_sakit_writes_reads_back_through_the_one_reader(tmp_path):
+    classes, scales = 6, [1, 2]
+    train_ds = synthetic_dataset(classes, 4, 32, seed=0, split="train")
+    val_ds = synthetic_dataset(classes, 2, 32, seed=0, split="val")
+    base = build_cifar_resnet(1, num_classes=classes, in_channels=1)
+    cfg = TrainConfig(epochs=1, batch_size=8, deterministic=True)
+    result = run_pipeline(base, scales, train_ds, val_ds, cfg, ProjectionConfig(), tmp_path)
+    rf_rows = rf_network_report(result.final_spec)
+    emit_report(result.plan, tmp_path, rf_rows)
+    write_text(tmp_path / "blocks.csv", network_flops(result.seed_spec).block_table_csv())
+    downsample_sweep(base, scales, train_ds, val_ds, cfg, out_csv=tmp_path / "sweep.csv")
+    blocks = result.seed_spec.sa_blocks()
+    channels = sum(conv.attrs["out"] for branches in blocks.values()
+                   for _, conv, _ in branches)
+    metrics = "epoch,lr,train_loss,train_top1,val_top1,val_top5,seconds"
+    expected = {  # file: (header, row count)
+        "importances.csv": ("k,scale,channel,gamma,abs_gamma,unit_cost", channels),
+        "budgets.csv": ("k,budget", len(blocks)),
+        "seed_metrics.csv": (metrics, 1),
+        "final_metrics.csv": (metrics, 1),
+        "blocks.csv": ("k,scale,channels,unit_cost,subtotal,budget,utilization",
+                       len(blocks) * len(scales)),
+        "proportions.csv": ("k,scale,channels,proportion", len(blocks) * len(scales)),
+        "rf.csv": ("block_index,min_rf,max_rf", len(rf_rows)),
+        "sweep.csv": ("mode,train_loss,val_top1,val_top5", 4),
+    }
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(expected)
+    for name, (header, count) in expected.items():
+        rows = list(csv_rows((tmp_path / name).read_text(), header,
+                             (str,) * len(header.split(","))))
+        assert len(rows) == count, name

@@ -6,8 +6,9 @@ from sakit.blocks import SABlockSpec, build_sa_residual
 from sakit.checkpoint import load_checkpoint, save_checkpoint
 from sakit.data import Dataset, synthetic_dataset
 from sakit.netspec import NetworkSpec, SpecBuilder
-from sakit.training import (TrainConfig, evaluate_graph, evaluate_tensors, lr_at,
-                            train, write_metrics_csv)
+from sakit.presets import build_cifar_resnet
+from sakit.training import (TrainConfig, downsample_sweep, evaluate_graph,
+                            evaluate_tensors, lr_at, train, write_metrics_csv)
 
 
 def micro_sa_net(classes=10, size=16, width=8):
@@ -224,3 +225,15 @@ def test_metrics_csv_layout(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,lr,train_loss,train_top1,val_top1,val_top5,seconds"
     assert lines[1].startswith("1,0.1,2.0,0.5,0.4,0.9,")
+
+
+def test_sweep_with_fewer_than_five_classes_leaves_val_top5_empty(tmp_path):
+    train_ds = synthetic_dataset(3, 4, 32, seed=0, split="train")
+    val_ds = synthetic_dataset(3, 2, 32, seed=0, split="val")
+    base = build_cifar_resnet(1, num_classes=3, in_channels=1)
+    path = tmp_path / "sweep.csv"
+    downsample_sweep(base, [1, 2], train_ds, val_ds, TrainConfig(epochs=1, batch_size=8),
+                     out_csv=path)
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.split(",")[-1] == "" for row in rows), rows

@@ -26,6 +26,13 @@ each array's dtype, shape and bytes, in the order listed.
   batches: every loss, every gradient (by name), every ``input_grad``, then
   the params and the state (by name), and ``eval_logits`` of one infer-mode
   pass of the stepped network.
+- ``pipeline_artifacts``: sha256 (first 16 hex digits) of each file, by name,
+  that one ``run_pipeline`` of the cifar-n1 network at scales [1, 2, 4]
+  writes, followed by ``emit_report`` of its plan and its final network's RF
+  rows into the same directory: 6 classes of ``synthetic_dataset`` at 4
+  images per class in each split, seed 0, 1 epoch per stage at batch 8,
+  deterministic. It calls only functions that older trees have too, so the
+  record can be taken on a parent commit.
 
 ``ops`` times every node of one netspec op (``--op``, not ``input``) of the
 desk seed network of ``desk_max`` in training at batch 32, in this tree and
@@ -146,6 +153,26 @@ def desk_hashes(downsample):
             "input_grad": digest(input_grads), "params": digest(by_name(g.params)),
             "state": digest(by_name(g.state)),
             "eval_logits": digest([g.forward(x, mode="infer")[spec.logits_name]])}
+
+
+def pipeline_artifacts():
+    import tempfile
+    from sakit.allocator import ProjectionConfig, run_pipeline
+    from sakit.data import synthetic_dataset
+    from sakit.presets import build_cifar_resnet
+    from sakit.report import emit_report
+    from sakit.rf import rf_network_report
+    from sakit.training import TrainConfig
+    train_ds, val_ds = (synthetic_dataset(6, 4, 32, seed=0, split=split)
+                        for split in ("train", "val"))
+    base = build_cifar_resnet(1, num_classes=6, in_channels=1)
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=0, deterministic=True)
+    with tempfile.TemporaryDirectory() as out_dir:
+        result = run_pipeline(base, [1, 2, 4], train_ds, val_ds, cfg, ProjectionConfig(),
+                              out_dir)
+        emit_report(result.plan, out_dir, rf_network_report(result.final_spec))
+        return {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()[:16]
+                for name in sorted(os.listdir(out_dir))}
 
 
 def load_tree(src, name):
@@ -329,6 +356,7 @@ def main(argv=None):
     record = imagenet_hashes()
     for downsample in ("max", "avg"):
         record[f"desk_{downsample}"] = desk_hashes(downsample)
+    record["pipeline_artifacts"] = pipeline_artifacts()
     print(json.dumps(record, indent=1, sort_keys=True))
 
 
