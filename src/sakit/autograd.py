@@ -12,9 +12,11 @@ spec), so it returns only the logits, the loss and the names asked for in
 backward reads and which hold arrays, not copies: conv and dense keep
 their input, relu its output, softmax its probabilities, and batchnorm its
 normalized input in place of its input. Backward frees each cache after
-use; each forward first releases the previous pass. One thread and no
-hidden randomness: identical weights, inputs and mode flags give
-bitwise-identical outputs.
+use; each forward first releases the previous pass. Backward's gradient
+w.r.t. the network input can be skipped (``input_grad=False``): training
+skips it, so the conv that reads the input computes only its weight
+gradient, and ``gradcheck`` reads it. One thread and no hidden randomness:
+identical weights, inputs and mode flags give bitwise-identical outputs.
 
 In inference an intermediate not named in ``keep`` may be overwritten by
 its last reader (the in-place sharing of MXNet's memory planner, Chen et al.
@@ -101,13 +103,17 @@ class Node:
             return ops.softmax_cross_entropy_forward(x, labels)
         raise ValueError(f"unhandled op '{op}'")
 
-    def backward(self, dy, params):
-        """Return (grads w.r.t. inputs, grads w.r.t. own params)."""
+    def backward(self, dy, params, input_grad=True):
+        """Return (grads w.r.t. inputs, grads w.r.t. own params). With
+        ``input_grad`` false a conv computes only its parameter gradients and
+        returns None for its input's."""
         op, n, cache = self.layer.op, self.name, self.cache
         if op == "input":
             return [dy], {}
         if op == "conv":
-            dx, dw = ops.conv2d_backward(dy, params[f"{n}.weight"], cache)
+            w = params[f"{n}.weight"]
+            dx, dw = ops.conv2d_backward(dy, w, cache) if input_grad else (
+                None, ops.conv2d_dw(dy, w, cache))
             grads = {f"{n}.weight": dw}
             if self.layer.get("bias"):
                 grads[f"{n}.bias"] = dy.sum(axis=(0, 2, 3))
@@ -227,9 +233,12 @@ class Graph:
         self._backward_ready = training and labels is not None
         return acts
 
-    def backward(self):
+    def backward(self, input_grad=True):
         """Gradients of the scalar loss for every parameter (zeros if unused);
-        one backward per training forward with labels."""
+        one backward per training forward with labels. The gradient w.r.t.
+        the network input goes to ``self.input_grad``; with ``input_grad``
+        false it is not computed, ``self.input_grad`` is None and a conv
+        that reads the input computes only its weight gradient."""
         if not self._backward_ready:
             raise RuntimeError("backward before forward: each backward needs "
                                "its own training-mode forward with labels")
@@ -237,16 +246,19 @@ class Graph:
         grads = {p: np.zeros_like(v) for p, v in self.params.items()}
         flowing = {self.spec.loss_name: np.asarray(1.0, dtype=self.dtype)}
         self.input_grad = None
+        x_name = self.spec.input_name
         for node in reversed(self.nodes):
             dy = flowing.pop(node.name, None)
             if dy is not None:
-                dxs, dparams = node.backward(dy, self.params)
+                dxs, dparams = node.backward(
+                    dy, self.params, input_grad or x_name not in node.layer.inputs)
                 if node.layer.op == "input":
                     self.input_grad = dxs[0]
                 for pname, g in dparams.items():
                     grads[pname] += g
                 for in_name, dx in zip(node.layer.inputs, dxs):
-                    flowing[in_name] = flowing[in_name] + dx if in_name in flowing else dx
+                    if input_grad or in_name != x_name:
+                        flowing[in_name] = flowing[in_name] + dx if in_name in flowing else dx
             node.cache = None
         return grads
 

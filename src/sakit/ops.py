@@ -4,25 +4,35 @@ Precondition: kernels trust the geometry their NetworkSpec checked when it
 was made (matching channels and dims, outputs of at least 1x1, pool pad <=
 k // 2) and check only runtime data: batchnorm's batch, the loss labels.
 
-Conv and the pools share one window geometry: for each tap of a k x k
-window, the rectangle of outputs whose input cell is in bounds, and that
-cell's rectangle of the input (``_in_bounds`` per axis, ``_taps`` per tap).
-A kernel reads and writes only these rectangles, so taps that fall in
-padding are skipped and no kernel builds a padded input.
+Conv and the pools share one window geometry: for each tap of a window,
+the rectangle of outputs whose input cell is in bounds, and that cell's
+rectangle of the input (``_in_bounds`` per axis, ``_taps`` per tap). A
+window is given per axis as the list of its taps' input offsets, so a
+kernel reads and writes only these rectangles, taps that fall in padding
+are skipped and no kernel builds a padded input.
 
-Convolution is cross-correlation over one patch layout: image i's patch
-matrix P_i is (Cin*k*k, Ho*Wo), rows in (Cin, k, k) order. A 1x1 stride-1
-pad-0 conv's P_i is x[i] itself. Any other conv copies each tap's
-rectangle of x[i] into one zero-filled buffer, so the cells a tap reads
-from padding stay zero. Forward is one GEMM per image, y[i] = W @ P_i,
-written straight into the NCHW output. Backward is its adjoint (Caffe's
-col2im): dw.T is the sum of P_i @ dy_i.T in image order over the same
-patches, dP = W.T @ dy_i is one stacked matmul over the batch, and dx adds
-each tap's rectangle of dP into a zeroed NCHW buffer in row-major tap order
-(for the 1x1 stride-1 conv, dx is dP). A GEMM's bits depend on the BLAS kernel set,
-its shape (one GEMM over the batch rounds unlike one per image) and where
-an output column falls in its register blocking, so tests pin the bytes
-with an oracle making the same BLAS calls on operands laid out alike.
+Convolution is cross-correlation over one patch gather (``_patches``): image
+i's patch matrix holds each tap's rectangle of x[i], rows in (C, row tap,
+column tap) order, in one zero-filled buffer, so the cells a tap reads from
+padding stay zero; when it is x[i] itself (a 1x1 stride-1 pad-0 conv) it
+is not copied. Forward is one GEMM per image, y[i] = W @ P_i with P_i
+(Cin*k*k, Ho*Wo), written straight into the NCHW output. dw.T is the sum
+of P_i @ dy_i.T in image order over the same patches (``conv2d_dw``).
+
+dx is the transposed convolution split into stride x stride phases, with no
+zeros inserted (Dumoulin and Visin, arXiv 1603.07285): along an axis, input
+q * stride + r receives w[a] * dy[q + (r + pad - a * dilation) / stride]
+from each tap a whose offset divides. So phase (r, c), dx[:, :, r::stride,
+c::stride], is a stride-1 correlation of dy with the flipped sub-kernel of
+W.T that reaches it: the same gather over dy's in-bounds rectangles, then
+one GEMM per image, written into dx (through a buffer when the phase is a
+strided view). A phase no tap reaches is zero. A stride-1 conv has one
+phase, and a 1x1 stride-1 conv's phase patches are dy[i] itself.
+
+A GEMM's bits depend on the BLAS kernel set, its shape (one GEMM over the
+batch rounds unlike one per image) and where an output column falls in its
+register blocking, so tests pin the bytes with an oracle making the same
+BLAS calls on operands laid out alike.
 
 Nearest resize works on per-axis run lengths: how many output rows (columns)
 read each source row (column). Forward repeats rows by their run lengths,
@@ -32,13 +42,19 @@ how reduceat sums runs of up to 8 cells.
 
 Batchnorm inference, with the running stats fixed, is one affine map per
 channel: y = x * a + s, where a = gamma * inv_std and s = beta - mean * a.
-Training forward computes ``xhat`` = (x - mean) * inv_std once and caches
-it for backward. Training's elementwise passes, forward and backward, take
-each per-channel operand as one contiguous (1, C, H, W) row (``_row``), so
-numpy runs one C*H*W loop per image rather than one H*W loop per image and
-channel; the same operations on the same values, so the same bytes.
-Inference keeps broadcasting ``[None, :, None, None]``: at batch 1, building
-a row costs as much as the pass it serves.
+Training's per-channel sums are einsum contractions: the mean from
+``'nchw->c'``, and the variance and dgamma from ``'nchw,nchw->c'`` of
+(x - mean) with itself and of dy with xhat, so neither a square nor a
+product is written out. einsum at its default ``optimize=False`` calls no
+BLAS and sums in SIMD lanes rather than pairwise; its bytes depend neither
+on the thread count nor, as a test checks, on numpy's SIMD level. The
+forward writes y = (x - mean) * (gamma * inv_std) + beta, one multiply,
+then scales its x - mean buffer into the ``xhat`` it caches for backward.
+Training's elementwise passes, forward and backward, take each per-channel
+operand as one contiguous (1, C, H, W) row (``_row``), so numpy runs one
+C*H*W loop per image rather than one H*W loop per image and channel.
+Inference keeps broadcasting ``[None, :, None, None]``: at batch 1,
+building a row costs as much as the pass it serves.
 
 Relu, add and inference batchnorm take ``out=`` and write through numpy's
 ``out=``, which the executor points at a dying first input in inference;
@@ -71,32 +87,41 @@ def _in_bounds(size, out, offset, stride):
     return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
-def _taps(shape, ho, wo, k, stride, dilation, pad):
-    """(a, b, (out rows, in rows), (out cols, in cols)) of each tap of a k x k
-    kernel that reads an in-bounds cell of an NCHW input of ``shape``, in
-    row-major tap order."""
-    h, wd = shape[2:]
-    return [(a, b, rows, cols) for a, b in np.ndindex(k, k)
-            if (rows := _in_bounds(h, ho, a * dilation - pad, stride))
-            and (cols := _in_bounds(wd, wo, b * dilation - pad, stride))]
+def _offsets(k, dilation, pad):
+    """Input offset of each tap of a k-tap window along one axis: output o
+    of tap a reads input o * stride + a * dilation - pad."""
+    return [a * dilation - pad for a in range(k)]
 
 
-def _patches(x, ho, wo, k, stride, dilation, pad):
-    """Yield each image's (Cin*k*k, Ho*Wo) patch matrix P_i, rows in
-    (Cin, k, k) order; all but a 1x1 stride-1 pad-0 conv's reuse one buffer,
-    so use each before asking for the next."""
-    n, cin = x.shape[:2]
-    if k == 1 and stride == 1 and pad == 0:
+def _taps(shape, out, stride, rows, cols):
+    """(a, b, (out rows, in rows), (out cols, in cols)) of each pair of row
+    tap a and column tap b that reads an in-bounds cell of an NCHW input of
+    ``shape`` into outputs of dims ``out``, in row-major tap order; a tap
+    is its index in the per-axis offset list ``rows`` or ``cols``."""
+    (h, wd), (ho, wo) = shape[2:], out
+    rows = [(a, s) for a, offset in enumerate(rows) if (s := _in_bounds(h, ho, offset, stride))]
+    cols = [(b, s) for b, offset in enumerate(cols) if (s := _in_bounds(wd, wo, offset, stride))]
+    return [(a, b, yr, yc) for a, yr in rows for b, yc in cols]
+
+
+def _patches(x, out, stride, rows, cols):
+    """Yield each image's (C*len(rows)*len(cols), Ho*Wo) patch matrix P_i of
+    the taps ``rows`` x ``cols`` (``_taps``) at ``stride``, rows in (C, row
+    tap, column tap) order. When P_i is x[i] itself (one tap at offset 0 per
+    axis, stride 1, out the input's dims) it is yielded as it is; otherwise
+    every image reuses one buffer, so use each before asking for the next."""
+    n, c = x.shape[:2]
+    if stride == 1 and rows == cols == [0] and out == x.shape[2:]:
         for i in range(n):
-            yield x[i].reshape(cin, -1)
+            yield x[i].reshape(c, -1)
         return
     # cells a tap reads from padding stay zero: no image writes them
-    p = np.zeros((cin, k, k, ho, wo), dtype=x.dtype)
-    taps = _taps(x.shape, ho, wo, k, stride, dilation, pad)
+    p = np.zeros((c, len(rows), len(cols), *out), dtype=x.dtype)
+    taps = _taps(x.shape, out, stride, rows, cols)
     for i in range(n):
         for a, b, (yr, xr), (yc, xc) in taps:
             p[:, a, b, yr, yc] = x[i, :, xr, xc]
-        yield p.reshape(cin * k * k, -1)
+        yield p.reshape(c * len(rows) * len(cols), -1)
 
 
 def conv2d_forward(x, w, stride=1, dilation=1, pad=0):
@@ -112,35 +137,61 @@ def conv2d_forward(x, w, stride=1, dilation=1, pad=0):
     wo = conv_out_dim(wd, k, stride, dilation, pad)
     wf = w.reshape(cout, -1)
     y = np.empty((n, cout, ho, wo), dtype=np.result_type(x, w))
-    for i, p in enumerate(_patches(x, ho, wo, k, stride, dilation, pad)):
+    taps = _offsets(k, dilation, pad)
+    for i, p in enumerate(_patches(x, (ho, wo), stride, taps, taps)):
         np.matmul(wf, p, out=y[i].reshape(cout, -1))
     return y, (x, stride, dilation, pad)
 
 
-def conv2d_backward(dy, w, cache):
-    """Gradients (dx, dw) for conv2d_forward, dw a transposed view of a
-    (Cin*k*k, Cout) array; see the module docstring."""
+def conv2d_dw(dy, w, cache):
+    """dw for conv2d_forward alone, a transposed view of a (Cin*k*k, Cout)
+    array: the sum of P_i @ dy_i.T in image order over the forward's patches."""
     x, stride, dilation, pad = cache
     n, cin = x.shape[:2]
     cout, _, k, _ = w.shape
-    ho, wo = dy.shape[2:]
-    dyf = dy.reshape(n, cout, -1)
     # dw.T as P_i @ dy_i.T, with the patch rows as the GEMM's long side, ran
     # up to 45% faster on the desk's 3x3 convs than dw as dy_i @ P_i.T; dw is
     # returned as a view of it, since a transposing copy of resnet50's 4 MiB
     # late-stage dw cost more than its GEMMs
     dwt = np.zeros((cin * k * k, cout), dtype=np.result_type(dy, x))
-    for dyi, p in zip(dyf, _patches(x, ho, wo, k, stride, dilation, pad)):
+    taps = _offsets(k, dilation, pad)
+    for dyi, p in zip(dy.reshape(n, cout, -1), _patches(x, dy.shape[2:], stride, taps, taps)):
         dwt += p @ dyi.T
-    dw = dwt.T.reshape(w.shape)
-    dp = np.matmul(w.reshape(cout, -1).T, dyf)
-    if k == 1 and stride == 1 and pad == 0:
-        return dp.reshape(x.shape), dw
-    dp = dp.reshape(n, cin, k, k, ho, wo)
-    dx = np.zeros(x.shape, dtype=dp.dtype)
-    for a, b, (yr, xr), (yc, xc) in _taps(x.shape, ho, wo, k, stride, dilation, pad):
-        dx[:, :, xr, xc] += dp[:, :, a, b, yr, yc]
-    return dx, dw
+    return dwt.T.reshape(w.shape)
+
+
+def _phase(k, stride, dilation, pad, r):
+    """(taps, offsets) along one axis of dx's phase r, the input indices
+    q * stride + r: the kernel taps a that reach them, flipped (last first),
+    and the offset of dy each reads, so dx[q * stride + r] gathers
+    w[a] * dy[q + offset]."""
+    taps = [a for a in reversed(range(k)) if (r + pad - a * dilation) % stride == 0]
+    return taps, [(r + pad - a * dilation) // stride for a in taps]
+
+
+def conv2d_backward(dy, w, cache):
+    """Gradients (dx, dw) for conv2d_forward, dx by phases and dw from
+    ``conv2d_dw``; see the module docstring."""
+    x, stride, dilation, pad = cache
+    cin, k = x.shape[1], w.shape[2]
+    wt = w.transpose(1, 0, 2, 3)
+    dx = np.empty(x.shape, dtype=np.result_type(dy, w))
+    for r, c in np.ndindex(stride, stride):
+        (ra, ro), (cb, co) = (_phase(k, stride, dilation, pad, t) for t in (r, c))
+        out = dx[:, :, r::stride, c::stride]
+        if not ra or not cb:
+            out[...] = 0
+            continue
+        # W.T restricted to the phase's taps, rows Cin, columns (Cout, a, b)
+        wp = wt[:, :, np.array(ra)[:, None], cb].reshape(cin, -1)
+        # matmul writes whole matrices, so a phase that is a strided view of
+        # dx takes its GEMMs through a buffer
+        dst = out if out.flags.c_contiguous else np.empty(out.shape, dtype=dx.dtype)
+        for i, p in enumerate(_patches(dy, out.shape[2:], 1, ro, co)):
+            np.matmul(wp, p, out=dst[i].reshape(cin, -1))
+        if dst is not out:
+            out[...] = dst
+    return dx, conv2d_dw(dy, w, cache)
 
 
 def _pool_geometry(x_shape, k, stride, pad, ceil_mode):
@@ -181,7 +232,8 @@ def maxpool2d_backward(dy, cache):
     x, y, (k, stride, pad) = cache
     dx = np.zeros(x.shape, dtype=dy.dtype)
     free = np.ones(y.shape, dtype=bool)  # windows whose max is not yet found
-    for _, _, (yr, xr), (yc, xc) in _taps(x.shape, *y.shape[2:], k, stride, 1, pad):
+    taps = _offsets(k, 1, pad)
+    for _, _, (yr, xr), (yc, xc) in _taps(x.shape, y.shape[2:], stride, taps, taps):
         hit = x[:, :, xr, xc] == y[:, :, yr, yc]
         hit &= free[:, :, yr, yc]
         free[:, :, yr, yc] ^= hit
@@ -195,7 +247,8 @@ def avgpool2d_forward(x, k, stride, pad=0, ceil_mode=False):
     ho, wo = _pool_geometry(x.shape, k, stride, pad, ceil_mode)
     total = np.zeros(x.shape[:2] + (ho, wo), dtype=x.dtype)
     counts = np.zeros((ho, wo), dtype=x.dtype)
-    for _, _, (yr, xr), (yc, xc) in _taps(x.shape, ho, wo, k, stride, 1, pad):
+    taps = _offsets(k, 1, pad)
+    for _, _, (yr, xr), (yc, xc) in _taps(x.shape, (ho, wo), stride, taps, taps):
         total[:, :, yr, yc] += x[:, :, xr, xc]
         counts[yr, yc] += 1
     return total / counts, (counts, x.shape, k, stride, pad)
@@ -205,7 +258,8 @@ def avgpool2d_backward(dy, cache):
     counts, x_shape, k, stride, pad = cache
     dx = np.zeros(x_shape, dtype=dy.dtype)
     share = dy / counts
-    for _, _, (yr, xr), (yc, xc) in _taps(x_shape, *counts.shape, k, stride, 1, pad):
+    taps = _offsets(k, 1, pad)
+    for _, _, (yr, xr), (yc, xc) in _taps(x_shape, counts.shape, stride, taps, taps):
         dx[:, :, xr, xc] += share[:, :, yr, yc]
     return dx
 
@@ -277,11 +331,11 @@ def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
     """Per-channel batch normalization with affine scale/shift.
 
     Training normalizes with current-batch statistics (biased variance),
-    y = gamma * xhat + beta with xhat = (x - mean) * inv_std, blends them
-    into the running stats and caches (xhat, inv_std, gamma), not x. Its
-    passes take mean, inv_std, gamma and beta as contiguous per-channel rows,
-    one loop per image. Inference is one affine map per channel from the
-    running stats, y = x * a + s with a = gamma * inv_std and
+    y = (x - mean) * (gamma * inv_std) + beta, blends them into the running
+    stats and caches (xhat, inv_std, gamma), not x, with
+    xhat = (x - mean) * inv_std. Its passes take the per-channel operands as
+    contiguous rows, one loop per image. Inference is one affine map per
+    channel from the running stats, y = x * a + s with a = gamma * inv_std and
     s = beta - mean * a, broadcast, since at batch 1 a row costs a full pass;
     it returns the running stats themselves and no cache, and writes y into
     ``out`` when given (x itself, say), which training ignores. Returns
@@ -296,15 +350,14 @@ def batchnorm2d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
         return y, None, running_mean, running_var
     if n * h * w < 2:
         raise ValueError("batchnorm training needs >= 2 elements per channel")
-    mean = x.mean(axis=(0, 2, 3))
-    xhat = x - _row(mean, h, w)
-    y = np.square(xhat)
-    # np.var's own expression, so the bits match x.var(axis=(0, 2, 3))
-    var = y.sum(axis=(0, 2, 3)) / (n * h * w)
+    m = n * h * w
+    mean = np.einsum("nchw->c", x) / m
+    xhat = x - _row(mean, h, w)  # scaled into xhat once y is written
+    var = np.einsum("nchw,nchw->c", xhat, xhat) / m
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= _row(inv_std, h, w)
-    np.multiply(xhat, _row(gamma, h, w), out=y)
+    y = np.multiply(xhat, _row(gamma * inv_std, h, w))
     y += _row(beta, h, w)
+    xhat *= _row(inv_std, h, w)
     new_mean = (1 - momentum) * running_mean + momentum * mean
     new_var = (1 - momentum) * running_var + momentum * var
     return y, (xhat, inv_std, gamma), new_mean, new_var
@@ -318,12 +371,10 @@ def batchnorm2d_backward(dy, cache):
     xhat, inv_std, gamma = cache
     n, _, h, w = dy.shape
     m = n * h * w
-    dx = dy * xhat
-    dgamma = dx.sum(axis=(0, 2, 3))
-    dbeta = dy.sum(axis=(0, 2, 3))
+    dgamma = np.einsum("nchw,nchw->c", dy, xhat)
+    dbeta = np.einsum("nchw->c", dy)
     xhat *= _row(dgamma / m, h, w)
-    # dbeta / m is dy.mean: the same sum over the same count
-    np.subtract(dy, _row(dbeta / m, h, w), out=dx)
+    dx = np.subtract(dy, _row(dbeta / m, h, w))
     dx -= xhat
     dx *= _row(gamma * inv_std, h, w)
     return dx, dgamma, dbeta

@@ -117,7 +117,7 @@ def train(spec: NetworkSpec, train_ds, val_ds, cfg: TrainConfig,
                     f"non-finite loss {loss} at epoch {epoch}, batch {start // cfg.batch_size}")
             losses.append(loss)
             correct += int((acts[logits_name].argmax(axis=1) == y).sum())
-            grads = graph.backward()
+            grads = graph.backward(input_grad=False)
             sgd_step(sgd, graph.params, grads)
         ev = evaluate_graph(graph, val_ds, mean, std)
         seconds = 0.0 if cfg.deterministic else time.perf_counter() - t0

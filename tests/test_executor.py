@@ -7,6 +7,7 @@ import pytest
 
 from sakit.autograd import Graph
 from sakit.netspec import ShapeError, SpecBuilder
+from sakit.optim import SgdState, sgd_step
 from sakit.presets import build_cifar_resnet, build_seed
 from sakit.rng import stream
 
@@ -159,6 +160,22 @@ def test_lean_training_gradients_match_keep_everything_bitwise(seed_net):
         grads = g.backward()
         runs.append((loss.tobytes(), g.input_grad.tobytes(),
                      {p: v.tobytes() for p, v in grads.items()}))
+    assert runs[0] == runs[1]
+
+
+def test_skipping_the_input_gradient_changes_nothing_else(seed_net):
+    """A training step whose backward skips the network input's gradient
+    leaves the gradients, parameters and running stats of one that does not,
+    byte for byte, and no ``input_grad``."""
+    spec, x, y = seed_net[0].spec, seed_net[1], seed_net[2]
+    runs = []
+    for input_grad in (True, False):
+        g = Graph(spec, seed=3)
+        g.forward(x, labels=y, mode="train")
+        grads = g.backward(input_grad=input_grad)
+        assert (g.input_grad is None) != input_grad
+        sgd_step(SgdState(0.05, momentum=0.9, weight_decay=1e-4), g.params, grads)
+        runs.append([{k: v.tobytes() for k, v in d.items()} for d in (grads, g.params, g.state)])
     assert runs[0] == runs[1]
 
 

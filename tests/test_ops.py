@@ -9,11 +9,13 @@ from sakit.netspec import conv_out_dim, pool_out_dim
 from sakit.rng import stream
 
 
-# Reference kernels: two-pass training batchnorm and affine inference
-# batchnorm, where-relu, the tap-loop maxpool forward, the argmax-and-where
-# maxpool backward and the padded avgpool that the current kernels replaced,
-# and a fancy-index conv forward and backward with the kernel's GEMMs. The
-# current kernels must give the same bytes.
+# Reference kernels: two-pass training batchnorm by broadcast contractions
+# and affine inference batchnorm, where-relu, the tap-loop maxpool forward,
+# the argmax-and-where maxpool backward and the padded avgpool that the
+# current kernels replaced, and a fancy-index conv forward and backward (dx
+# by phases) with the kernel's GEMMs. The current kernels must give the same
+# bytes. The col2im scatter that dx by phases replaced is a float64
+# tolerance reference.
 
 def _patches_by_index(x, k, stride, dilation, pad):
     # (N, Cin*k*k, Ho*Wo) patch matrices of the zero-padded input, rows in
@@ -42,24 +44,52 @@ def _conv_oracle(x, w, stride, dilation, pad):
 
 
 def _conv_backward_oracle(dy, x, w, stride, dilation, pad):
-    # dw.T = sum of P_i @ dy_i.T in image order; dP = W.T @ dy_i per image
-    # by one stacked matmul, each tap's rows added into a zero-padded NCHW
-    # buffer in row-major tap order, then cropped: the kernel's BLAS calls
-    # on identically laid-out operands, so the bytes match on any kernel set
+    # dw.T = sum of P_i @ dy_i.T in image order. dx by phases: input index
+    # q * stride + r along an axis gets w[a] * dy[q + (r + pad - a * dilation)
+    # / stride] from each tap a, last tap first, whose offset divides; each
+    # phase with taps is one GEMM per image of W.T, restricted to its taps,
+    # and its fancy-indexed patches of the zero-padded dy, and a phase with
+    # no taps is zero. These are the kernel's BLAS calls on identically
+    # laid-out operands, so the bytes match on any kernel set
     n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
-    ho, wo = dy.shape[2:]
     dyf = dy.reshape(n, cout, -1)
     dwt = np.zeros((cin * k * k, cout), dtype=dy.dtype)
     for dyi, p in zip(dyf, _patches_by_index(x, k, stride, dilation, pad)):
         dwt += p @ dyi.T
-    dp = np.matmul(w.reshape(cout, -1).T, dyf).reshape(n, cin, k, k, ho, wo)
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    reach = [[(a, (r + pad - a * dilation) // stride) for a in reversed(range(k))
+              if (r + pad - a * dilation) % stride == 0] for r in range(stride)]
+    m = k * dilation + pad  # |offset| <= m, so a margin of m holds every read
+    dyp = np.pad(dy, ((0, 0), (0, 0), (m, m + h), (m, m + wd)))
+    for r, c in itertools.product(range(stride), repeat=2):
+        out = dx[:, :, r::stride, c::stride]
+        if not reach[r] or not reach[c]:
+            continue
+        (ra, ro), (cb, co) = (zip(*reach[t]) for t in (r, c))
+        rows = np.array(ro)[:, None] + np.arange(out.shape[2]) + m
+        cols = np.array(co)[:, None] + np.arange(out.shape[3]) + m
+        p = dyp[:, :, rows[:, None, :, None], cols[None, :, None, :]]
+        p = np.ascontiguousarray(p.reshape(n, -1, out.shape[2] * out.shape[3]))
+        wp = w.transpose(1, 0, 2, 3)[:, :, np.array(ra)[:, None], list(cb)].reshape(cin, -1)
+        for i in range(n):
+            out[i] = (wp @ p[i]).reshape(out.shape[1:])
+    return dx, dwt.T.reshape(w.shape)
+
+
+def _conv_dx_scatter(dy, x_shape, w, stride, dilation, pad):
+    # dx as col2im: dP = W.T @ dy_i, each tap's rows added into a zero-padded
+    # buffer in row-major tap order, then cropped; a float64 reference
+    n, cin, h, wd = x_shape
+    cout, _, k, _ = w.shape
+    ho, wo = dy.shape[2:]
+    dp = np.matmul(w.reshape(cout, -1).T, dy.reshape(n, cout, -1)).reshape(n, cin, k, k, ho, wo)
     dxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=dy.dtype)
     for a in range(k):
         for b in range(k):
             dxp[:, :, a * dilation:a * dilation + ho * stride:stride,
                 b * dilation:b * dilation + wo * stride:stride] += dp[:, :, a, b]
-    return dxp[:, :, pad:pad + h, pad:pad + wd], dwt.T.reshape(w.shape)
+    return dxp[:, :, pad:pad + h, pad:pad + wd]
 
 
 def _batchnorm_oracle(x, gamma, beta, eps, training, running_mean, running_var):
@@ -68,20 +98,24 @@ def _batchnorm_oracle(x, gamma, beta, eps, training, running_mean, running_var):
         inv_std = 1.0 / np.sqrt(running_var + eps)
         a = gamma * inv_std
         shift = beta - running_mean * a
-        return x * a[None, :, None, None] + shift[None, :, None, None], None, inv_std
-    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        return x * a[None, :, None, None] + shift[None, :, None, None], None, inv_std, running_var
+    # the statistics as einsum contractions, y with gamma * inv_std folded
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    centered = x - (np.einsum("nchw->c", x) / m)[None, :, None, None]
+    var = np.einsum("nchw,nchw->c", centered, centered) / m
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    return gamma[None, :, None, None] * xhat + beta[None, :, None, None], xhat, inv_std
+    y = centered * (gamma * inv_std)[None, :, None, None] + beta[None, :, None, None]
+    return y, centered * inv_std[None, :, None, None], inv_std, var
 
 
 def _batchnorm_backward_oracle(dy, xhat, inv_std, gamma):
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    dgamma, dbeta = np.einsum("nchw,nchw->c", dy, xhat), np.einsum("nchw->c", dy)
     scale = (gamma * inv_std)[None, :, None, None]
-    mean_dy = dy.mean(axis=(0, 2, 3))[None, :, None, None]
-    mean_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3))[None, :, None, None] / m
+    mean_dy = (dbeta / m)[None, :, None, None]
+    mean_dy_xhat = (dgamma / m)[None, :, None, None]
     dx = scale * (dy - mean_dy - xhat * mean_dy_xhat)
-    return dx, (dy * xhat).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
+    return dx, dgamma, dbeta
 
 
 def _pool_padded(x, k, stride, pad, ceil, fill):
@@ -526,6 +560,9 @@ def test_conv_bytes_match_im2col_oracle(dtype):
     # columns whose taps all read padding
     cases += [(2, 3, 6, 6, 4, 1, 1, 1, 1), (2, 3, 6, 6, 4, 3, 1, 1, 3),
               (2, 3, 6, 7, 4, 1, 2, 1, 2)]
+    # dx phases with no taps: k 2 at stride 3 (phase 2 of each axis), and
+    # stride 3, dilation 3, pad 4 (only phase 2 has taps, all three)
+    cases += [(2, 3, 10, 13, 4, 2, 3, 1, 0), (2, 3, 11, 11, 4, 3, 3, 3, 4)]
     for n, cin, h, w, cout, k, stride, dil, pad in cases:
         x = rng.normal(size=(n, cin, h, w)).astype(dtype)
         wt = rng.normal(size=(cout, cin, k, k)).astype(dtype)
@@ -536,6 +573,10 @@ def test_conv_bytes_match_im2col_oracle(dtype):
         got = ops.conv2d_backward(dy, wt, cache)
         for g, r in zip(got, ref):
             assert _same_bytes(g, r), (k, stride, dil, pad)
+        if dtype == np.float64:
+            scatter = _conv_dx_scatter(dy, x.shape, wt, stride, dil, pad)
+            assert np.abs(got[0] - scatter).max() <= 1e-12 * np.abs(scatter).max(), (
+                k, stride, dil, pad)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -563,7 +604,8 @@ def test_batchnorm_bytes_match_two_pass_oracle(dtype):
             with np.errstate(invalid="ignore"):
                 y, cache, new_mean, new_var = ops.batchnorm2d_forward(
                     x, gamma, beta, rm, rv, 1e-5, 0.1, training)
-                y_ref, xhat, inv_std = _batchnorm_oracle(x, gamma, beta, 1e-5, training, rm, rv)
+                y_ref, xhat, inv_std, var = _batchnorm_oracle(
+                    x, gamma, beta, 1e-5, training, rm, rv)
             assert _same_bytes(y, y_ref), (shape, training)
             if training:
                 dy = rng.normal(size=shape).astype(dtype)
@@ -571,7 +613,7 @@ def test_batchnorm_bytes_match_two_pass_oracle(dtype):
                     dy[:, 1:3] = np.where(rng.random(dy[:, 1:3].shape) < 0.3,
                                           rng.choice(hard, size=dy[:, 1:3].shape), dy[:, 1:3])
                 with np.errstate(invalid="ignore"):
-                    assert _same_bytes(new_var, 0.9 * rv + 0.1 * x.var(axis=(0, 2, 3)))
+                    assert _same_bytes(new_var, 0.9 * rv + 0.1 * var)
                     got = ops.batchnorm2d_backward(dy, cache)
                     ref = _batchnorm_backward_oracle(dy, xhat, inv_std, gamma)
                 for g, r in zip(got, ref):
@@ -613,6 +655,48 @@ def test_batchnorm_inference_rounding_bounded(dtype, mean_over_std):
     ref, bound = reference_and_bound(bm, bv)
     assert np.all(np.abs(y_infer - ref) <= bound)
     assert np.all(np.abs(y_infer.astype(np.float64) - y_train) <= bound)
+
+
+def batchnorm_contraction_errors(mean_over_std):
+    """{statistic: (einsum error, np.sum error)} of the training kernel's
+    mean, variance and dgamma on the largest desk map, (32, 16, 32, 32) in
+    float32 with its mean at ``mean_over_std`` standard deviations, against
+    the same float32 terms summed in float64; np.sum is the reduction the
+    contractions replaced. An error is the largest over channels of |sum -
+    reference| / the sum of the terms' magnitudes."""
+    shape, m = (32, 16, 32, 32), 32 * 32 * 32
+    r = stream(13, "bn-rounding", mean_over_std)
+    x = (mean_over_std + r.normal(size=shape)).astype(np.float32)
+    dy = r.normal(size=shape).astype(np.float32)
+    c = np.ones(16, dtype=np.float32)
+    # momentum 1 makes the new running stats the batch's own, bit for bit
+    _, cache, mean, var = ops.batchnorm2d_forward(x, c, c * 0, c * 0, c, momentum=1.0)
+    xhat = cache[0].copy()
+    dgamma = ops.batchnorm2d_backward(dy, cache)[1]
+    centered = x - mean[None, :, None, None]
+
+    def error(got, terms):
+        terms = terms.astype(np.float64)
+        ref = terms.sum(axis=(0, 2, 3))
+        return float(np.max(np.abs(got - ref) / np.abs(terms).sum(axis=(0, 2, 3))))
+
+    squares = centered.astype(np.float64) * centered
+    products = dy.astype(np.float64) * xhat
+    return {"mean": (error(mean * m, x), error(x.mean(axis=(0, 2, 3)) * m, x)),
+            "var": (error(var * m, squares),
+                    error(np.square(centered).sum(axis=(0, 2, 3)), squares)),
+            "dgamma": (error(dgamma, products), error((dy * xhat).sum(axis=(0, 2, 3)), products))}
+
+
+@pytest.mark.parametrize("mean_over_std", [0.0, 3.0])
+def test_batchnorm_contraction_rounding_bounded(mean_over_std):
+    # einsum sums each image's H*W cells in SIMD lanes, then the images one
+    # by one, where np.sum sums pairwise. Over 30 other seeds einsum's error
+    # was at most 2.5x np.sum's for mean and variance and 4.1x for dgamma
+    # (median 2x), and every error was under 2.5 float32 eps
+    for name, (einsum, pairwise) in batchnorm_contraction_errors(mean_over_std).items():
+        assert einsum <= 8 * pairwise and einsum <= 4 * np.finfo(np.float32).eps, (
+            name, einsum, pairwise)
 
 
 @pytest.mark.parametrize("shape, k, stride, pad, ceil", [

@@ -57,7 +57,9 @@ side's ``Graph(seed=1)`` as initialized with its own ``sgd_step`` and the
 Warm-up, alternation and reps are those of ``ops``, one step a rep. The JSON
 gives the statistics of ``ops`` for the phases ``forward`` (with the loss),
 ``backward``, ``sgd_step`` and ``step`` (their sum), and whether the two
-sides' parameters are byte-equal after the last step. Both networks share
+sides' parameters are byte-equal after the last step. Each side's backward
+computes the input's gradient, as ``Graph.backward()`` does by default and
+``training.train`` does not. Both networks share
 one heap, so a side's ``minflt`` depends on what the other side freed; count
 a step's faults in a process that runs one tree.
 """
