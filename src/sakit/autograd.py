@@ -8,15 +8,16 @@ statistics, which start at mean 0 and var 1.
 The graph owns named parameter and state arrays. One forward loop serves
 both modes and frees each output after its last reader (found once from the
 spec), so it returns only the logits, the loss and the names asked for in
-``keep``. A training forward also stores the node caches, which are all that
-backward reads and which hold arrays, not copies: conv and dense keep
-their input, relu its output, softmax its probabilities, and batchnorm its
-normalized input in place of its input. Backward frees each cache after
-use; each forward first releases the previous pass. Backward's gradient
-w.r.t. the network input can be skipped (``input_grad=False``): training
-skips it, so the conv that reads the input computes only its weight
-gradient, and ``gradcheck`` reads it. One thread and no hidden randomness:
-identical weights, inputs and mode flags give bitwise-identical outputs.
+``keep``. A training forward with labels also stores the node caches,
+which are all that backward reads and which hold arrays, not copies: conv
+and dense keep their input, relu its output, softmax its probabilities,
+and batchnorm its normalized input in place of its input. Backward frees
+each cache after use; each forward first releases the previous pass.
+Backward's gradient w.r.t. the network input can be skipped
+(``input_grad=False``): training skips it, so the conv that reads the input
+computes only its weight gradient, and ``gradcheck`` reads it. One thread
+and no hidden randomness: identical weights, inputs and mode flags give
+bitwise-identical outputs.
 
 In inference an intermediate not named in ``keep`` may be overwritten by
 its last reader (the in-place sharing of MXNet's memory planner, Chen et al.
@@ -193,7 +194,8 @@ class Graph:
 
         Both modes return the logits, the loss (of a spec that has them) and
         the node names in ``keep``, and free every other output after its
-        last reader; training also stores the caches backward reads. The
+        last reader; training with labels also stores the caches backward
+        reads. The
         next forward empties the returned dict: copy what must outlive it.
         """
         if mode not in ("train", "infer"):
@@ -215,6 +217,7 @@ class Graph:
             raise ShapeError(self.spec.input_name,
                              f"expects (N,{c},{h},{w}) input with N >= 1, got {x.shape}")
         acts = self.activations = {}
+        ready = training and labels is not None
         for node, dead, into in zip(self.nodes, self._dead_after, self._writes_into):
             if node.layer.op == "softmax_xent" and labels is None:
                 continue
@@ -225,12 +228,12 @@ class Graph:
                     xs, self.params, self.state, training, labels, out)
             except ValueError as e:
                 raise ShapeError(node.name, str(e)) from e
-            if not training:
+            if not ready:
                 node.cache = None
             for name in dead:
                 if name not in keep:
                     del acts[name]
-        self._backward_ready = training and labels is not None
+        self._backward_ready = ready
         return acts
 
     def backward(self, input_grad=True):

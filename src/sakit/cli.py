@@ -400,7 +400,6 @@ def cmd_allocate(cfg, out):
 def cmd_pipeline(cfg, out):
     from .allocator import ProjectionConfig, run_pipeline
     from .report import emit_report
-    from .rf import rf_network_report
 
     train_cfg = _train_config(cfg)
     train_ds = _load_dataset(cfg, "train")
@@ -411,9 +410,7 @@ def cmd_pipeline(cfg, out):
     result = run_pipeline(base, scales, train_ds, val_ds, train_cfg, proj,
                           out_dir=cfg["out_dir"],
                           downsample=cfg["downsample"])
-    rf_rows = rf_network_report(result.final_spec)
-    emit_report(result.plan, cfg["out_dir"], rf_rows,
-                rf_reference=base.input_shape[1])
+    emit_report(result.plan, cfg["out_dir"], result.final_spec)
     out(f"plan rows: {len(result.plan.rows)}; final val top1 {result.final_top1:.4f}")
     out(f"artifacts in {cfg['out_dir']}")
     return 0
@@ -453,17 +450,13 @@ def cmd_eval(cfg, out):
 def cmd_report(cfg, out):
     from .presets import build_scalenet
     from .report import emit_report
-    from .rf import rf_network_report
 
     base, scales = _preset_base(cfg) if cfg.get("preset") else (None, None)
     plan = _plan(cfg, base, scales)
     if plan is None:
         raise UsageError("--plan is required")
-    rf_rows = reference = None
-    if base is not None:
-        spec = build_scalenet(base, plan, downsample=cfg["downsample"])
-        rf_rows, reference = rf_network_report(spec), spec.input_shape[1]
-    paths = emit_report(plan, cfg["out_dir"], rf_rows, reference)
+    spec = None if base is None else build_scalenet(base, plan, downsample=cfg["downsample"])
+    paths = emit_report(plan, cfg["out_dir"], spec)
     write_snapshot("report", cfg, cfg["out_dir"])
     for name in sorted(paths):
         out(f"wrote {paths[name]}")

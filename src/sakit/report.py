@@ -68,14 +68,15 @@ def proportions_svg(plan) -> str:
     return "\n".join(parts) + "\n"
 
 
-def rf_series_svg(rows, reference=None) -> str:
-    """Min/max receptive-field extent against block index, two polylines."""
+def rf_series_svg(rows, reference) -> str:
+    """Min/max receptive-field extent against block index, two polylines,
+    and the input extent ``reference`` as a dashed line."""
     margin_l, margin_r, margin_t, margin_b = 60, 120, 30, 40
     plot_w = _WIDTH - margin_l - margin_r
     plot_h = _HEIGHT - margin_t - margin_b
     xs = [k for k, _, _ in rows]
     tops = [float(hi) for _, _, hi in rows]
-    y_max = max(tops + ([reference] if reference else [])) * 1.05
+    y_max = max(tops + [reference]) * 1.05
     x_span = max(xs) - min(xs) or 1
 
     def px(k):
@@ -94,12 +95,11 @@ def rf_series_svg(rows, reference=None) -> str:
                      f'height="12" fill="{color}"/>')
         parts.append(f'<text x="{_WIDTH - margin_r + 27}" y="{ly + 10}" '
                      f'font-size="11">{label}</text>')
-    if reference:
-        parts.append(f'<line x1="{margin_l}" y1="{py(reference):.1f}" '
-                     f'x2="{margin_l + plot_w}" y2="{py(reference):.1f}" '
-                     f'stroke="#888888" stroke-dasharray="4 3"/>')
-        parts.append(f'<text x="{_WIDTH - margin_r + 10}" y="{py(reference) + 4:.1f}" '
-                     f'font-size="10">input extent {reference}</text>')
+    parts.append(f'<line x1="{margin_l}" y1="{py(reference):.1f}" '
+                 f'x2="{margin_l + plot_w}" y2="{py(reference):.1f}" '
+                 f'stroke="#888888" stroke-dasharray="4 3"/>')
+    parts.append(f'<text x="{_WIDTH - margin_r + 10}" y="{py(reference) + 4:.1f}" '
+                 f'font-size="10">input extent {reference}</text>')
     parts.append(f'<text x="{margin_l + plot_w / 2:.0f}" y="{_HEIGHT - 8}" '
                  f'font-size="11" text-anchor="middle">block index</text>')
     for frac in (0.0, 0.5, 1.0):
@@ -110,17 +110,18 @@ def rf_series_svg(rows, reference=None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_report(plan, out_dir, rf_rows=None, rf_reference=None):
-    """Write proportions CSV+SVG and, when RF rows are given, the RF CSV+SVG.
-    Returns the written paths."""
+def emit_report(plan, out_dir, spec=None):
+    """Write proportions CSV+SVG and, given the network ``spec``, its RF
+    CSV+SVG against its input extent. Returns the written paths."""
     from .checkpoint import write_text
-    from .rf import rf_report_csv
+    from .rf import rf_network_report, rf_report_csv
 
     texts = {"proportions.csv": proportions_csv(plan),
              "proportions.svg": proportions_svg(plan)}
-    if rf_rows:
-        texts["rf.csv"] = rf_report_csv(rf_rows)
-        texts["rf.svg"] = rf_series_svg(rf_rows, reference=rf_reference)
+    if spec is not None:
+        rows = rf_network_report(spec)
+        texts["rf.csv"] = rf_report_csv(rows)
+        texts["rf.svg"] = rf_series_svg(rows, spec.input_shape[1])
     paths = {name: os.path.join(out_dir, name) for name in texts}
     for name, text in texts.items():
         write_text(paths[name], text)

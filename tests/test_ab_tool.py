@@ -43,7 +43,7 @@ def test_desk_byte_record_is_complete_and_repeats():
 PIPELINE_FILES = {"seed.netspec", "seed.sanc", "seed_metrics.csv", "importances.csv",
                   "budgets.csv", "plan.txt", "final.netspec", "final.sanc",
                   "final_metrics.csv", "proportions.csv", "proportions.svg", "rf.csv",
-                  "rf.svg"}
+                  "rf.svg", "config.resolved.txt"}
 
 
 def test_pipeline_artifact_record_is_complete_and_repeats():
@@ -75,12 +75,13 @@ def check_phases(record, phases):
         assert re.fullmatch(r"[0-2]/2", record[phase]["change_faster"])
         for side in ("parent", "change"):
             stats = record[phase][side]
-            assert set(stats) == {"p25", "median", "p75", "minflt"}
+            assert set(stats) == {"p25", "median", "p75"}
             assert 0 < stats["p25"] <= stats["median"] <= stats["p75"]
-            assert stats["minflt"] >= 0
 
 
-@pytest.mark.parametrize("op, nodes", [("batchnorm", 19), ("resize", 6), ("softmax_xent", 1)])
+# the desk's stem conv reads the network input, so its backward returns no dx
+@pytest.mark.parametrize("op, nodes", [("batchnorm", 19), ("conv", 19), ("resize", 6),
+                                       ("softmax_xent", 1)])
 def test_ops_ab_of_a_tree_against_itself(op, nodes):
     record = ab_record("ops", op)
     assert record["first_differing_node"] is None

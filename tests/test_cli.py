@@ -108,6 +108,26 @@ def test_bad_options_fail_before_anything_is_written(capsys, tmp_path, argv, say
     assert not (tmp_path / "run").exists() or not list((tmp_path / "run").iterdir())
 
 
+# run with no --out-dir in an empty directory, so "." is where a write would land
+@pytest.mark.parametrize("argv, says", [
+    (["build", "--preset", "resnet18"], "unknown preset 'resnet18'"),
+    (["train", "--preset", "cifar-n1", "--dataset", "cifar10"],
+     "--data-dir is required for CIFAR datasets"),
+    (["train", "--preset", "cifar-n1", "--dataset", "imagenet"], "unknown dataset 'imagenet'"),
+    (["allocate", "--scales", "1,2"], "--importances and --budgets are required"),
+    (["allocate", "--importances", "imp.csv", "--budgets", "bud.csv"], "--scales is required"),
+    (["eval"], "--checkpoint is required"),
+    (["report", "--preset", "resnet50"], "--plan is required"),
+], ids=["preset", "cifar-data-dir", "dataset", "allocate-inputs", "allocate-scales",
+        "eval-checkpoint", "report-plan"])
+def test_missing_and_unknown_inputs_are_usage_errors(capsys, tmp_path, monkeypatch, argv,
+                                                     says):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and f"usage error: {says}" in err, err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("source", ["file", "env"])
 @pytest.mark.parametrize("text, value", [
     ("ture", None), ("yes", True), ("On", True), ("1", True), ("FALSE", False), ("off", False)])

@@ -79,6 +79,7 @@ def test_backward_needs_a_fresh_training_forward(seed_net):
     with pytest.raises(RuntimeError, match="before forward"):
         g.backward()
     g.forward(x, mode="train")  # no labels, so no loss to differentiate
+    assert all(node.cache is None for node in g.nodes)  # nothing can read them
     with pytest.raises(RuntimeError, match="before forward"):
         g.backward()
 

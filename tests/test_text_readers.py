@@ -29,7 +29,6 @@ from sakit.flops import network_flops
 from sakit.netspec import NetworkSpec, ShapeError, SpecBuilder, SpecError, csv_rows
 from sakit.presets import AllocationPlan, build_cifar_resnet, parse_plan, serialize_plan
 from sakit.report import emit_report
-from sakit.rf import rf_network_report
 from sakit.training import TrainConfig, downsample_sweep
 
 # printable ASCII, with its line breaks, plus the other characters that end a line
@@ -225,8 +224,7 @@ def test_every_csv_sakit_writes_reads_back_through_the_one_reader(tmp_path):
     base = build_cifar_resnet(1, num_classes=classes, in_channels=1)
     cfg = TrainConfig(epochs=1, batch_size=8, deterministic=True)
     result = run_pipeline(base, scales, train_ds, val_ds, cfg, ProjectionConfig(), tmp_path)
-    rf_rows = rf_network_report(result.final_spec)
-    emit_report(result.plan, tmp_path, rf_rows)
+    emit_report(result.plan, tmp_path, result.final_spec)
     write_text(tmp_path / "blocks.csv", network_flops(result.seed_spec).block_table_csv())
     downsample_sweep(base, scales, train_ds, val_ds, cfg, out_csv=tmp_path / "sweep.csv")
     blocks = result.seed_spec.sa_blocks()
@@ -241,7 +239,7 @@ def test_every_csv_sakit_writes_reads_back_through_the_one_reader(tmp_path):
         "blocks.csv": ("k,scale,channels,unit_cost,subtotal,budget,utilization",
                        len(blocks) * len(scales)),
         "proportions.csv": ("k,scale,channels,proportion", len(blocks) * len(scales)),
-        "rf.csv": ("block_index,min_rf,max_rf", len(rf_rows)),
+        "rf.csv": ("block_index,min_rf,max_rf", len(blocks)),  # one row per block
         "sweep.csv": ("mode,train_loss,val_top1,val_top5", 4),
     }
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(expected)

@@ -6,9 +6,9 @@
 
 sakit is imported from the ``src/`` beside this file's ``tools/``. To record
 a parent commit, copy this file into a ``git archive`` of it and run it
-there. Loading this file pins BLAS to one thread, which holds if numpy is
-not loaded yet, so two trees whose kernels compute the same expressions
-print the same JSON.
+there; the parent needs ``Graph.backward(input_grad=...)``. Loading this
+file pins BLAS to one thread, which holds if numpy is not loaded yet, so two
+trees whose kernels compute the same expressions print the same JSON.
 
 ``bytes`` prints one JSON object of hashes: sha256, first 16 hex digits, over
 each array's dtype, shape and bytes, in the order listed.
@@ -27,12 +27,12 @@ each array's dtype, shape and bytes, in the order listed.
   the params and the state (by name), and ``eval_logits`` of one infer-mode
   pass of the stepped network.
 - ``pipeline_artifacts``: sha256 (first 16 hex digits) of each file, by name,
-  that one ``run_pipeline`` of the cifar-n1 network at scales [1, 2, 4]
-  writes, followed by ``emit_report`` of its plan and its final network's RF
-  rows into the same directory: 6 classes of ``synthetic_dataset`` at 4
-  images per class in each split, seed 0, 1 epoch per stage at batch 8,
-  deterministic. It calls only functions that older trees have too, so the
-  record can be taken on a parent commit.
+  that ``sakit pipeline --preset cifar-n1 --dataset synthetic --classes 6
+  --per-class 4 --val-per-class 4 --epochs 1 --batch 8 --seed 0
+  --deterministic`` writes. It runs in process through ``cli.run_command``
+  with no ``SAKIT_*`` variable set and a relative ``--out-dir`` in a
+  temporary working directory, so that ``config.resolved.txt`` holds no
+  absolute path.
 
 ``ops`` times every node of one netspec op (``--op``, not ``input``) of the
 desk seed network of ``desk_max`` in training at batch 32, in this tree and
@@ -41,27 +41,25 @@ in the tree at ``--parent DIR`` (a ``git archive`` of the parent; its
 Each side builds the network from its own presets, with ``Graph(seed=1)``
 parameters and the batchnorm state above, and feeds the same seeded N(0, 1)
 inputs, upstream gradients and labels to its own ``autograd.Node`` of each
-node: forward, then backward on the fresh cache. After 3 warm-up reps, the
-sides alternate rep by rep, the first side swapping each rep, for 30 reps.
-A rep of a side sums its nodes' forward and backward seconds and
-``ru_minflt``. The JSON gives per side and phase the median and quartiles
-(``statistics.quantiles``, inclusive) in ms and the median faults per rep;
-per phase the median paired difference, change minus parent, and the reps
-the change was faster; and the first node, in spec order, whose output
-bytes (forward output, then input and parameter gradients) differ between
-the sides in the first rep, or null.
+node: forward, then backward on the fresh cache, as ``Graph.backward`` runs
+it in training, so a node that reads the network input computes no gradient
+for it. After 3 warm-up reps, the sides alternate rep by rep, the first side
+swapping each rep, for 30 reps. A rep of a side sums its nodes' forward and
+backward seconds. The JSON gives per side and phase the median and quartiles
+(``statistics.quantiles``, inclusive) in ms; per phase the median paired
+difference, change minus parent, and the reps the change was faster; and the
+first node, in spec order, whose output bytes (forward output, then the
+input and parameter gradients it computes) differ between the sides in the
+first rep, or null.
 
-``step`` times the whole training step of that desk seed network, each
-side's ``Graph(seed=1)`` as initialized with its own ``sgd_step`` and the
+``step`` times the training step that ``training.train`` runs, on that desk
+seed network: each side's ``Graph(seed=1)`` as initialized, forward with the
+loss, ``backward(input_grad=False)`` and its own ``sgd_step`` with the
 ``desk_max`` SGD settings, on the same seeded batch of 32 images per step.
 Warm-up, alternation and reps are those of ``ops``, one step a rep. The JSON
-gives the statistics of ``ops`` for the phases ``forward`` (with the loss),
-``backward``, ``sgd_step`` and ``step`` (their sum), and whether the two
-sides' parameters are byte-equal after the last step. Each side's backward
-computes the input's gradient, as ``Graph.backward()`` does by default and
-``training.train`` does not. Both networks share
-one heap, so a side's ``minflt`` depends on what the other side freed; count
-a step's faults in a process that runs one tree.
+gives the statistics of ``ops`` for the phases ``forward``, ``backward``,
+``sgd_step`` and ``step`` (their sum), and whether the two sides'
+parameters are byte-equal after the last step.
 """
 
 import argparse
@@ -69,7 +67,6 @@ import hashlib
 import importlib.util
 import json
 import os
-import resource
 import statistics
 import sys
 import time
@@ -159,22 +156,22 @@ def desk_hashes(downsample):
 
 def pipeline_artifacts():
     import tempfile
-    from sakit.allocator import ProjectionConfig, run_pipeline
-    from sakit.data import synthetic_dataset
-    from sakit.presets import build_cifar_resnet
-    from sakit.report import emit_report
-    from sakit.rf import rf_network_report
-    from sakit.training import TrainConfig
-    train_ds, val_ds = (synthetic_dataset(6, 4, 32, seed=0, split=split)
-                        for split in ("train", "val"))
-    base = build_cifar_resnet(1, num_classes=6, in_channels=1)
-    cfg = TrainConfig(epochs=1, batch_size=8, seed=0, deterministic=True)
-    with tempfile.TemporaryDirectory() as out_dir:
-        result = run_pipeline(base, [1, 2, 4], train_ds, val_ds, cfg, ProjectionConfig(),
-                              out_dir)
-        emit_report(result.plan, out_dir, rf_network_report(result.final_spec))
-        return {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()[:16]
-                for name in sorted(os.listdir(out_dir))}
+    from sakit.cli import run_command
+    argv = ["pipeline", "--preset", "cifar-n1", "--dataset", "synthetic", "--classes", "6",
+            "--per-class", "4", "--val-per-class", "4", "--epochs", "1", "--batch", "8",
+            "--seed", "0", "--deterministic", "--out-dir", "run"]
+    env = {k: os.environ.pop(k) for k in list(os.environ) if k.startswith("SAKIT_")}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            if run_command(argv, out=lambda line: None):
+                raise SystemExit("sakit pipeline failed")
+            return {name: hashlib.sha256((Path("run") / name).read_bytes()).hexdigest()[:16]
+                    for name in sorted(os.listdir("run"))}
+        finally:
+            os.chdir(cwd)
+            os.environ.update(env)
 
 
 def load_tree(src, name):
@@ -193,15 +190,9 @@ WARMUP = 3
 REPS = 30
 
 
-def clock():
-    """(seconds, ru_minflt) now."""
-    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
 def between(*marks):
-    """Seconds between successive ``clock()`` marks, then their faults."""
-    return ([b[0] - a[0] for a, b in zip(marks, marks[1:])]
-            + [b[1] - a[1] for a, b in zip(marks, marks[1:])])
+    """Seconds between successive ``time.perf_counter()`` marks."""
+    return [b - a for a, b in zip(marks, marks[1:])]
 
 
 class Side:
@@ -216,6 +207,8 @@ class Side:
         set_bn_state(graph)
         self.params, self.state = graph.params, graph.state
         self.nodes = [tree.autograd.Node(layer) for layer in spec.nodes if layer.op == op]
+        # as in training, no gradient for the network input
+        self.input_grads = [spec.input_name not in n.layer.inputs for n in self.nodes]
         self.inputs, self.dys = [], []
         for node in self.nodes:
             r = stream(1, "ab-ops", node.name)
@@ -227,18 +220,20 @@ class Side:
         self.labels = stream(1, "ab-ops", "labels").integers(0, spec.num_classes, size=BATCH)
 
     def rep(self, record=None):
-        """(forward s, backward s, forward faults, backward faults) summed
-        over the nodes; ``record`` collects each node's output digests."""
-        total = [0.0, 0.0, 0, 0]
-        for node, xs, dy in zip(self.nodes, self.inputs, self.dys):
-            c0 = clock()
+        """(forward s, backward s) summed over the nodes; ``record``
+        collects each node's output digests."""
+        total = [0.0, 0.0]
+        for node, xs, dy, input_grad in zip(self.nodes, self.inputs, self.dys,
+                                            self.input_grads):
+            c0 = time.perf_counter()
             y, node.cache = node.forward(xs, self.params, dict(self.state), True, self.labels)
-            c1 = clock()
-            grads = node.backward(dy, self.params)
-            total = [a + b for a, b in zip(total, between(c0, c1, clock()))]
+            c1 = time.perf_counter()
+            dxs, dparams = node.backward(dy, self.params, input_grad)
+            total = [a + b for a, b in zip(total, between(c0, c1, time.perf_counter()))]
             if record is not None:
                 record.append((node.name, "forward", digest([y])))
-                record.append((node.name, "backward", digest(grads[0] + by_name(grads[1]))))
+                record.append((node.name, "backward", digest(
+                    [dx for dx in dxs if dx is not None] + by_name(dparams))))
             node.cache = None
         return total
 
@@ -253,15 +248,15 @@ class StepSide:
         self.sgd_step = tree.optim.sgd_step
 
     def rep(self, x, labels):
-        """(forward, backward, sgd_step, step) seconds, then their faults."""
-        c0 = clock()
+        """(forward, backward, sgd_step, step) seconds."""
+        c0 = time.perf_counter()
         self.graph.forward(x, labels=labels, mode="train")
-        c1 = clock()
-        grads = self.graph.backward()
-        c2 = clock()
+        c1 = time.perf_counter()
+        grads = self.graph.backward(input_grad=False)
+        c2 = time.perf_counter()
         self.sgd_step(self.sgd, self.graph.params, grads)
-        row = between(c0, c1, c2, clock())
-        return row[:3] + [sum(row[:3])] + row[3:] + [sum(row[3:])]
+        row = between(c0, c1, c2, time.perf_counter())
+        return row + [sum(row)]
 
 
 def quartiles(values):
@@ -282,15 +277,13 @@ def alternate(rep):
 
 
 def phase_stats(runs, phases):
-    """Per phase: each side's quartiles in ms and median faults, the median
-    paired difference and the reps the change was faster. A row holds the
-    phases' seconds, then their faults."""
+    """Per phase: each side's quartiles in ms, the median paired difference
+    and the reps the change was faster. A row holds the phases' seconds."""
     out = {}
     for k, phase in enumerate(phases):
         ms = {name: [row[k] * 1e3 for row in rows] for name, rows in runs.items()}
         diff = [c - p for p, c in zip(ms["parent"], ms["change"])]
-        out[phase] = {name: dict(quartiles(ms[name]), minflt=statistics.median(
-            row[k + len(phases)] for row in runs[name])) for name in runs}
+        out[phase] = {name: quartiles(ms[name]) for name in runs}
         out[phase]["paired_diff_ms"] = round(statistics.median(diff), 3)
         out[phase]["change_faster"] = f"{sum(d < 0 for d in diff)}/{REPS}"
     return out
