@@ -35,5 +35,4 @@ base_macs = network_flops(base).total_macs
 print(f"\nMACs: seed {seed_macs / 1e6:.1f}M -> final {final_macs / 1e6:.1f}M "
       f"(baseline {base_macs / 1e6:.1f}M)")
 print(f"final val top-1 {result.final_top1:.3f} (chance {1 / classes})")
-print("artifacts: pipeline_out/{plan.txt, importances.csv, budgets.csv, "
-      "seed.sanc, final.sanc, *_metrics.csv}")
+print(f"artifacts in pipeline_out: {sorted(result.artifacts)}")

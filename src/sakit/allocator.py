@@ -281,7 +281,7 @@ def run_pipeline(base: NetworkSpec, scales, train_ds, val_ds, train_cfg,
     fresh weights (no transfer). Every run trains both stages; stage outputs
     are written under ``out_dir`` but never read back.
     """
-    import sakit.training as train_mod
+    from . import training as train_mod
     from .checkpoint import save_checkpoint, write_text
 
     paths = {name: os.path.join(out_dir, name) for name in

@@ -91,7 +91,8 @@ _COMMAND_KEYS = {
     "pipeline": ["preset", "scales", "b", "downsample"] + _DATA + _TRAINING
                 + ["out_dir", "config"],
     "rf": _NETWORK + _SHAPE + _WRITES,
-    "eval": ["checkpoint"] + _DATA + ["batch", "seed", "config"],
+    "eval": ["checkpoint", "dataset", "data_dir", "classes", "val_per_class", "batch",
+             "seed", "config"],
     "report": ["plan", "preset", "scales"] + _SHAPE + ["downsample", "out_dir", "config"],
     "gradcheck": ["spec", "tolerance", "max_entries", "seed", "config"],
 }
@@ -260,6 +261,9 @@ def _plan(cfg, base=None, scales=None):
     if not arg and re.fullmatch(_ALIAS, cfg.get("preset") or ""):
         flag, arg = "--preset", cfg["preset"]
     if not arg:
+        if cfg.get("scales"):
+            raise UsageError("--scales needs --plan even or --plan seed: "
+                             "without --plan the baseline is built")
         return None
     if arg in ("even", "seed") and not os.path.exists(arg):
         if base is None:

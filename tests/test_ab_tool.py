@@ -1,9 +1,11 @@
 """tools/ab.py: the byte record, the pipeline's artifact hashes included,
-prints the same text on every run, and the per-op and training-step A/B of a
-tree against itself find no differing bytes."""
+prints the same text on every run; the training-step A/B of a tree against
+itself splits each phase by op and finds no differing bytes, and against a
+tree whose relu backward differs it names that node."""
 
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,49 +54,90 @@ def test_pipeline_artifact_record_is_complete_and_repeats():
     assert all(len(h) == 16 and int(h, 16) >= 0 for h in record.values())
 
 
-# record_twice's script, with two reps: the tree against itself as its own parent
-AB_RECORD = f"""
+# record_twice's script, with two reps: the step record against the parent
+# tree in argv, and every rep's row, a key (op, phase) joined as "op|phase"
+AB_STEP = f"""
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("ab", {str(AB)!r})
 ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab)
 ab.REPS = 2
-parent = {str(ROOT)!r}
-print(json.dumps(ab.ops_ab(parent, sys.argv[2]) if sys.argv[1] == "ops" else ab.step_ab(parent)))
+runs, alternate = [], ab.alternate
+ab.alternate = lambda rep: runs.append(alternate(rep)) or runs[-1]
+record = ab.step_ab(sys.argv[1])
+rows = [{{"|".join(k) if isinstance(k, tuple) else k: v for k, v in row.items()}}
+        for side in runs[0].values() for row in side]
+print(json.dumps({{"record": record, "rows": rows}}))
 """
 
 
-def ab_record(*args):
-    return json.loads(subprocess.run([sys.executable, "-c", AB_RECORD, *args],
+def step_record(parent):
+    return json.loads(subprocess.run([sys.executable, "-c", AB_STEP, str(parent)],
                                      capture_output=True, text=True, check=True).stdout)
 
 
-def check_phases(record, phases):
-    for phase in phases:
-        assert set(record[phase]) == {"parent", "change", "paired_diff_ms", "change_faster"}
-        assert re.fullmatch(r"[0-2]/2", record[phase]["change_faster"])
-        for side in ("parent", "change"):
-            stats = record[phase][side]
-            assert set(stats) == {"p25", "median", "p75"}
-            assert 0 < stats["p25"] <= stats["median"] <= stats["p75"]
+def check_stats(stats):
+    assert set(stats) == {"parent", "change", "paired_diff_ms", "change_faster"}
+    assert re.fullmatch(r"[0-2]/2", stats["change_faster"])
+    for side in ("parent", "change"):
+        assert set(stats[side]) == {"p25", "median", "p75"}
+        assert 0 < stats[side]["p25"] <= stats[side]["median"] <= stats[side]["p75"]
 
 
-# the desk's stem conv reads the network input, so its backward returns no dx
-@pytest.mark.parametrize("op, nodes", [("batchnorm", 19), ("conv", 19), ("resize", 6),
-                                       ("softmax_xent", 1)])
-def test_ops_ab_of_a_tree_against_itself(op, nodes):
-    record = ab_record("ops", op)
-    assert record["first_differing_node"] is None
-    assert (record["op"], record["nodes"], record["reps"]) == (op, nodes, 2)
-    assert set(record) == {"op", "nodes", "reps", "first_differing_node", "forward", "backward"}
-    check_phases(record, ("forward", "backward"))
+PHASES = ("forward", "backward", "sgd_step", "step")
 
 
 def test_step_ab_of_a_tree_against_itself():
-    record = ab_record("step")
+    out = step_record(ROOT)
+    record = out["record"]
     assert (record["batch"], record["reps"], record["params_equal"]) == (32, 2, True)
-    phases = ("forward", "backward", "sgd_step", "step")
-    assert set(record) == {"batch", "reps", "params_equal"} | set(phases)
-    check_phases(record, phases)
+    # the stem conv reads the network input: its backward's None dx is not hashed
+    assert record["first_differing_node"] is None
+    assert set(record) == {"batch", "reps", "params_equal", "first_differing_node",
+                           "executor", "ops", *PHASES}
+    for phase in PHASES:
+        check_stats(record[phase])
     # a step's time is the sum of its phases'
     assert record["step"]["change"]["median"] > record["forward"]["change"]["median"]
+    assert set(record["executor"]) == {"forward", "backward"}
+    for stats in record["executor"].values():
+        check_stats(stats)
+    nodes = {op: row["nodes"] for op, row in record["ops"].items()}
+    assert "input" not in nodes
+    assert {op: nodes[op] for op in ("batchnorm", "conv", "resize", "softmax_xent")} == {
+        "batchnorm": 19, "conv": 19, "resize": 6, "softmax_xent": 1}
+    for row in record["ops"].values():
+        assert set(row) == {"nodes", "forward", "backward"}
+        check_stats(row["forward"])
+        check_stats(row["backward"])
+    # every rep: the node calls and the executor split each phase
+    assert len(out["rows"]) == 4
+    for row in out["rows"]:
+        for phase in ("forward", "backward"):
+            nodes_s = sum(row[f"{op}|{phase}"] for op in nodes)
+            assert row[f"executor|{phase}"] > 0
+            assert nodes_s + row[f"executor|{phase}"] == pytest.approx(row[phase])
+
+
+RELU_SCALED = """
+
+_relu_backward = relu_backward
+
+
+def relu_backward(dy, y):
+    return _relu_backward(dy, y) * 2
+"""
+
+
+def test_step_ab_names_the_first_node_whose_bytes_differ(tmp_path):
+    from sakit import presets
+
+    shutil.copytree(ROOT / "src" / "sakit", tmp_path / "src" / "sakit")
+    with open(tmp_path / "src" / "sakit" / "ops.py", "a") as f:
+        f.write(RELU_SCALED)
+    record = step_record(tmp_path)["record"]
+    spec = presets.build_seed(presets.build_cifar_resnet(1, num_classes=10, in_channels=1),
+                              [1, 2, 4])
+    last_relu = [layer.name for layer in spec.nodes if layer.op == "relu"][-1]
+    assert record["first_differing_node"] == {"node": last_relu, "part": "backward"}
+    assert record["params_equal"] is False

@@ -297,3 +297,35 @@ def test_slack_budget_keeps_all_seed_channels():
         assert len(res.selected) == len(recs)
         assert res.per_scale == {1: len(recs) // 3, 2: len(recs) // 3,
                                  4: len(recs) // 3}
+
+
+def test_run_pipeline_trains_with_its_own_package(tmp_path):
+    """A copy of sakit imported under another package name trains with its
+    own ``training``, not with the ``sakit`` on ``sys.path``."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    import sakit
+
+    name, src = "sakit_renamed", Path(sakit.__file__).parent
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    tree = sys.modules[name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(tree)
+
+        class Trained(Exception):
+            pass
+
+        def train(*args, **kwargs):
+            raise Trained
+
+        tree.training.train = train
+        base = tree.presets.build_cifar_resnet(1, num_classes=10, in_channels=1)
+        with pytest.raises(Trained):
+            tree.allocator.run_pipeline(base, [1, 2], None, None, None,
+                                        tree.allocator.ProjectionConfig(), tmp_path)
+    finally:
+        for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+            del sys.modules[key]

@@ -86,12 +86,16 @@ _ALLOCATE = ["allocate", "--importances", "{tmp}/imp.csv", "--budgets", "{tmp}/b
     (["train", "--spec", "{tmp}/s.netspec", "--plan", "cifar-n4"], "drop --plan"),
     (["build", "--preset", "cifar-n1", "--input", "64"], "--input is not read with --preset"),
     (["train", "--spec", "{tmp}/bad.netspec"], "node 'c1': expects 3 channels, got 1"),
+    (["build", "--preset", "cifar-n1", "--scales", "1,2,4"], "--scales needs --plan"),
+    (["rf", "--preset", "cifar-n1", "--scales", "1,2,4"], "--scales needs --plan"),
+    (["train", *_SMALL, "--scales", "1,2,4"], "--scales needs --plan"),
 ], ids=["milestones", "milestones-zero", "milestones-repeated", "augment", "lr", "downsample", "pipeline-scales", "build-scales",
         "allocate-scales", "allocate-lost-scale", "allocate-budget-hole",
         "allocate-zero-budget", "build-plan-scales", "rf-alias-scales",
         "report-even-without-preset", "flops-out-dir", "pipeline-b-nan", "allocate-b-inf",
         "train-spec-with-network-options", "train-spec-with-plan", "cifar-input",
-        "train-spec-shapes"])
+        "train-spec-shapes", "build-scales-without-plan", "rf-scales-without-plan",
+        "train-scales-without-plan"])
 def test_bad_options_fail_before_anything_is_written(capsys, tmp_path, argv, says):
     (tmp_path / "imp.csv").write_text("k,scale,channel,gamma,abs_gamma,unit_cost\n"
                                       "1,1,0,0.9,0.9,4\n1,2,0,0.7,0.7,1\n")
@@ -118,8 +122,11 @@ def test_bad_options_fail_before_anything_is_written(capsys, tmp_path, argv, say
     (["allocate", "--importances", "imp.csv", "--budgets", "bud.csv"], "--scales is required"),
     (["eval"], "--checkpoint is required"),
     (["report", "--preset", "resnet50"], "--plan is required"),
+    # eval loads the val split, which --val-per-class sizes
+    (["eval", "--checkpoint", "run.sanc", "--per-class", "3"],
+     "unrecognized arguments: --per-class 3"),
 ], ids=["preset", "cifar-data-dir", "dataset", "allocate-inputs", "allocate-scales",
-        "eval-checkpoint", "report-plan"])
+        "eval-checkpoint", "report-plan", "eval-per-class"])
 def test_missing_and_unknown_inputs_are_usage_errors(capsys, tmp_path, monkeypatch, argv,
                                                      says):
     monkeypatch.chdir(tmp_path)

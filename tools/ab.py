@@ -1,7 +1,7 @@
-"""Byte record and per-op A/B of a sakit tree against its parent.
+"""Byte record of a sakit tree, and a per-op A/B of its training step
+against its parent.
 
     python3 tools/ab.py bytes
-    python3 tools/ab.py ops --parent DIR --op batchnorm
     python3 tools/ab.py step --parent DIR
 
 sakit is imported from the ``src/`` beside this file's ``tools/``. To record
@@ -34,35 +34,34 @@ each array's dtype, shape and bytes, in the order listed.
   temporary working directory, so that ``config.resolved.txt`` holds no
   absolute path.
 
-``ops`` times every node of one netspec op (``--op``, not ``input``) of the
-desk seed network of ``desk_max`` in training at batch 32, in this tree and
-in the tree at ``--parent DIR`` (a ``git archive`` of the parent; its
-``src/sakit`` is imported as the package ``sakit_parent``), in one process.
-Each side builds the network from its own presets, with ``Graph(seed=1)``
-parameters and the batchnorm state above, and feeds the same seeded N(0, 1)
-inputs, upstream gradients and labels to its own ``autograd.Node`` of each
-node: forward, then backward on the fresh cache, as ``Graph.backward`` runs
-it in training, so a node that reads the network input computes no gradient
-for it. After 3 warm-up reps, the sides alternate rep by rep, the first side
-swapping each rep, for 30 reps. A rep of a side sums its nodes' forward and
-backward seconds. The JSON gives per side and phase the median and quartiles
-(``statistics.quantiles``, inclusive) in ms; per phase the median paired
-difference, change minus parent, and the reps the change was faster; and the
-first node, in spec order, whose output bytes (forward output, then the
-input and parameter gradients it computes) differ between the sides in the
-first rep, or null.
-
-``step`` times the training step that ``training.train`` runs, on that desk
-seed network: each side's ``Graph(seed=1)`` as initialized, forward with the
-loss, ``backward(input_grad=False)`` and its own ``sgd_step`` with the
-``desk_max`` SGD settings, on the same seeded batch of 32 images per step.
-Warm-up, alternation and reps are those of ``ops``, one step a rep. The JSON
-gives the statistics of ``ops`` for the phases ``forward``, ``backward``,
-``sgd_step`` and ``step`` (their sum), and whether the two sides'
-parameters are byte-equal after the last step.
+``step`` times the training step that ``training.train`` runs, on the desk
+seed network of ``desk_max`` (batch 32), in this tree and in the tree at
+``--parent DIR`` (a ``git archive`` of the parent; its ``src/sakit`` is
+imported as the package ``sakit_parent``), in one process: each side's
+``Graph(seed=1)`` as initialized, forward with the loss,
+``backward(input_grad=False)`` and its own ``sgd_step`` with the
+``desk_max`` SGD settings, on the same seeded batch per step. After 3
+warm-up steps, the sides alternate step by step, the first side swapping
+each step, for 30 steps. Each node but the input is timed inside the step:
+its ``forward`` and ``backward`` are wrapped on the side's graph, which
+calls them. The JSON gives, per side and for each of the phases
+``forward``, ``backward``, ``sgd_step`` and ``step`` (their sum), the
+median and quartiles (``statistics.quantiles``, inclusive) in ms, the
+median paired difference, change minus parent, and the steps the change
+was faster; the same under ``ops``, by op, for its nodes' summed forward
+and backward seconds, with the op's node count; and under ``executor``, for
+forward and backward, the phase's seconds outside those node calls. It
+also gives whether the two sides' parameters are byte-equal after the last
+step, and the first node call, in execution order (forward in spec order,
+then backward), whose arrays differ between the sides in the first
+warm-up step, or null. A forward call's arrays are its output; a
+backward's are the input gradients it computes, then its parameter
+gradients by name. Once one node's bytes differ, the nodes downstream see
+different inputs, so only the first difference is named.
 """
 
 import argparse
+import collections
 import hashlib
 import importlib.util
 import json
@@ -188,6 +187,8 @@ def load_tree(src, name):
 BATCH = 32
 WARMUP = 3
 REPS = 30
+PHASES = ("forward", "backward", "sgd_step", "step")
+NODE_PHASES = ("forward", "backward")
 
 
 def between(*marks):
@@ -195,68 +196,59 @@ def between(*marks):
     return [b - a for a, b in zip(marks, marks[1:])]
 
 
-class Side:
-    """One tree's nodes of the op in the desk seed network, with its
-    parameters and shared inputs."""
-
-    def __init__(self, tree, op):
-        import numpy as np
-        from sakit.rng import stream
-        spec = desk_spec(tree.presets)
-        graph = tree.autograd.Graph(spec, seed=1)
-        set_bn_state(graph)
-        self.params, self.state = graph.params, graph.state
-        self.nodes = [tree.autograd.Node(layer) for layer in spec.nodes if layer.op == op]
-        # as in training, no gradient for the network input
-        self.input_grads = [spec.input_name not in n.layer.inputs for n in self.nodes]
-        self.inputs, self.dys = [], []
-        for node in self.nodes:
-            r = stream(1, "ab-ops", node.name)
-            self.inputs.append([r.normal(size=(BATCH,) + spec.shapes[i]).astype(graph.dtype)
-                                for i in node.layer.inputs])
-            # the loss is one number, not one per image
-            shape = () if node.name == spec.loss_name else (BATCH,) + spec.shapes[node.name]
-            self.dys.append(np.asarray(r.normal(size=shape), dtype=graph.dtype))
-        self.labels = stream(1, "ab-ops", "labels").integers(0, spec.num_classes, size=BATCH)
-
-    def rep(self, record=None):
-        """(forward s, backward s) summed over the nodes; ``record``
-        collects each node's output digests."""
-        total = [0.0, 0.0]
-        for node, xs, dy, input_grad in zip(self.nodes, self.inputs, self.dys,
-                                            self.input_grads):
-            c0 = time.perf_counter()
-            y, node.cache = node.forward(xs, self.params, dict(self.state), True, self.labels)
-            c1 = time.perf_counter()
-            dxs, dparams = node.backward(dy, self.params, input_grad)
-            total = [a + b for a, b in zip(total, between(c0, c1, time.perf_counter()))]
-            if record is not None:
-                record.append((node.name, "forward", digest([y])))
-                record.append((node.name, "backward", digest(
-                    [dx for dx in dxs if dx is not None] + by_name(dparams))))
-            node.cache = None
-        return total
-
-
 class StepSide:
-    """One tree's desk seed network and SGD state, one training step a rep."""
+    """One tree's desk seed network and SGD state, one training step a rep,
+    with every node but the input timed by op."""
 
     def __init__(self, tree):
         self.spec = desk_spec(tree.presets)
         self.graph = tree.autograd.Graph(self.spec, seed=1)
         self.sgd = tree.optim.SgdState(0.05, momentum=0.9, weight_decay=1e-4)
         self.sgd_step = tree.optim.sgd_step
+        self.counts, self.seconds, self.record = collections.Counter(), {}, None
+        for node in self.graph.nodes:
+            if node.layer.op != "input":
+                self.counts[node.layer.op] += 1
+                node.forward = self.timed(node, "forward", node.forward)
+                node.backward = self.timed(node, "backward", node.backward)
 
-    def rep(self, x, labels):
-        """(forward, backward, sgd_step, step) seconds."""
+    def timed(self, node, phase, call):
+        """``call``, adding its seconds to ``seconds[(op, phase)]`` and, while
+        ``record`` is a list, appending its arrays' digest."""
+        key = (node.layer.op, phase)
+
+        def wrapper(*args, **kwargs):
+            c0 = time.perf_counter()
+            result = call(*args, **kwargs)
+            self.seconds[key] += time.perf_counter() - c0
+            if self.record is not None:
+                if phase == "forward":  # (output, cache)
+                    arrays = [result[0]]
+                else:  # (input gradients, parameter gradients)
+                    arrays = [dx for dx in result[0] if dx is not None] + by_name(result[1])
+                self.record.append((node.name, phase, digest(arrays)))
+            return result
+        return wrapper
+
+    def rep(self, x, labels, record=None):
+        """Seconds by phase, by ``(op, phase)`` and by ``("executor", phase)``;
+        ``record`` collects each node call's digest."""
+        self.seconds = {(op, phase): 0.0 for op in self.counts for phase in NODE_PHASES}
+        self.record = record
         c0 = time.perf_counter()
         self.graph.forward(x, labels=labels, mode="train")
         c1 = time.perf_counter()
         grads = self.graph.backward(input_grad=False)
         c2 = time.perf_counter()
         self.sgd_step(self.sgd, self.graph.params, grads)
-        row = between(c0, c1, c2, time.perf_counter())
-        return row + [sum(row)]
+        row = dict(zip(PHASES, between(c0, c1, c2, time.perf_counter())))
+        row["step"] = row["forward"] + row["backward"] + row["sgd_step"]
+        for phase in NODE_PHASES:
+            row["executor", phase] = row[phase] - sum(self.seconds[op, phase]
+                                                      for op in self.counts)
+        row.update(self.seconds)
+        self.record = None
+        return row
 
 
 def quartiles(values):
@@ -276,37 +268,19 @@ def alternate(rep):
     return runs
 
 
-def phase_stats(runs, phases):
-    """Per phase: each side's quartiles in ms, the median paired difference
-    and the reps the change was faster. A row holds the phases' seconds."""
-    out = {}
-    for k, phase in enumerate(phases):
-        ms = {name: [row[k] * 1e3 for row in rows] for name, rows in runs.items()}
-        diff = [c - p for p, c in zip(ms["parent"], ms["change"])]
-        out[phase] = {name: quartiles(ms[name]) for name in runs}
-        out[phase]["paired_diff_ms"] = round(statistics.median(diff), 3)
-        out[phase]["change_faster"] = f"{sum(d < 0 for d in diff)}/{REPS}"
+def phase_stats(runs, key):
+    """Each side's quartiles in ms of its rows' ``key`` seconds, the median
+    paired difference and the reps the change was faster."""
+    ms = {name: [row[key] * 1e3 for row in rows] for name, rows in runs.items()}
+    diff = [c - p for p, c in zip(ms["parent"], ms["change"])]
+    out = {name: quartiles(ms[name]) for name in runs}
+    out["paired_diff_ms"] = round(statistics.median(diff), 3)
+    out["change_faster"] = f"{sum(d < 0 for d in diff)}/{REPS}"
     return out
 
 
 def load_parent(parent):
     return load_tree(Path(parent) / "src", "sakit_parent")
-
-
-def ops_ab(parent, op):
-    """The ``ops`` record (module docstring) as a dict."""
-    import sakit
-    sides = {"parent": Side(load_parent(parent), op), "change": Side(sakit, op)}
-    names = [[n.name for n in side.nodes] for side in sides.values()]
-    if names[0] != names[1] or not names[0]:
-        raise SystemExit(f"the desk has no '{op}' nodes, or the trees differ: {names}")
-    records = {name: [] for name in sides}
-    runs = alternate(lambda name, i: sides[name].rep(records[name] if i == 0 else None))
-    differ = next(({"node": a[0], "part": a[1]}
-                   for a, b in zip(*records.values()) if a != b), None)
-    out = {"op": op, "nodes": len(names[0]), "reps": REPS, "first_differing_node": differ}
-    out.update(phase_stats(runs, ("forward", "backward")))
-    return out
 
 
 def step_ab(parent):
@@ -322,29 +296,32 @@ def step_ab(parent):
         r = stream(1, "ab-step", i)
         batches.append((r.normal(size=(BATCH, 1, 32, 32)).astype(np.float32),
                         r.integers(0, 10, size=BATCH)))
-    runs = alternate(lambda name, i: sides[name].rep(*batches[i]))
+    records = {name: [] for name in sides}
+    runs = alternate(lambda name, i: sides[name].rep(*batches[i],
+                                                     records[name] if i == 0 else None))
+    differ = next(({"node": a[0], "part": a[1]}
+                   for a, b in zip(*records.values()) if a != b), None)
     params = [side.graph.params for side in sides.values()]
     equal = params[0].keys() == params[1].keys() and all(
         params[0][k].tobytes() == params[1][k].tobytes() for k in params[0])
-    out = {"batch": BATCH, "reps": REPS, "params_equal": equal}
-    out.update(phase_stats(runs, ("forward", "backward", "sgd_step", "step")))
+    out = {"batch": BATCH, "reps": REPS, "params_equal": equal,
+           "first_differing_node": differ}
+    out.update({phase: phase_stats(runs, phase) for phase in PHASES})
+    out["executor"] = {phase: phase_stats(runs, ("executor", phase)) for phase in NODE_PHASES}
+    out["ops"] = {op: {"nodes": n, **{phase: phase_stats(runs, (op, phase))
+                                      for phase in NODE_PHASES}}
+                  for op, n in sorted(sides["change"].counts.items())}
     return out
 
 
 def main(argv=None):
-    from sakit.netspec import KNOWN_OPS
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
     sub.add_parser("bytes", help="print the byte record as JSON")
-    ops = sub.add_parser("ops", help="time one op's nodes against a parent tree")
-    ops.add_argument("--parent", required=True, help="root of the parent tree")
-    ops.add_argument("--op", required=True, choices=sorted(set(KNOWN_OPS) - {"input"}))
-    step = sub.add_parser("step", help="time the desk training step against a parent tree")
+    step = sub.add_parser("step", help="time the desk training step, op by op, "
+                                       "against a parent tree")
     step.add_argument("--parent", required=True, help="root of the parent tree")
     args = parser.parse_args(argv)
-    if args.mode == "ops":
-        print(json.dumps(ops_ab(args.parent, args.op), indent=1))
-        return
     if args.mode == "step":
         print(json.dumps(step_ab(args.parent), indent=1))
         return
